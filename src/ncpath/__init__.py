@@ -29,8 +29,10 @@ from .slicer import (
     SweepResult,
     alpha_sweep,
     compose,
+    edge_phase_turns,
     free_kernel_closed_form,
     full_kernel,
+    propagate,
     short_time_propagator,
 )
 from .star import (
@@ -77,6 +79,7 @@ __all__ = [
     "build_hamiltonian_matrix",
     "compose",
     "delta_alpha_matrix_element",
+    "edge_phase_turns",
     "evaluate_potential_shifted",
     "free_kernel_closed_form",
     "full_kernel",
@@ -86,6 +89,7 @@ __all__ = [
     "load_config",
     "oracle_compare",
     "potential_operator_kernel",
+    "propagate",
     "realize_hamiltonian_symbol",
     "shifted_potential_symbol",
     "short_time_propagator",

@@ -5,8 +5,8 @@ Subcommands: symbol, star-check, kernel, alpha-sweep, phi-audit,
 limit-check, oracle-compare, unitarity.  Exit codes: 0 pass,
 1 verification failure, 2 usage/config error.  Identical config and flags
 produce byte-identical output; floats are printed with 17 significant
-digits.  NCPATH_THREADS caps the worker count for independent kernel
-builds.
+digits.  NCPATH_THREADS caps the worker count for the independent (m, α)
+propagations of alpha-sweep.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import hashlib
 import json
 import os
 import sys
-import time
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +23,8 @@ import numpy as np
 from . import phi_engine
 from .core import ConfigError, load_config
 from .oracle import oracle_compare
-from .slicer import SlicingConfig, alpha_sweep, full_kernel, short_time_propagator
+from .slicer import SlicingConfig, alpha_sweep, edge_phase_turns, full_kernel, propagate, \
+    short_time_propagator
 from .star import gaussian_packet, potential_operator_kernel, star_apply, \
     star_integral_identity_check
 from .weyl import verify_alpha_washout
@@ -189,6 +189,14 @@ def cmd_kernel(args) -> int:
     return EXIT_OK
 
 
+def _edge_phase(cfg, args, m_values, alpha):
+    """Summary entry: the slice edge phase in turns at the smallest m (largest ε)."""
+    if not m_values:
+        raise ConfigError("m-list: needs at least one slice count")
+    scfg = SlicingConfig(min(m_values), args.total_time, alpha, cfg.params)
+    return {"edge_phase_turns": _fmt(edge_phase_turns(scfg, cfg.grid))}
+
+
 def cmd_alpha_sweep(args) -> int:
     cfg = _load(args)
     alphas = _parse_float_list(args.alphas)
@@ -205,7 +213,8 @@ def cmd_alpha_sweep(args) -> int:
     _write_artifact(args.out, header, rows, footer)
     _write_summary(args.summary, "alpha-sweep", cfg, header, rows,
                    {"slope": _fmt(result.slope), "intercept": _fmt(result.intercept),
-                    "residual": _fmt(result.residual)})
+                    "residual": _fmt(result.residual),
+                    **_edge_phase(cfg, args, m_values, alphas[0])})
     return EXIT_OK
 
 
@@ -247,16 +256,16 @@ def cmd_limit_check(args) -> int:
 def cmd_oracle_compare(args) -> int:
     cfg = _load(args)
     m_values = _parse_int_list(args.m_list)
-    probe = _probe(cfg, args)
+    timings = {}
+    result = oracle_compare(cfg.potential, cfg.theta, cfg.grid, cfg.params,
+                            args.total_time, m_values, _probe(cfg, args), alpha=args.alpha,
+                            timings=timings)
     header = ["m", "l2_error_vs_spectral", "runtime_seconds"]
-    rows = []
-    for m in m_values:
-        t0 = time.perf_counter()
-        result = oracle_compare(cfg.potential, cfg.theta, cfg.grid, cfg.params,
-                                args.total_time, [m], probe, alpha=args.alpha)
-        rows.append((m, result[0][1], time.perf_counter() - t0))
+    rows = [(m, err, timings[m]) for m, err in result]
     _write_artifact(args.out, header, rows)
-    _write_summary(args.summary, "oracle-compare", cfg, header, rows)
+    _write_summary(args.summary, "oracle-compare", cfg, header, rows,
+                   {"reference_seconds": _fmt(timings["reference"]),
+                    **_edge_phase(cfg, args, m_values, args.alpha)})
     return EXIT_OK
 
 
@@ -268,10 +277,11 @@ def cmd_unitarity(args) -> int:
     rows = []
     for m in m_values:
         scfg = SlicingConfig(m, args.total_time, args.alpha, cfg.params)
-        kernel = full_kernel(scfg, cfg.potential, cfg.theta, cfg.grid)
-        rows.append((m, kernel.apply(probe).norm() / probe.norm()))
+        evolved = propagate(scfg, cfg.potential, cfg.theta, cfg.grid, probe)
+        rows.append((m, evolved.norm() / probe.norm()))
     _write_artifact(args.out, header, rows)
-    _write_summary(args.summary, "unitarity", cfg, header, rows)
+    _write_summary(args.summary, "unitarity", cfg, header, rows,
+                   _edge_phase(cfg, args, m_values, args.alpha))
     return EXIT_OK
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -157,3 +158,53 @@ def test_probe_width_flag_overrides_config(config_path):
                          "--probe-width", "0.6")
     assert base.returncode == 0 and overridden.returncode == 0
     assert base.stdout != overridden.stdout
+
+
+def _run_in_process(*args):
+    import ncpath.cli
+
+    return ncpath.cli.main(list(args))
+
+
+def test_oracle_compare_builds_one_spectral_reference(config_path, tmp_path, monkeypatch):
+    import ncpath.oracle
+
+    calls = []
+    original = ncpath.oracle.spectral_propagator
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ncpath.oracle, "spectral_propagator", counted)
+    summary = tmp_path / "oracle.json"
+    code = _run_in_process("oracle-compare", "--config", config_path, "--m-list", "2,4,8",
+                           "--out", str(tmp_path / "oracle.csv"), "--summary", str(summary))
+    assert code == 0
+    assert len(calls) == 1
+    payload = json.loads(summary.read_text())
+    assert payload["columns"] == ["m", "l2_error_vs_spectral", "runtime_seconds"]
+    assert [row[0] for row in payload["rows"]] == ["2", "4", "8"]
+    assert float(payload["reference_seconds"]) > 0.0
+    assert all(float(row[2]) > 0.0 for row in payload["rows"])
+
+
+@pytest.mark.parametrize("command, m_list", [("alpha-sweep", "8,2,4"),
+                                             ("oracle-compare", "8,2,4"),
+                                             ("unitarity", "8,2,4")])
+def test_summary_reports_edge_phase_at_smallest_m(config_path, tmp_path, command, m_list):
+    summary = tmp_path / "summary.json"
+    code = _run_in_process(command, "--config", config_path, "--m-list", m_list,
+                           "--out", str(tmp_path / "out.csv"), "--summary", str(summary))
+    assert code == 0
+    payload = json.loads(summary.read_text())
+    # G = 8 on a half-width 5 box: Δk = 2π/(8·1.25), corner k² = 2·(4Δk)²
+    dk = 2 * math.pi / (8 * 1.25)
+    expected = (1.0 / 3) * 2 * (4 * dk) ** 2 / 2.0 / (2 * math.pi)
+    assert float(payload["edge_phase_turns"]) == pytest.approx(expected, rel=1e-12)
+
+
+def test_empty_m_list_is_rejected(config_path):
+    result = run_cli("unitarity", "--config", config_path, "--m-list", "")
+    assert result.returncode == 2
+    assert "m-list" in result.stderr

@@ -11,6 +11,7 @@ from ncpath.slicer import (
     compose,
     free_kernel_closed_form,
     full_kernel,
+    propagate,
     short_time_propagator,
 )
 from ncpath.star import gaussian_packet, identity_kernel
@@ -177,6 +178,60 @@ def test_full_kernel_m_zero_is_single_slice(small2d):
     cfg = SlicingConfig(0, 0.8, 0.2, params)
     assert np.array_equal(full_kernel(cfg, V, theta, grid).entries,
                           short_time_propagator(cfg, V, theta, grid).entries)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.0, 0.3])
+@pytest.mark.parametrize("m", [0, 1, 7])
+def test_propagate_matches_full_kernel_action(small2d, m, alpha):
+    params, grid, theta, V = small2d
+    cfg = SlicingConfig(m, 1.0, alpha, params)
+    probe = gaussian_packet(grid, center=(0.4, -0.2), momentum=(0.3, 0.1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        powered = full_kernel(cfg, V, theta, grid).apply(probe)
+        stepped = propagate(cfg, V, theta, grid, probe)
+    scale = np.max(np.abs(powered.values))
+    assert np.max(np.abs(stepped.values - powered.values)) <= 1e-12 * scale
+
+
+def test_propagate_m_zero_is_slice_action(small2d):
+    params, grid, theta, V = small2d
+    cfg = SlicingConfig(0, 0.8, 0.3, params)
+    probe = gaussian_packet(grid, momentum=(0.2, -0.4))
+    slice_action = short_time_propagator(cfg, V, theta, grid).apply(probe)
+    assert np.array_equal(propagate(cfg, V, theta, grid, probe).values, slice_action.values)
+
+
+def test_propagate_zero_potential_bitwise_alpha_independent(small2d):
+    params, grid, theta, _ = small2d
+    Vz = Potential.zero(2)
+    probe = gaussian_packet(grid, center=(0.3, 0.1))
+    base = propagate(SlicingConfig(5, 1.0, -0.5, params), Vz, theta, grid, probe)
+    for alpha in (-0.3, 0.0, 0.25, 0.5):
+        other = propagate(SlicingConfig(5, 1.0, alpha, params), Vz, theta, grid, probe)
+        assert np.array_equal(base.values, other.values)
+
+
+def test_grouped_slice_builder_memory_stays_near_kernel_size():
+    # α = 0.3 on G = 16 has 76 slice points per axis: the grouped builder,
+    # whose batches are scattered one leading-axis slice point at a time.
+    # Gathering every group's χ first would need 76²·16²·16 B ≈ 24 kernels.
+    import tracemalloc
+
+    params = PhysicsParams(dim=2)
+    grid = PhaseSpaceGrid(16, 5.0, 2)
+    cfg = SlicingConfig(4, 1.0, 0.3, params)
+    V = Potential.harmonic(1.0, 1.0, dim=2)
+    theta = ThetaMatrix.single_block(2, 0.1)
+    kernel_bytes = grid.size**2 * 16
+    tracemalloc.start()
+    try:
+        kernel = short_time_propagator(cfg, V, theta, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kernel.entries.nbytes == kernel_bytes
+    assert peak <= 4 * kernel_bytes, f"peak {peak} B for a {kernel_bytes} B kernel"
 
 
 def test_theta_reflection_transposes_kernel(small2d):
