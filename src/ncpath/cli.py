@@ -97,8 +97,11 @@ def _parse_float_list(text):
     return [float(v) for v in text.split(",") if v.strip() != ""]
 
 
-def _parse_int_list(text):
-    return [int(v) for v in text.split(",") if v.strip() != ""]
+def _parse_m_list(text):
+    values = [int(v) for v in text.split(",") if v.strip() != ""]
+    if not values:
+        raise ConfigError("--m-list: needs at least one slice count")
+    return values
 
 
 def _workers(args):
@@ -191,8 +194,6 @@ def cmd_kernel(args) -> int:
 
 def _edge_phase(cfg, args, m_values, alpha):
     """Summary entry: the slice edge phase in turns at the smallest m (largest ε)."""
-    if not m_values:
-        raise ConfigError("m-list: needs at least one slice count")
     scfg = SlicingConfig(min(m_values), args.total_time, alpha, cfg.params)
     return {"edge_phase_turns": _fmt(edge_phase_turns(scfg, cfg.grid))}
 
@@ -200,7 +201,7 @@ def _edge_phase(cfg, args, m_values, alpha):
 def cmd_alpha_sweep(args) -> int:
     cfg = _load(args)
     alphas = _parse_float_list(args.alphas)
-    m_values = _parse_int_list(args.m_list)
+    m_values = _parse_m_list(args.m_list)
     result = alpha_sweep(cfg.params, args.total_time, alphas, m_values,
                          cfg.potential, cfg.theta, cfg.grid, _probe(cfg, args),
                          workers=_workers(args))
@@ -236,7 +237,7 @@ def cmd_phi_audit(args) -> int:
 
 
 def cmd_limit_check(args) -> int:
-    m_values = _parse_int_list(args.m_list)
+    m_values = _parse_m_list(args.m_list)
     T = Fraction(args.total_time)
     header = ["m", "value", "gap_to_T_squared", "expected_gap", "pass"]
     rows = []
@@ -255,7 +256,7 @@ def cmd_limit_check(args) -> int:
 
 def cmd_oracle_compare(args) -> int:
     cfg = _load(args)
-    m_values = _parse_int_list(args.m_list)
+    m_values = _parse_m_list(args.m_list)
     timings = {}
     result = oracle_compare(cfg.potential, cfg.theta, cfg.grid, cfg.params,
                             args.total_time, m_values, _probe(cfg, args), alpha=args.alpha,
@@ -271,7 +272,7 @@ def cmd_oracle_compare(args) -> int:
 
 def cmd_unitarity(args) -> int:
     cfg = _load(args)
-    m_values = _parse_int_list(args.m_list)
+    m_values = _parse_m_list(args.m_list)
     probe = _probe(cfg, args)
     header = ["m", "norm_ratio"]
     rows = []

@@ -98,14 +98,6 @@ class ThetaMatrix:
         return f"ThetaMatrix({self.entries.tolist()})"
 
 
-@lru_cache(maxsize=32)
-def _dft_phase(points: int, sign: int):
-    """Centered DFT phase matrix exp(sign·2πi n m / G) from exact integer products."""
-    n = np.arange(points) - points // 2
-    prod = np.outer(n, n) % points
-    return np.exp(sign * 2j * np.pi * prod / points)
-
-
 class PhaseSpaceGrid:
     """Paired position/momentum lattices with Fourier-dual spacing.
 
@@ -158,21 +150,86 @@ class PhaseSpaceGrid:
         if not self.same_as(other):
             raise GridMismatchError("fields/kernels live on different grids")
 
-    def _apply_axis_transform(self, values, matrix):
-        tensor = np.asarray(values, dtype=complex).reshape(self.shape)
-        for axis in range(self.dim):
-            tensor = np.moveaxis(np.tensordot(matrix, tensor, axes=([1], [axis])), 0, axis)
-        return tensor.reshape(-1)
-
     def wave_to_momentum(self, values):
         """ψ̂(k) = (2πħ)^{-N/2} Δx^N Σ_x e^{-(i/ħ) k·x} ψ(x)."""
         scale = self.cell_volume * (2.0 * np.pi * self.hbar) ** (-self.dim / 2.0)
-        return self._apply_axis_transform(values, _dft_phase(self.points_per_axis, -1)) * scale
+        tensor = np.asarray(values, dtype=complex).reshape(self.shape)
+        return _centered_dft(self, tensor, -1).reshape(-1) * scale
 
     def momentum_to_wave(self, values):
         """ψ(x) = (2πħ)^{-N/2} Δk^N Σ_k e^{+(i/ħ) k·x} ψ̂(k)."""
         scale = self.momentum_cell_volume * (2.0 * np.pi * self.hbar) ** (-self.dim / 2.0)
-        return self._apply_axis_transform(values, _dft_phase(self.points_per_axis, +1)) * scale
+        tensor = np.asarray(values, dtype=complex).reshape(self.shape)
+        return _centered_dft(self, tensor, +1).reshape(-1) * scale
+
+
+# -- lattice plumbing shared by the kernel builders ---------------------------
+
+
+@lru_cache(maxsize=32)
+def _dft_phase(points: int, sign: int):
+    """Centered DFT phase matrix exp(sign·2πi n m / G) from exact integer products."""
+    n = np.arange(points) - points // 2
+    prod = np.outer(n, n) % points
+    return np.exp(sign * 2j * np.pi * prod / points)
+
+
+def _centered_dft(grid: PhaseSpaceGrid, tensor, sign: int, first_axis: int = 0):
+    """Dense centered DFT over the grid.dim consecutive axes of tensor from first_axis.
+
+    Each axis contracts with the exact-integer-phase matrix _dft_phase, so
+    forward and inverse transforms are exact inverses on the lattice.
+    """
+    mat = _dft_phase(grid.points_per_axis, sign)
+    for axis in range(first_axis, first_axis + grid.dim):
+        tensor = np.moveaxis(np.tensordot(mat, tensor, axes=([1], [axis])), 0, axis)
+    return tensor
+
+
+def _centered_fft(grid: PhaseSpaceGrid, tensor, sign: int):
+    """Σ_n T[.., n] e^{sign·2πi n·d/G} over centered n on the trailing grid axes.
+
+    The output is indexed by 0-based offsets d = 0 … G-1 per axis; the phase
+    depends on d only mod G, so np.fft.fftshift puts it in centered order.
+    """
+    G = grid.points_per_axis
+    axes = tuple(range(tensor.ndim - grid.dim, tensor.ndim))
+    work = np.roll(tensor, (-(G // 2),) * grid.dim, axis=axes)
+    if sign < 0:
+        return np.fft.fftn(work, axes=axes)
+    return np.fft.ifftn(work, axes=axes) * (G ** grid.dim)
+
+
+def _index_difference_table(grid: PhaseSpaceGrid):
+    """Per-axis 0-based index table of (n_out - n_in) mod G."""
+    n = grid.index_axis
+    return (n[:, None] - n[None, :]) % grid.points_per_axis
+
+
+def _pair_table(table, base: int, axes: int):
+    """Σ_a table[n_out_a, n_in_a]·base^(axes-1-a) over flattened lattice pairs.
+
+    table is a per-axis (G, G) integer table; the result has shape
+    (G^axes, G^axes), indexed by the row-major flat x_out and x_in indices.
+    """
+    G = table.shape[0]
+    flat = np.zeros((1, 1), dtype=np.intp)
+    for _ in range(axes):
+        flat = (flat[:, None, :, None] * base + table[None, :, None, :]).reshape(
+            flat.shape[0] * G, flat.shape[1] * G)
+    return flat
+
+
+def _circulant_entries(grid: PhaseSpaceGrid, multiplier, norm: float):
+    """norm·Σ_k f(k) e^{(i/ħ) k·(x_out - x_in)} on all lattice pairs.
+
+    The position kernel of a multiplier f on the k-lattice (values in
+    grid.k_points order): one centered transform χ, gathered by offset.
+    """
+    chi = _centered_fft(grid, multiplier.reshape(grid.shape), +1).reshape(-1)
+    entries = chi[_pair_table(_index_difference_table(grid), grid.points_per_axis, grid.dim)]
+    entries *= norm
+    return entries
 
 
 _POTENTIAL_FORMS = ("zero", "linear", "harmonic", "quartic", "polynomial", "gaussian_well")
@@ -334,33 +391,53 @@ def _require(mapping: dict, key: str, context: str = ""):
     return mapping[key]
 
 
+def _finite(value, name: str, shape=()):
+    """A finite float config value, or a finite array of the given shape."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name}: must be numeric") from None
+    if arr.shape != shape:
+        raise ConfigError(f"{name}: must be " + (f"of shape {shape}" if shape else "a number"))
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{name}: must be finite")
+    return arr if shape else float(arr)
+
+
+def _integer(value, name: str) -> int:
+    number = _finite(value, name)
+    if not number.is_integer():
+        raise ConfigError(f"{name}: must be an integer")
+    return int(number)
+
+
+def _coefficient(coeffs: dict, key: str, shape=()):
+    return _finite(_require(coeffs, key, "potential.coefficients"),
+                   f"potential.coefficients.{key}", shape)
+
+
 def _potential_from_config(pot: dict, dim: int, mass: float) -> Potential:
     form = _require(pot, "form", "potential")
     coeffs = pot.get("coefficients", {})
     if form == "zero":
         return Potential.zero(dim)
     if form == "linear":
-        c = np.asarray(_require(coeffs, "c", "potential.coefficients"), dtype=float)
-        if c.shape != (dim,):
-            raise ConfigError("potential.coefficients.c: needs one entry per axis")
-        return Potential.linear(c)
+        return Potential.linear(_coefficient(coeffs, "c", (dim,)))
     if form == "harmonic":
-        omega = _require(coeffs, "omega", "potential.coefficients")
-        return Potential.harmonic(float(omega), mass=mass, dim=dim)
+        return Potential.harmonic(_coefficient(coeffs, "omega"), mass=mass, dim=dim)
     if form == "quartic":
-        lam = _require(coeffs, "lambda", "potential.coefficients")
-        return Potential.quartic(float(lam), dim=dim)
+        return Potential.quartic(_coefficient(coeffs, "lambda"), dim=dim)
     if form == "polynomial":
         terms = _require(coeffs, "terms", "potential.coefficients")
         return Potential.polynomial(
             [( _require(t, "powers", "potential.coefficients.terms"),
-               _require(t, "c", "potential.coefficients.terms")) for t in terms],
+               _finite(_require(t, "c", "potential.coefficients.terms"),
+                       "potential.coefficients.terms.c")) for t in terms],
             dim,
         )
     if form == "gaussian_well":
-        depth = _require(coeffs, "depth", "potential.coefficients")
-        width = _require(coeffs, "width", "potential.coefficients")
-        return Potential.gaussian_well(float(depth), float(width), dim=dim)
+        return Potential.gaussian_well(_coefficient(coeffs, "depth"),
+                                       _coefficient(coeffs, "width"), dim=dim)
     raise ConfigError(f"potential.form: unknown form {form!r}")
 
 
@@ -387,20 +464,16 @@ def load_config(source) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("config: top level must be an object")
 
-    dim = int(_require(data, "dim"))
-    hbar = float(data.get("hbar", 1.0))
-    mass = float(data.get("mass", 1.0))
+    dim = _integer(_require(data, "dim"), "dim")
+    hbar = _finite(data.get("hbar", 1.0), "hbar")
+    mass = _finite(data.get("mass", 1.0), "mass")
     params = PhysicsParams(hbar=hbar, mass=mass, dim=dim)
-
-    theta_entries = np.asarray(_require(data, "theta"), dtype=float)
-    if theta_entries.shape != (dim, dim):
-        raise ConfigError("theta: must be an NxN array matching dim")
-    theta = ThetaMatrix(theta_entries)
+    theta = ThetaMatrix(_finite(_require(data, "theta"), "theta", (dim, dim)))
 
     grid_cfg = _require(data, "grid")
     grid = PhaseSpaceGrid(
-        int(_require(grid_cfg, "points_per_axis", "grid")),
-        float(_require(grid_cfg, "box_half_width", "grid")),
+        _integer(_require(grid_cfg, "points_per_axis", "grid"), "grid.points_per_axis"),
+        _finite(_require(grid_cfg, "box_half_width", "grid"), "grid.box_half_width"),
         dim,
         hbar=hbar,
     )
@@ -408,15 +481,12 @@ def load_config(source) -> RunConfig:
     potential = _potential_from_config(_require(data, "potential"), dim, mass)
 
     probe_cfg = data.get("probe", {})
-    center = tuple(float(v) for v in probe_cfg.get("center", (0.0,) * dim))
-    momentum = tuple(float(v) for v in probe_cfg.get("momentum", (0.0,) * dim))
-    if len(center) != dim:
-        raise ConfigError("probe.center: needs one entry per axis")
-    if len(momentum) != dim:
-        raise ConfigError("probe.momentum: needs one entry per axis")
+    center = _finite(probe_cfg.get("center", (0.0,) * dim), "probe.center", (dim,))
+    momentum = _finite(probe_cfg.get("momentum", (0.0,) * dim), "probe.momentum", (dim,))
     width = probe_cfg.get("width")
-    probe = ProbeSpec(center=center, width=None if width is None else float(width),
-                      momentum=momentum)
+    probe = ProbeSpec(center=tuple(center.tolist()),
+                      width=None if width is None else _finite(width, "probe.width"),
+                      momentum=tuple(momentum.tolist()))
 
     return RunConfig(params=params, theta=theta, grid=grid, potential=potential,
                      probe=probe, raw=data)

@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from .core import PhaseSpaceGrid, PhysicsParams, Potential, ThetaMatrix
+from .core import PhaseSpaceGrid, PhysicsParams, Potential, ThetaMatrix, _circulant_entries
 from .slicer import PropagatorKernel, SlicingConfig, propagate
 from .star import ComplexField, OperatorKernel, potential_operator_kernel
 
@@ -29,20 +29,7 @@ def kinetic_operator_kernel(grid: PhaseSpaceGrid, params: PhysicsParams) -> Oper
     """⟨y|K²/(2M)|y'⟩: diagonal in momentum, circulant in position."""
     norm = grid.momentum_cell_volume * (2.0 * np.pi * grid.hbar) ** (-grid.dim)
     k2 = np.sum(grid.k_points**2, axis=-1) / (2.0 * params.mass)
-    G = grid.points_per_axis
-    axes = tuple(range(grid.dim))
-    tensor = np.roll(k2.reshape(grid.shape), tuple(-(G // 2) for _ in axes), axis=axes)
-    chi = (np.fft.ifftn(tensor, axes=axes) * grid.size).reshape(-1)
-    n = grid.index_axis
-    per_axis = (n[:, None] - n[None, :]) % G
-    flat = 0
-    for axis in range(grid.dim):
-        shape = [1] * (2 * grid.dim)
-        shape[axis] = G
-        shape[grid.dim + axis] = G
-        flat = flat * G + per_axis.reshape(shape)
-    gather = np.broadcast_to(flat, (G,) * (2 * grid.dim)).reshape(grid.size, grid.size)
-    return OperatorKernel(chi[gather] * norm, grid)
+    return OperatorKernel(_circulant_entries(grid, k2, norm), grid)
 
 
 def build_hamiltonian_matrix(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceGrid,

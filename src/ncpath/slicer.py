@@ -19,12 +19,15 @@ of the sum without touching the V = 0 case.
 α enters only through V's argument, so V = 0 kernels are bitwise identical
 for every α, and the α-spread of composed kernels shrinks like 1/(m+1) —
 the quantitative face of ordering independence in the continuum limit.
+
+Kernels are star.OperatorKernel; PropagatorKernel is an alias of that one
+type, and a slice's kernel carries its SlicingConfig in `config`.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,8 +37,12 @@ from .core import (
     PhysicsParams,
     Potential,
     ThetaMatrix,
+    _centered_fft,
+    _circulant_entries,
+    _index_difference_table,
+    _pair_table,
 )
-from .star import ComplexField
+from .star import ComplexField, OperatorKernel
 
 
 @dataclass(frozen=True)
@@ -63,29 +70,7 @@ class SlicingConfig:
         return self.total_time / (self.slices_m + 1)
 
 
-@dataclass
-class PropagatorKernel:
-    """Complex kernel K[x_out, x_in] over lattice points."""
-
-    entries: np.ndarray
-    grid: PhaseSpaceGrid
-    config: SlicingConfig | None = None
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=complex)
-        n = self.grid.size
-        if self.entries.shape != (n, n):
-            raise GridMismatchError("kernel shape does not match grid size")
-
-    def apply(self, field: ComplexField) -> ComplexField:
-        self.grid.require_same(field.grid)
-        return ComplexField(self.entries @ field.values * self.grid.cell_volume, self.grid)
-
-
-def _index_difference_table(grid: PhaseSpaceGrid):
-    """Per-axis 0-based index table of (n_out - n_in) mod G."""
-    n = grid.index_axis
-    return (n[:, None] - n[None, :]) % grid.points_per_axis
+PropagatorKernel = OperatorKernel
 
 
 def _fold_nyquist(grid: PhaseSpaceGrid, values_ext):
@@ -122,17 +107,6 @@ def _extended_k_points(grid: PhaseSpaceGrid):
     return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
 
-def _chi_from_integrand(grid: PhaseSpaceGrid, integrand):
-    """χ(d) = Σ_k f(k) e^{(i/ħ) k · d Δx} for all 0-based index offsets d.
-
-    Exact because e^{2πi n (d mod G)/G} = e^{2πi n d/G}; input is centered.
-    """
-    G = grid.points_per_axis
-    axes = tuple(range(integrand.ndim - grid.dim, integrand.ndim))
-    work = np.roll(integrand, tuple(-(G // 2) for _ in axes), axis=axes)
-    return np.fft.ifftn(work, axes=axes) * (G ** grid.dim)
-
-
 def edge_phase_turns(cfg: SlicingConfig, grid: PhaseSpaceGrid) -> float:
     """Kinetic phase ε·k²_max/(2Mħ) of one slice at the momentum-window
     corner, in full turns; above 1 the slice's momentum sum aliases."""
@@ -164,14 +138,11 @@ def short_time_propagator(cfg: SlicingConfig, V: Potential, theta: ThetaMatrix,
             stacklevel=2,
         )
     norm = grid.momentum_cell_volume * (2.0 * np.pi * hbar) ** (-grid.dim)
-    diff_mod = _index_difference_table(grid)
 
     if V.is_zero:
-        k2 = np.sum(grid.k_points**2, axis=-1).reshape(grid.shape)
-        chi = _chi_from_integrand(grid, np.exp(-1j * eps * k2 / (2.0 * params.mass * hbar)))
-        entries = chi.reshape(-1)[_pair_table(diff_mod, G, grid.dim)]
-        entries *= norm
-        return PropagatorKernel(entries, grid, cfg)
+        k2 = np.sum(grid.k_points**2, axis=-1)
+        kin = np.exp(-1j * eps * k2 / (2.0 * params.mass * hbar))
+        return PropagatorKernel(_circulant_entries(grid, kin, norm), grid, cfg)
 
     k_ext = _extended_k_points(grid)
     k2_ext = np.sum(k_ext**2, axis=-1)
@@ -194,26 +165,21 @@ def short_time_propagator(cfg: SlicingConfig, V: Potential, theta: ThetaMatrix,
         if svals.size > 8 * G:
             return _short_time_rowwise(cfg, V, theta, grid, norm, kin_ext, shifts_ext)
     entries = _grouped_slice(grid, eps, hbar, V, kin_ext, shifts_ext,
-                             svals, slot.reshape(G, G), diff_mod)
+                             svals, slot.reshape(G, G))
     entries *= norm
     return PropagatorKernel(entries, grid, cfg)
 
 
-def _pair_table(table, base: int, axes: int):
-    """Σ_a table[n_out_a, n_in_a]·base^(axes-1-a) over flattened lattice pairs.
-
-    table is a per-axis (G, G) integer table; the result has shape
-    (G^axes, G^axes), indexed by the row-major flat x_out and x_in indices.
-    """
-    G = table.shape[0]
-    flat = np.zeros((1, 1), dtype=np.intp)
-    for _ in range(axes):
-        flat = (flat[:, None, :, None] * base + table[None, :, None, :]).reshape(
-            flat.shape[0] * G, flat.shape[1] * G)
-    return flat
+def _slice_chi(grid, eps, hbar, V, kin_ext, shifts_ext, xbar):
+    """χ(d), shape (B, G^N), of the ±K-folded slice integrand at each x̄ in xbar (B, N)."""
+    ext_shape = (grid.points_per_axis + 1,) * grid.dim
+    vvals = V(xbar[:, None, :] + shifts_ext[None, :, :])
+    integrand = kin_ext * np.exp(-1j * eps * vvals / hbar)
+    folded = _fold_nyquist(grid, integrand.reshape((-1,) + ext_shape))
+    return _centered_fft(grid, folded, +1).reshape(xbar.shape[0], grid.size)
 
 
-def _grouped_slice(grid, eps, hbar, V, kin_ext, shifts_ext, svals, slot, diff_mod):
+def _grouped_slice(grid, eps, hbar, V, kin_ext, shifts_ext, svals, slot):
     """Slice entries, before the momentum measure, grouped by slice point.
 
     svals holds the S distinct per-axis slice-point coordinates and
@@ -225,20 +191,17 @@ def _grouped_slice(grid, eps, hbar, V, kin_ext, shifts_ext, svals, slot, diff_mo
     G = grid.points_per_axis
     rest = grid.dim - 1
     size_rest = G**rest
+    diff_mod = _index_difference_table(grid)
     batch_rest = _pair_table(slot, svals.size, rest)
     diff_rest = _pair_table(diff_mod, G, rest)
     lattice_rest = np.arange(size_rest)
     xbar = np.empty((svals.size**rest, grid.dim))
     for axis, coords in enumerate(np.meshgrid(*(svals,) * rest, indexing="ij"), start=1):
         xbar[:, axis] = coords.reshape(-1)
-    ext_shape = (G + 1,) * grid.dim
     entries = np.empty((grid.size, grid.size), dtype=complex)
     for s, lead in enumerate(svals):
         xbar[:, 0] = lead
-        vvals = V(xbar[:, None, :] + shifts_ext[None, :, :])
-        integrand = kin_ext * np.exp(-1j * eps * vvals / hbar)
-        folded = _fold_nyquist(grid, integrand.reshape((-1,) + ext_shape))
-        chi = _chi_from_integrand(grid, folded).reshape(xbar.shape[0], grid.size)
+        chi = _slice_chi(grid, eps, hbar, V, kin_ext, shifts_ext, xbar)
         outs, ins = np.nonzero(slot == s)
         rows = outs[:, None, None] * size_rest + lattice_rest[None, :, None]
         cols = ins[:, None, None] * size_rest + lattice_rest[None, None, :]
@@ -254,33 +217,23 @@ def _short_time_rowwise(cfg, V, theta, grid, norm, kin_ext, shifts_ext):
     G = grid.points_per_axis
     wa = 0.5 + cfg.alpha
     wb = 0.5 - cfg.alpha
-    ext_shape = (G + 1,) * grid.dim
     entries = np.empty((grid.size, grid.size), dtype=complex)
     diff = _pair_table(_index_difference_table(grid), G, grid.dim)
     for row in range(grid.size):
         xbar = wa * grid.x_points[row][None, :] + wb * grid.x_points  # (size_in, N)
-        vvals = V(xbar[:, None, :] + shifts_ext[None, :, :])  # (size_in, ext_k)
-        integrand = kin_ext[None, :] * np.exp(-1j * eps * vvals / hbar)
-        folded = _fold_nyquist(grid, integrand.reshape((-1,) + ext_shape))
-        chi = _chi_from_integrand(grid, folded).reshape(grid.size, grid.size)
+        chi = _slice_chi(grid, eps, hbar, V, kin_ext, shifts_ext, xbar)
         entries[row, :] = chi[np.arange(grid.size), diff[row]]
     return PropagatorKernel(entries * norm, grid, cfg)
 
 
 def compose(Ka: PropagatorKernel, Kb: PropagatorKernel) -> PropagatorKernel:
     """Chain two kernels: matrix product with one Δx^N intermediate measure."""
-    Ka.grid.require_same(Kb.grid)
-    entries = Ka.entries @ Kb.entries * Ka.grid.cell_volume
-    cfg = None
-    if (Ka.config is not None and Kb.config is not None
-            and Ka.config.alpha == Kb.config.alpha):
-        cfg = SlicingConfig(
-            slices_m=Ka.config.slices_m + Kb.config.slices_m + 1,
-            total_time=Ka.config.total_time + Kb.config.total_time,
-            alpha=Ka.config.alpha,
-            params=Ka.config.params,
-        )
-    return PropagatorKernel(entries, Ka.grid, cfg)
+    product = Ka.matmul(Kb)
+    a, b = Ka.config, Kb.config
+    if a is not None and b is not None and a.alpha == b.alpha:
+        product.config = replace(a, slices_m=a.slices_m + b.slices_m + 1,
+                                 total_time=a.total_time + b.total_time)
+    return product
 
 
 def full_kernel(cfg: SlicingConfig, V: Potential, theta: ThetaMatrix,
@@ -289,19 +242,16 @@ def full_kernel(cfg: SlicingConfig, V: Potential, theta: ThetaMatrix,
 
     Costs O(n³ log m) for n = G^N; to evolve a single field use `propagate`.
     """
-    base = short_time_propagator(cfg, V, theta, grid)
+    accum = short_time_propagator(cfg, V, theta, grid)
     power = cfg.slices_m + 1
-    measure = grid.cell_volume
-    result_entries = None
-    accum_entries = base.entries
+    result = None
     while power:
         if power & 1:
-            result_entries = accum_entries if result_entries is None \
-                else result_entries @ accum_entries * measure
+            result = accum if result is None else result.matmul(accum)
         power >>= 1
         if power:
-            accum_entries = accum_entries @ accum_entries * measure
-    return PropagatorKernel(result_entries, grid, cfg)
+            accum = accum.matmul(accum)
+    return PropagatorKernel(result.entries, grid, cfg)
 
 
 def propagate(cfg: SlicingConfig, V: Potential, theta: ThetaMatrix,

@@ -18,6 +18,7 @@ lattice sums carry explicit Δx^N / Δk^N measures.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -26,7 +27,11 @@ from .core import (
     PhaseSpaceGrid,
     Potential,
     ThetaMatrix,
+    _centered_fft,
 )
+
+if TYPE_CHECKING:
+    from .slicer import SlicingConfig
 
 
 @dataclass
@@ -55,10 +60,15 @@ class ComplexField:
 
 @dataclass
 class OperatorKernel:
-    """Kernel values ⟨y|A|y'⟩ on lattice pairs; acts with the Δx^N measure."""
+    """Kernel values ⟨y|A|y'⟩ on lattice pairs; acts with the Δx^N measure.
+
+    The package's one kernel type (slicer.PropagatorKernel is an alias);
+    config is the SlicingConfig a sliced propagator was built from, else None.
+    """
 
     entries: np.ndarray
     grid: PhaseSpaceGrid
+    config: SlicingConfig | None = None
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=complex)
@@ -100,24 +110,6 @@ def gaussian_packet(grid: PhaseSpaceGrid, center=None, width: float | None = Non
     values = np.exp(-np.sum(d * d, axis=-1) / (4.0 * width**2) + 1j * phase)
     values /= np.sqrt(np.sum(np.abs(values) ** 2) * grid.cell_volume)
     return ComplexField(values, grid)
-
-
-def _centered_fft_last_axes(grid: PhaseSpaceGrid, tensor, sign: int):
-    """Σ_n B[.., n] e^{sign·2πi n m / G} over centered n, output centered m.
-
-    Operates on the trailing grid axes of `tensor`; exact for integer index
-    grids because the phase only depends on indices mod G.
-    """
-    G = grid.points_per_axis
-    axes = tuple(range(tensor.ndim - grid.dim, tensor.ndim))
-    shift_in = tuple(-(G // 2) for _ in axes)
-    shift_out = tuple(G // 2 for _ in axes)
-    work = np.roll(tensor, shift_in, axis=axes)
-    if sign < 0:
-        work = np.fft.fftn(work, axes=axes)
-    else:
-        work = np.fft.ifftn(work, axes=axes) * (G ** grid.dim)
-    return np.roll(work, shift_out, axis=axes)
 
 
 def _phase_block(grid: PhaseSpaceGrid, x_block, sign: int):
@@ -185,8 +177,9 @@ def star_apply_field(phi: ComplexField, theta: ThetaMatrix, psi: ComplexField) -
         stop = min(start + chunk, grid.size)
         w_block = grid.k_points[start:stop]
         twists = np.exp(-1j * (theta.shift(w_block) @ grid.k_points.T) / hbar)  # (B, k)
-        shifted = _centered_fft_last_axes(
-            grid, (psi_hat[None, :] * twists).reshape((-1,) + grid.shape), +1
+        shifted = np.fft.fftshift(
+            _centered_fft(grid, (psi_hat[None, :] * twists).reshape((-1,) + grid.shape), +1),
+            axes=tuple(range(1, grid.dim + 1)),
         ).reshape(stop - start, grid.size) * pref
         phases = np.exp(1j * (grid.x_points @ w_block.T) / hbar)  # (x, B)
         out += np.einsum("b,xb,bx->x", c[start:stop], phases, shifted)
@@ -223,7 +216,8 @@ def potential_operator_kernel(V: Potential, theta: ThetaMatrix,
     entries = np.empty((grid.size, grid.size), dtype=complex)
     for rows, vvals in _shifted_potential_blocks(V, theta, grid.x_points, grid.k_points):
         phase = _phase_block(grid, grid.x_points[rows], +1)
-        entries[rows] = _centered_fft_last_axes(
-            grid, (phase * vvals).reshape((-1,) + grid.shape), -1
+        entries[rows] = np.fft.fftshift(
+            _centered_fft(grid, (phase * vvals).reshape((-1,) + grid.shape), -1),
+            axes=tuple(range(1, grid.dim + 1)),
         ).reshape(-1, grid.size)
     return OperatorKernel(entries * norm, grid)

@@ -29,7 +29,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PhaseSpaceGrid, PhysicsParams, Potential, ThetaMatrix, _dft_phase
+from .core import (
+    PhaseSpaceGrid,
+    PhysicsParams,
+    Potential,
+    ThetaMatrix,
+    _centered_dft,
+    _pair_table,
+)
 from .star import OperatorKernel, potential_operator_kernel
 
 
@@ -64,31 +71,13 @@ class PhaseSpaceSymbol:
             raise ValueError("symbol must be sized (k nodes, x nodes)")
 
 
-def _group_transform(grid: PhaseSpaceGrid, tensor, first_axis: int, sign: int):
-    """Centered DFT over grid.dim consecutive axes starting at first_axis."""
-    mat = _dft_phase(grid.points_per_axis, sign)
-    for axis in range(first_axis, first_axis + grid.dim):
-        tensor = np.moveaxis(np.tensordot(mat, tensor, axes=([1], [axis])), 0, axis)
-    return tensor
-
-
 def _diagonal_layout(K: OperatorKernel):
     """D[i, d] = A[y_i, y_i ⊕ d]: anchor index i, wrapped diagonal offset d."""
     grid = K.grid
     G = grid.points_per_axis
     pos = np.arange(G)
     ket_pos = (pos[:, None] + pos[None, :] - G // 2) % G  # [i_pos, d_pos]
-    row = 0
-    col = 0
-    for axis in range(grid.dim):
-        shape = [1] * (2 * grid.dim)
-        shape[axis] = G
-        shape[grid.dim + axis] = G
-        row = row * G + pos[:, None].repeat(G, 1).reshape(shape)
-        col = col * G + ket_pos.reshape(shape)
-    row = np.broadcast_to(row, (G,) * (2 * grid.dim)).reshape(grid.size, grid.size)
-    col = np.broadcast_to(col, (G,) * (2 * grid.dim)).reshape(grid.size, grid.size)
-    return K.entries[row, col]
+    return K.entries[np.arange(grid.size)[:, None], _pair_table(ket_pos, G, grid.dim)]
 
 
 def _balanced_twist(G: int, beta: float, n) -> np.ndarray:
@@ -121,15 +110,15 @@ def symbol_of_operator(K: OperatorKernel, alpha) -> PhaseSpaceSymbol:
     grid = K.grid
     G, N = grid.points_per_axis, grid.dim
     diag = _diagonal_layout(K).reshape(grid.shape * 2)  # (i axes..., d axes...)
-    spectrum = _group_transform(grid, diag, 0, -1) / grid.size  # (w axes..., d axes...)
+    spectrum = _centered_dft(grid, diag, -1) / grid.size  # (w axes..., d axes...)
     twist = _balanced_twist(G, beta, grid.index_axis)  # [w, d]
     for axis in range(N):
         shape = [1] * (2 * N)
         shape[axis] = G
         shape[N + axis] = G
         spectrum = spectrum * twist.reshape(shape)
-    pvals = _group_transform(grid, spectrum, N, +1) * grid.cell_volume  # (w..., k...)
-    out = _group_transform(grid, pvals, 0, +1)  # (x axes..., k axes...)
+    pvals = _centered_dft(grid, spectrum, +1, first_axis=N) * grid.cell_volume  # (w..., k...)
+    out = _centered_dft(grid, pvals, +1)  # (x axes..., k axes...)
     flat = out.reshape(grid.size, grid.size).T  # -> [k, x]
     return PhaseSpaceSymbol(flat, grid)
 

@@ -204,7 +204,33 @@ def test_summary_reports_edge_phase_at_smallest_m(config_path, tmp_path, command
     assert float(payload["edge_phase_turns"]) == pytest.approx(expected, rel=1e-12)
 
 
-def test_empty_m_list_is_rejected(config_path):
-    result = run_cli("unitarity", "--config", config_path, "--m-list", "")
+@pytest.mark.parametrize("command", ["limit-check", "alpha-sweep", "oracle-compare",
+                                     "unitarity"])
+def test_empty_m_list_is_rejected(config_path, command):
+    config = [] if command == "limit-check" else ["--config", config_path]
+    result = run_cli(command, *config, "--m-list", "")
     assert result.returncode == 2
     assert "m-list" in result.stderr
+
+
+@pytest.mark.parametrize("path, value", [
+    (("hbar",), float("nan")),
+    (("mass",), float("inf")),
+    (("grid", "box_half_width"), float("nan")),
+    (("potential", "coefficients", "omega"), float("nan")),
+    (("probe", "center"), [float("nan"), 0.0]),
+    (("theta",), [[0.0, float("inf")], [float("-inf"), 0.0]]),
+    (("dim",), 2.7),
+    (("grid", "points_per_axis"), 8.9),
+])
+def test_non_finite_or_fractional_config_is_rejected(tmp_path, capsys, path, value):
+    config = json.loads(json.dumps(CONFIG))
+    target = config
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps(config))  # NaN and Infinity as JSON literals
+    code = _run_in_process("unitarity", "--config", str(config_file), "--m-list", "1")
+    assert code == 2
+    assert ".".join(path) in capsys.readouterr().err

@@ -197,3 +197,43 @@ def test_load_config_rejects_bad_theta_shape():
     with pytest.raises(ConfigError) as err:
         load_config(data)
     assert "theta" in str(err.value)
+
+
+def _literal_momentum_sum(grid, multiplier):
+    """(2πħ)^{-N} Δk^N Σ_k f(k) e^{(i/ħ) k·(y - y')} for every lattice pair (y, y')."""
+    d = grid.x_points[:, None, :] - grid.x_points[None, :, :]
+    phase = np.exp(1j * (d @ grid.k_points.T) / grid.hbar)
+    return (grid.dk / (2.0 * np.pi * grid.hbar)) ** grid.dim * (phase @ multiplier)
+
+
+def _literal_symbol_half(A, grid):
+    """h(k, x) = Δx^N Σ_y e^{(i/ħ) k·y} A[x ⊖ y, x]: the α = +1/2 symbol, wrapped."""
+    G = grid.points_per_axis
+    n = np.rint(grid.x_points / grid.dx).astype(int)
+    wrapped = (n[:, None, :] - n[None, :, :] + G // 2) % G  # [x, y] per axis
+    rows = np.ravel_multi_index(tuple(np.moveaxis(wrapped, -1, 0)), grid.shape)
+    samples = A[rows, np.arange(grid.size)[:, None]]  # [x, y]
+    phase = np.exp(1j * (grid.k_points @ grid.x_points.T) / grid.hbar)  # [k, y]
+    return grid.cell_volume * phase @ samples.T
+
+
+@pytest.mark.parametrize("G, N", [(5, 1), (7, 2), (4, 3)])
+def test_lattice_kernels_on_odd_and_3d_grids_match_literal_sums(G, N):
+    from ncpath.oracle import kinetic_operator_kernel
+    from ncpath.slicer import SlicingConfig, short_time_propagator
+    from ncpath.star import OperatorKernel
+    from ncpath.weyl import symbol_of_operator
+
+    params = PhysicsParams(hbar=0.7, mass=1.3, dim=N)
+    grid = PhaseSpaceGrid(G, G / 2.0, N, hbar=0.7)
+    k2 = np.sum(grid.k_points**2, axis=-1)
+    kinetic = kinetic_operator_kernel(grid, params).entries
+    assert np.max(np.abs(kinetic - _literal_momentum_sum(grid, k2 / 2.6))) < 1e-12
+    cfg = SlicingConfig(3, 1.0, 0.3, params)
+    free = short_time_propagator(cfg, Potential.zero(N), ThetaMatrix.zero(N), grid).entries
+    expected = _literal_momentum_sum(grid, np.exp(-1j * cfg.epsilon * k2 / (2.6 * 0.7)))
+    assert np.max(np.abs(free - expected)) < 1e-12
+    rng = np.random.default_rng(G + 10 * N)
+    A = rng.standard_normal((grid.size,) * 2) + 1j * rng.standard_normal((grid.size,) * 2)
+    symbol = symbol_of_operator(OperatorKernel(A, grid), 0.5).values
+    assert np.max(np.abs(symbol - _literal_symbol_half(A, grid))) < 1e-12

@@ -322,3 +322,10 @@ def test_linear_potential_midpoint_sweep():
         result = alpha_sweep(params, 1.0, [0.5, -0.5], [4, 8, 16], V,
                              ThetaMatrix.zero(2), grid, probe)
     assert -1.3 < result.slope < -0.7
+
+
+def test_propagator_kernel_is_the_one_kernel_type():
+    import ncpath
+
+    assert ncpath.PropagatorKernel is ncpath.OperatorKernel
+    assert all(hasattr(ncpath, name) for name in ncpath.__all__)
