@@ -276,12 +276,13 @@ class Potential:
     def polynomial(cls, terms, dim: int) -> "Potential":
         """V(u) = Σ c·Π u_i^{p_i} from (powers, coefficient) pairs."""
         frozen = []
+        key = "potential.coefficients.terms.powers"
         for powers, c in terms:
-            powers = tuple(int(p) for p in powers)
+            powers = tuple(_integer(p, key) for p in powers)
             if len(powers) != dim or any(p < 0 for p in powers):
-                raise ConfigError("potential.terms: powers must be nonnegative, one per axis")
+                raise ConfigError(f"{key}: must be nonnegative, one per axis")
             if sum(powers) > _MAX_POLY_DEGREE:
-                raise ConfigError(f"potential.terms: total degree capped at {_MAX_POLY_DEGREE}")
+                raise ConfigError(f"{key}: total degree capped at {_MAX_POLY_DEGREE}")
             frozen.append((powers, float(c)))
         return cls("polynomial", dim, terms=tuple(frozen))
 

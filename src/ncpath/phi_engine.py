@@ -4,7 +4,7 @@ After the momentum and intermediate-position Gaussians of the sliced path
 sum are integrated out against external sources J (coordinates) and Z
 (momenta), what remains is a bilinear-plus-linear exponent
 
-    Φ(J, Z) = (iε/ħ) [ (M/2) A - (M/8) Σ_{a,b} μ_a^i D⁻¹_{ab} μ_b^i ],
+    Φ(J, Z) = (iε/ħ) Q,   Q = (M/2) A - (M/8) Σ_{a,b} μ_a^i D⁻¹_{ab} μ_b^i,
 
 with D the m×m tridiagonal second-difference matrix (det D = m+1, closed
 inverse D⁻¹_{ab} = a(m-b+1)/(m+1) for a ≤ b) and μ, A affine in the
@@ -14,9 +14,22 @@ sources.  The potential re-enters through derivative operators
 
 so ordering (α) independence of the continuum limit reduces to exact
 α-cancellation identities among the first and second source derivatives
-of Φ.  Everything here runs in exact rational arithmetic — Gaussian
-rationals for the factors of i — so those identities are checked as exact
-equalities, never against a tolerance.
+of Φ.  Everything here runs in exact rational arithmetic, so those
+identities are checked as exact equalities, never against a tolerance.
+
+Block form: Q is real, and μ_a^i touches only the four sources J, Z at
+slices a-1, a of component i with component-free weights, so Q is
+block-diagonal in the component index.  `build_phi` stores its second
+partials as three (m+1)×(m+1) real-Fraction blocks (JJ, JZ, ZZ) shared by
+every component, each entry a four-term sum of closed-form D⁻¹ entries
+(O(m²) work, independent of the dimension), plus the linear parts and the
+constant, which alone depend on the boundary points.  The derivative
+reports index those blocks: the L prefactors combine with the overall i
+into the real factor 1 (first derivatives) and -iħ/ε (second), so a report
+wraps real products into `GaussianRational` only at its return.
+`PhiForm.polynomial` is a lazily built monomial view of the same blocks;
+`apply_L` and `apply_L_to_exp` work on that view, and `apply_L_to_exp` is
+where Gaussian rationals genuinely mix powers of i.
 
 Index conventions: sources J_a^i, Z_a^i carry slice labels a = 0..m and
 components i = 0..N-1; μ is labelled a = 1..m; the slice step is
@@ -26,6 +39,7 @@ components i = 0..N-1; μ is labelled a = 1..m; the slice step is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 _ZERO = Fraction(0)
@@ -105,6 +119,27 @@ def _as_gr(value) -> GaussianRational:
     if isinstance(value, GaussianRational):
         return value
     return GaussianRational(value)
+
+
+def _complex(re: Fraction, im: Fraction) -> GaussianRational:
+    # parts already exact: skip the Fraction() round trip of __init__
+    out = object.__new__(GaussianRational)
+    out.re = re if type(re) is Fraction else Fraction(re)
+    out.im = im if type(im) is Fraction else Fraction(im)
+    return out
+
+
+def _real(value: Fraction) -> GaussianRational:
+    return _complex(value, _ZERO)
+
+
+def _imag(value: Fraction) -> GaussianRational:
+    return _complex(_ZERO, value)
+
+
+def _i_times(weight: Fraction, value: Fraction) -> GaussianRational:
+    # i·weight·value, skipping the product when the weight vanishes
+    return _complex(_ZERO, weight * value if weight else _ZERO)
 
 
 GR_ZERO = GaussianRational(0)
@@ -221,12 +256,6 @@ class SourcePolynomial:
         return f"SourcePolynomial({len(self.terms)} terms)"
 
 
-def _linear(var, coeff) -> SourcePolynomial:
-    p = SourcePolynomial()
-    p.add_term((var,), _as_gr(coeff))
-    return p
-
-
 def _const(value) -> SourcePolynomial:
     p = SourcePolynomial()
     p.add_term((), _as_gr(value))
@@ -264,25 +293,68 @@ class PhiContext:
 
 
 class PhiForm:
-    """Φ as an explicit polynomial (degree ≤ 2) in the sources J, Z.
+    """Φ = (iε/ħ)·Q(J, Z) with Q real, stored as real-Fraction blocks.
 
-    Carries the context, the θ matrix (rational, antisymmetric) and the
-    rational boundary points x_f, x_in.  θ never enters Φ itself — it only
-    appears in the derivative operators applied to it.
+    Q is block-diagonal in the component index, and its quadratic blocks do
+    not depend on the component, so one (m+1)×(m+1) table each holds the
+    second partials ∂²Q/∂J_a∂J_b (`jj`), ∂²Q/∂J_a∂Z_b (`jz`) and
+    ∂²Q/∂Z_a∂Z_b (`zz`).  `lin_j[a][i]`, `lin_z[a][i]` are the linear
+    coefficients and `q0` the value at zero sources.  θ (rational,
+    antisymmetric) never enters Φ itself — it only appears in the derivative
+    operators applied to it.
     """
 
-    def __init__(self, ctx: PhiContext, theta, x_f, x_in, polynomial: SourcePolynomial,
-                 dim: int):
+    def __init__(self, ctx: PhiContext, theta, x_f, x_in, jj, jz, zz, lin_j, lin_z, q0):
         self.ctx = ctx
         self.theta = theta
         self.x_f = x_f
         self.x_in = x_in
-        self.polynomial = polynomial
-        self.dim = dim
+        self.dim = len(x_f)
+        self.jj, self.jz, self.zz = jj, jz, zz
+        self.lin_j, self.lin_z, self.q0 = lin_j, lin_z, q0
+        # second-report weights: c = -ħ/ε, c·θ and c·θθᵀ
+        c = -ctx.hbar / ctx.epsilon
+        self._weights = (
+            c,
+            [[c * t for t in row] for row in theta],
+            [[c * sum((p * q for p, q in zip(r1, r2)), _ZERO) for r2 in theta]
+             for r1 in theta],
+        )
+
+    @property
+    def scale(self) -> Fraction:
+        """ε/ħ: Φ = i·scale·Q."""
+        return self.ctx.epsilon / self.ctx.hbar
 
     @property
     def constant(self) -> GaussianRational:
-        return self.polynomial.at_zero()
+        return _imag(self.scale * self.q0)
+
+    @cached_property
+    def polynomial(self) -> SourcePolynomial:
+        """Φ as an explicit polynomial in the sources, built on first use."""
+        s = self.scale
+        terms = {}
+
+        def put(key, value):
+            if value:
+                terms[key] = _imag(s * value)
+
+        put((), self.q0)
+        n = self.ctx.slices_m + 1
+        for i in range(self.dim):
+            for a in range(n):
+                ja, za = ("J", a, i), ("Z", a, i)
+                put((ja,), self.lin_j[a][i])
+                put((za,), self.lin_z[a][i])
+                put((ja, ja), self.jj[a][a] / 2)
+                put((za, za), self.zz[a][a] / 2)
+                for b in range(n):
+                    put((ja, ("Z", b, i)), self.jz[a][b])
+                for b in range(a + 1, n):
+                    put((ja, ("J", b, i)), self.jj[a][b])
+                    put((za, ("Z", b, i)), self.zz[a][b])
+        return SourcePolynomial(terms)
 
 
 def _rational_theta(theta, dim: int):
@@ -294,15 +366,33 @@ def _rational_theta(theta, dim: int):
     return rows
 
 
+def _padded_d_numerators(m: int):
+    """(m+1)·D⁻¹ as integers on labels 0..m+1, zero outside 1..m."""
+    table = [[0] * (m + 2) for _ in range(m + 2)]
+    for a in range(1, m + 1):
+        for b in range(a, m + 1):
+            table[a][b] = table[b][a] = a * (m - b + 1)
+    return table
+
+
 def build_phi(ctx: PhiContext, theta, x_f, x_in) -> PhiForm:
     """Assemble Φ(J, Z) exactly from its defining blocks.
 
     The affine forms:
       A = (2/M)(1/2+α) x_f·J_m + (2/M)(1/2-α) x_in·J_0 + Σ_a Z_a·Z_a
           + (2/ε) x_f·Z_m - (2/ε) x_in·Z_0 + (x_f² + x_in²)/ε²,
-      μ_a^i = -(2/ε) x_in^i δ_{a,1} - (2/ε) x_f^i δ_{a,m} + 2(Z_{a-1}^i - Z_a^i)
-              + (2ε/M) [ (J_{a-1}^i + J_a^i)/2 + α (J_{a-1}^i - J_a^i) ],
-    combined as Φ = (iε/ħ)[(M/2) A - (M/8) Σ μ_a D⁻¹_{ab} μ_b].
+      μ_a^i = c_a^i + (B s^i)_a,  c_a^i = -(2/ε)(x_in^i δ_{a,1} + x_f^i δ_{a,m}),
+      (B s)_a = 2(Z_{a-1} - Z_a) + (2ε/M)[(J_{a-1} + J_a)/2 + α(J_{a-1} - J_a)],
+    combined as Φ = (iε/ħ)Q, Q = (M/2) A - (M/8) Σ μ_a D⁻¹_{ab} μ_b.
+
+    Each column of the banded B touches the two rows a = s, s+1, so every
+    entry of the quadratic block Bᵀ D⁻¹ B is a sum of four D⁻¹ entries; with
+    u = 1+2α, w = 1-2α (the J weights ε u/M, ε w/M) and d_{xy} the padded
+    (m+1)·D⁻¹ at (s+x, t+y):
+      ∂²Q/∂J_s∂J_t = -ε²/(4M(m+1)) [u² d₁₁ + uw(d₁₀ + d₀₁) + w² d₀₀],
+      ∂²Q/∂J_s∂Z_t = -ε/(2(m+1)) [u(d₁₁ - d₁₀) + w(d₀₁ - d₀₀)],
+      ∂²Q/∂Z_s∂Z_t = M δ_st - M/(m+1) [d₁₁ - d₁₀ - d₀₁ + d₀₀].
+    The linear parts use v = D⁻¹c, which is nonzero on a = 1..m only.
     """
     x_f = [Fraction(v) for v in x_f]
     x_in = [Fraction(v) for v in x_in]
@@ -311,47 +401,50 @@ def build_phi(ctx: PhiContext, theta, x_f, x_in) -> PhiForm:
     dim = len(x_f)
     theta_q = _rational_theta(theta, dim)
     m = ctx.slices_m
+    n = m + 1
     eps = ctx.epsilon
     M = ctx.mass
-    alpha = ctx.alpha
+    alpha = Fraction(ctx.alpha)
+    # u = U/den, w = W/den with integer U, W keep the block sums integral
+    den = alpha.denominator
+    U = den + 2 * alpha.numerator
+    W = den - 2 * alpha.numerator
+    u, w = Fraction(U, den), Fraction(W, den)
+    d = _padded_d_numerators(m)
 
-    # A
-    A = SourcePolynomial()
+    k_jj = -eps * eps / (4 * M * n * den * den)
+    k_jz = -eps / (2 * n * den)
+    k_zz = -M / n
+    jj = [[_ZERO] * n for _ in range(n)]
+    jz = [[_ZERO] * n for _ in range(n)]
+    zz = [[_ZERO] * n for _ in range(n)]
+    for s in range(n):
+        row0, row1 = d[s], d[s + 1]
+        for t in range(n):
+            d00, d01, d10, d11 = row0[t], row0[t + 1], row1[t], row1[t + 1]
+            jz[s][t] = k_jz * (U * (d11 - d10) + W * (d01 - d00))
+            if t >= s:
+                jj[s][t] = jj[t][s] = k_jj * (U * U * d11 + U * W * (d10 + d01) + W * W * d00)
+                zz[s][t] = zz[t][s] = k_zz * (d11 - d10 - d01 + d00)
+        zz[s][s] += M
+
+    lin_j = [[_ZERO] * dim for _ in range(n)]
+    lin_z = [[_ZERO] * dim for _ in range(n)]
+    q0 = _ZERO
     for i in range(dim):
-        A.add_term((("J", m, i),), _as_gr(Fraction(2, 1) / M * (_HALF + alpha) * x_f[i]))
-        A.add_term((("J", 0, i),), _as_gr(Fraction(2, 1) / M * (_HALF - alpha) * x_in[i]))
-        for a in range(m + 1):
-            A.add_term((("Z", a, i), ("Z", a, i)), GR_ONE)
-        A.add_term((("Z", m, i),), _as_gr(2 / eps * x_f[i]))
-        A.add_term((("Z", 0, i),), _as_gr(-2 / eps * x_in[i]))
-        A.add_term((), _as_gr((x_f[i] * x_f[i] + x_in[i] * x_in[i]) / (eps * eps)))
-
-    # μ_a^i for a = 1..m
-    def mu(a: int, i: int) -> SourcePolynomial:
-        p = SourcePolynomial()
-        if a == 1:
-            p.add_term((), _as_gr(-2 / eps * x_in[i]))
-        if a == m:
-            p.add_term((), _as_gr(-2 / eps * x_f[i]))
-        p.add_term((("Z", a - 1, i),), _as_gr(2))
-        p.add_term((("Z", a, i),), _as_gr(-2))
-        p.add_term((("J", a - 1, i),), _as_gr(2 * eps / M * (_HALF + alpha)))
-        p.add_term((("J", a, i),), _as_gr(2 * eps / M * (_HALF - alpha)))
-        return p
-
-    mus = {(a, i): mu(a, i) for a in range(1, m + 1) for i in range(dim)}
-    quad = SourcePolynomial()
-    for a in range(1, m + 1):
-        for b in range(1, m + 1):
-            dinv = d_inverse_entry(m, a, b)
-            if dinv == 0:
-                continue
-            for i in range(dim):
-                quad = quad + mus[(a, i)].multiply(mus[(b, i)]).scale(dinv)
-
-    prefactor = GaussianRational.i_times(eps / ctx.hbar)
-    phi_poly = (A.scale(M / 2) + quad.scale(Fraction(-M, 8))).scale(prefactor)
-    return PhiForm(ctx, theta_q, x_f, x_in, phi_poly, dim)
+        # v_a = (D⁻¹c)_a on a = 0..m+1, using (m+1)·D⁻¹_{a1} = m-a+1, (m+1)·D⁻¹_{am} = a
+        v = [-2 * (x_in[i] * (m - a + 1) + x_f[i] * a) / (eps * n) if 1 <= a <= m else _ZERO
+             for a in range(n + 1)]
+        for s in range(n):
+            lin_j[s][i] = -eps / 4 * (u * v[s + 1] + w * v[s])
+            lin_z[s][i] = -M / 2 * (v[s + 1] - v[s])
+        lin_j[m][i] += u * x_f[i] / 2
+        lin_j[0][i] += w * x_in[i] / 2
+        lin_z[m][i] += M * x_f[i] / eps
+        lin_z[0][i] -= M * x_in[i] / eps
+        q0 += (M / 2 * (x_f[i] * x_f[i] + x_in[i] * x_in[i]) / (eps * eps)
+               + M / 4 / eps * (x_in[i] * v[1] + x_f[i] * v[m]))
+    return PhiForm(ctx, theta_q, x_f, x_in, jj, jz, zz, lin_j, lin_z, q0)
 
 
 # -- derivative operators -----------------------------------------------------
@@ -421,15 +514,20 @@ class FirstDerivativeReport:
         return self.coordinate_route + self.momentum_route
 
 
+def _check_labels(phi: PhiForm, slices, components):
+    m = phi.ctx.slices_m
+    if not all(0 <= a <= m for a in slices):
+        raise ValueError("slice label out of range")
+    if not all(0 <= i < phi.dim for i in components):
+        raise ValueError("component out of range")
+
+
 def first_derivative_report(phi: PhiForm, a: int, i: int) -> FirstDerivativeReport:
-    pref = _l_prefactor(phi.ctx)
-    coord = phi.polynomial.coefficient((("J", a, i),)) * pref
-    mom = GR_ZERO
-    for l in range(phi.dim):
-        t = phi.theta[i][l]
-        if t:
-            mom = mom + phi.polynomial.coefficient((("Z", a, l),)) * t
-    return FirstDerivativeReport(a, i, coord, mom * pref)
+    # (ħ/iε)·(iε/ħ) = 1: both routes are read off Q's linear part directly
+    _check_labels(phi, (a,), (i,))
+    lin_z = phi.lin_z[a]
+    mom = sum((t * lin_z[l] for l, t in enumerate(phi.theta[i]) if t), _ZERO)
+    return FirstDerivativeReport(a, i, _real(phi.lin_j[a][i]), _real(mom))
 
 
 @dataclass
@@ -457,34 +555,15 @@ class SecondDerivativeReport:
         return self.jj + self.zz + self.jz + self.zj
 
 
-def _second_partial(phi: PhiForm, v1, v2) -> GaussianRational:
-    coeff = phi.polynomial.coefficient((v1, v2))
-    return coeff * 2 if v1 == v2 else coeff
-
-
 def second_derivative_report(phi: PhiForm, a: int, b: int, i: int, j: int) -> SecondDerivativeReport:
-    m = phi.ctx.slices_m
-    if not (0 <= a <= m and 0 <= b <= m):
-        raise ValueError("slice label out of range")
-    pref = _l_prefactor(phi.ctx)
-    pref2 = pref * pref
-    jj = _second_partial(phi, ("J", a, i), ("J", b, j))
-    zz = GR_ZERO
-    jz = GR_ZERO
-    zj = GR_ZERO
-    for k in range(phi.dim):
-        for l in range(phi.dim):
-            t = phi.theta[i][k] * phi.theta[j][l]
-            if t:
-                zz = zz + _second_partial(phi, ("Z", a, k), ("Z", b, l)) * t
-    for l in range(phi.dim):
-        tj = phi.theta[j][l]
-        if tj:
-            jz = jz + _second_partial(phi, ("J", a, i), ("Z", b, l)) * tj
-        ti = phi.theta[i][l]
-        if ti:
-            zj = zj + _second_partial(phi, ("J", b, j), ("Z", a, l)) * ti
-    return SecondDerivativeReport(jj * pref2, zz * pref2, jz * pref2, zj * pref2)
+    # (ħ/iε)²·(iε/ħ) = -iħ/ε times the real second partials of Q; Q is
+    # block-diagonal in the component, so each piece is one block entry
+    _check_labels(phi, (a, b), (i, j))
+    c, c_theta, c_theta_sq = phi._weights
+    return SecondDerivativeReport(_i_times(c if i == j else _ZERO, phi.jj[a][b]),
+                                  _i_times(c_theta_sq[i][j], phi.zz[a][b]),
+                                  _i_times(c_theta[j][i], phi.jz[a][b]),
+                                  _i_times(c_theta[i][j], phi.jz[b][a]))
 
 
 # -- limit and audit ----------------------------------------------------------
@@ -552,12 +631,84 @@ def bareiss_determinant(matrix) -> Fraction:
     return Fraction(sign * a[n - 1][n - 1])
 
 
-def _straight_line_point(ctx: PhiContext, x_f, x_in, a: int, i: int) -> Fraction:
-    """α-weighted point of the straight path: the exact coordinate route."""
-    m = ctx.slices_m
-    num_in = Fraction(2 * (m - a) + 1, 2) - ctx.alpha
-    num_f = Fraction(2 * a + 1, 2) + ctx.alpha
-    return (x_in[i] * num_in + x_f[i] * num_f) / (m + 1)
+def _audit_forms(m: int, sample_alphas, dim: int, theta_value, x_f, x_in,
+                 total_time) -> dict:
+    """One Φ per distinct sampled α, on the audit's θ and boundary points."""
+    alphas = [Fraction(a) for a in sample_alphas]
+    if len(set(alphas)) < 3:
+        raise ValueError("sample_alphas: need at least three distinct values")
+    if x_f is None:
+        x_f = [Fraction(3, 2)] * dim
+    if x_in is None:
+        x_in = [Fraction(-2, 3)] * dim
+    theta = [[_ZERO] * dim for _ in range(dim)]
+    if dim >= 2:
+        theta[0][1] = Fraction(theta_value)
+        theta[1][0] = -Fraction(theta_value)
+    T = Fraction(total_time)
+    return {al: build_phi(PhiContext(m, T, al), theta, x_f, x_in) for al in alphas}
+
+
+def _alpha_cancellation_rows(forms: dict) -> list:
+    """The α-cancellation rows over forms that differ only in α."""
+    alphas = list(forms)
+    base = alphas[0]
+    ref = forms[base]
+    ctx, theta, x_f, x_in, dim = ref.ctx, ref.theta, ref.x_f, ref.x_in, ref.dim
+    m, T, M, hbar = ctx.slices_m, ctx.total_time, ctx.mass, ctx.hbar
+    rows = []
+
+    # first derivatives
+    mom_ok = True
+    coord_ok = True
+    for i in range(dim):
+        expected_mom = _real(M * sum((theta[i][l] / T * (x_f[l] - x_in[l])
+                                      for l in range(dim)), _ZERO))
+        for a in range(m + 1):
+            reports = {al: first_derivative_report(forms[al], a, i) for al in alphas}
+            for al in alphas:
+                if reports[al].momentum_route != expected_mom:
+                    mom_ok = False
+                delta = reports[al].coordinate_route - reports[base].coordinate_route
+                expected_delta = _real((al - base) * (x_f[i] - x_in[i]) / (m + 1))
+                if delta != expected_delta:
+                    coord_ok = False
+    rows.append(AuditRow("first-derivative momentum route", mom_ok,
+                         "equals (M/T)·θ·(x_f - x_in) for every slice and α"))
+    rows.append(AuditRow("first-derivative coordinate route", coord_ok,
+                         "α-variation is exactly (Δα/(m+1))·(x_f - x_in)"))
+
+    # second derivatives
+    zz_ok = True
+    sum_ok = True
+    jz_varies = False
+    comp_pairs = [(0, 0), (0, 1)] if dim >= 2 else [(0, 0)]
+    for (i, j) in comp_pairs:
+        theta_sq = sum((theta[i][k] * theta[j][k] for k in range(dim)), _ZERO)
+        expected_zz = _imag(-M * hbar * theta_sq / T)
+        for a in range(m + 1):
+            for b in range(m + 1):
+                vals = [second_derivative_report(forms[al], a, b, i, j) for al in alphas]
+                expected_sum = GR_ZERO
+                if a != b:
+                    sign = 1 if a < b else -1
+                    expected_sum = _imag(sign * hbar * theta[i][j]
+                                         * Fraction(m + 1 + min(a, b) - max(a, b), m + 1))
+                for rep in vals:
+                    if rep.zz != expected_zz:
+                        zz_ok = False
+                    if rep.jz_plus_zj != expected_sum:
+                        sum_ok = False
+                if any(vals[0].jz != r.jz for r in vals[1:]):
+                    jz_varies = True
+    rows.append(AuditRow("momentum-momentum second derivative", zz_ok,
+                         "equals θθᵀ·Mħ/(iT) for every (a, b) and α"))
+    rows.append(AuditRow("mixed second-derivative cancellation", sum_ok,
+                         "jz+zj is α-free: 0 on the diagonal, "
+                         "±iħθ·(m+1-|a-b|)/(m+1) off it"))
+    rows.append(AuditRow("mixed parts individually α-dependent", jz_varies,
+                         "the unsummed jz piece varies with α"))
+    return rows
 
 
 def alpha_cancellation_audit(m: int, sample_alphas, dim: int = 2,
@@ -575,88 +726,8 @@ def alpha_cancellation_audit(m: int, sample_alphas, dim: int = 2,
       - the unsummed jz part genuinely varies with α for some (a, b):
         the cancellation is between terms, not an absence of terms.
     """
-    alphas = [Fraction(a) for a in sample_alphas]
-    if len(set(alphas)) < 3:
-        raise ValueError("sample_alphas: need at least three distinct values")
-    if x_f is None:
-        x_f = [Fraction(3, 2)] * dim
-    if x_in is None:
-        x_in = [Fraction(-2, 3)] * dim
-    x_f = [Fraction(v) for v in x_f]
-    x_in = [Fraction(v) for v in x_in]
-    theta = [[_ZERO] * dim for _ in range(dim)]
-    if dim >= 2:
-        theta[0][1] = Fraction(theta_value)
-        theta[1][0] = -Fraction(theta_value)
-    T = Fraction(total_time)
-
-    forms = {}
-    for al in alphas:
-        ctx = PhiContext(m, T, al)
-        forms[al] = build_phi(ctx, theta, x_f, x_in)
-
-    rows = []
-
-    # first derivatives
-    mom_ok = True
-    coord_ok = True
-    base = alphas[0]
-    for a in range(m + 1):
-        for i in range(dim):
-            reports = {al: first_derivative_report(forms[al], a, i) for al in alphas}
-            expected_mom = GR_ZERO
-            for l in range(dim):
-                expected_mom = expected_mom + _as_gr(
-                    theta[i][l] * Fraction(1, 1) / T * (x_f[l] - x_in[l]))
-            expected_mom = expected_mom * _as_gr(forms[base].ctx.mass)
-            for al in alphas:
-                if reports[al].momentum_route != expected_mom:
-                    mom_ok = False
-                delta = reports[al].coordinate_route - reports[base].coordinate_route
-                expected_delta = _as_gr((al - base) * (x_f[i] - x_in[i]) / (m + 1))
-                if delta != expected_delta:
-                    coord_ok = False
-    rows.append(AuditRow("first-derivative momentum route", mom_ok,
-                         "equals (M/T)·θ·(x_f - x_in) for every slice and α"))
-    rows.append(AuditRow("first-derivative coordinate route", coord_ok,
-                         "α-variation is exactly (Δα/(m+1))·(x_f - x_in)"))
-
-    # second derivatives
-    zz_ok = True
-    sum_ok = True
-    jz_varies = False
-    comp_pairs = [(0, 0), (0, 1)] if dim >= 2 else [(0, 0)]
-    hbar = _ONE
-    massq = _ONE
-    for a in range(m + 1):
-        for b in range(m + 1):
-            for (i, j) in comp_pairs:
-                reps = {al: second_derivative_report(forms[al], a, b, i, j)
-                        for al in alphas}
-                theta_sq = sum((theta[i][k] * theta[j][k] for k in range(dim)), _ZERO)
-                expected_zz = GaussianRational.i_times(-massq * hbar * theta_sq / T)
-                expected_sum = GR_ZERO
-                if a != b:
-                    sign = 1 if a < b else -1
-                    expected_sum = GaussianRational.i_times(
-                        sign * hbar * theta[i][j] * Fraction(m + 1 + min(a, b) - max(a, b),
-                                                             m + 1))
-                vals = list(reps.values())
-                for rep in vals:
-                    if rep.zz != expected_zz:
-                        zz_ok = False
-                    if rep.jz_plus_zj != expected_sum:
-                        sum_ok = False
-                if any(vals[0].jz != r.jz for r in vals[1:]):
-                    jz_varies = True
-    rows.append(AuditRow("momentum-momentum second derivative", zz_ok,
-                         "equals θθᵀ·Mħ/(iT) for every (a, b) and α"))
-    rows.append(AuditRow("mixed second-derivative cancellation", sum_ok,
-                         "jz+zj is α-free: 0 on the diagonal, "
-                         "±iħθ·(m+1-|a-b|)/(m+1) off it"))
-    rows.append(AuditRow("mixed parts individually α-dependent", jz_varies,
-                         "the unsummed jz piece varies with α"))
-    return AuditReport(rows)
+    forms = _audit_forms(m, sample_alphas, dim, theta_value, x_f, x_in, total_time)
+    return AuditReport(_alpha_cancellation_rows(forms))
 
 
 def _coordinate_coordinate_case(m: int, a: int, b: int, alpha: Fraction) -> Fraction:
@@ -688,20 +759,23 @@ def run_phi_audit(m: int, sample_alphas, dim: int = 2,
 
     Covers the coupling-matrix closed forms (against exact dense oracles),
     the first/second derivative structure, the surviving midslice limit,
-    and the α-cancellation certification.
+    and the α-cancellation certification.  One Φ per α serves both the
+    cancellation rows and the coordinate-coordinate table.
     """
     rows = []
     T = Fraction(total_time)
 
-    det_ok = d_det(m) == bareiss_determinant(dense_d_matrix(m))
+    dmat = dense_d_matrix(m)
+    det_ok = d_det(m) == bareiss_determinant(dmat)
     rows.append(AuditRow("determinant closed form", det_ok,
                          f"det = {d_det(m)} (= m + 1)"))
 
-    dmat = dense_d_matrix(m)
+    # the dense rows are banded: sum D·D⁻¹ over each row's nonzero entries only
     inv_ok = True
     for a in range(1, m + 1):
+        band = [(c, v) for c, v in enumerate(dmat[a - 1], start=1) if v]
         for b in range(1, m + 1):
-            s = sum(dmat[a - 1][c - 1] * d_inverse_entry(m, c, b) for c in range(1, m + 1))
+            s = sum(v * d_inverse_entry(m, c, b) for c, v in band)
             if s != (1 if a == b else 0):
                 inv_ok = False
     rows.append(AuditRow("inverse closed form", inv_ok,
@@ -717,26 +791,18 @@ def run_phi_audit(m: int, sample_alphas, dim: int = 2,
         detail = f"checked at even slice count {m + 1}: value {value}"
     rows.append(AuditRow("surviving midslice coefficient", limit_ok, detail))
 
-    audit = alpha_cancellation_audit(m, sample_alphas, dim=dim,
-                                     theta_value=theta_value, total_time=T)
-    rows.extend(audit.rows)
+    forms = _audit_forms(m, sample_alphas, dim, theta_value, None, None, T)
+    rows.extend(_alpha_cancellation_rows(forms))
 
     # coordinate-coordinate case structure
-    alphas = [Fraction(a) for a in sample_alphas]
-    theta = [[_ZERO] * dim for _ in range(dim)]
-    if dim >= 2:
-        theta[0][1] = Fraction(theta_value)
-        theta[1][0] = -Fraction(theta_value)
     jj_ok = True
-    for al in alphas:
-        ctx = PhiContext(m, T, al)
-        phi = build_phi(ctx, theta, [Fraction(3, 2)] * dim, [Fraction(-2, 3)] * dim)
-        eps = ctx.epsilon
+    for al, phi in forms.items():
+        ctx = phi.ctx
+        scale = ctx.hbar * ctx.epsilon / ctx.mass
         for a in range(m + 1):
             for b in range(m + 1):
                 rep = second_derivative_report(phi, a, b, 0, 0)
-                expected = GaussianRational.i_times(
-                    ctx.hbar * eps / ctx.mass * _coordinate_coordinate_case(m, a, b, al))
+                expected = _imag(scale * _coordinate_coordinate_case(m, a, b, al))
                 if rep.jj != expected:
                     jj_ok = False
     rows.append(AuditRow("coordinate-coordinate case table", jj_ok,

@@ -128,6 +128,9 @@ def short_time_propagator(cfg: SlicingConfig, V: Potential, theta: ThetaMatrix,
     params = cfg.params
     if grid.dim != params.dim or theta.dim != params.dim or V.dim != params.dim:
         raise GridMismatchError("dim: grid/theta/potential/params disagree")
+    if grid.hbar != params.hbar:
+        # the phase and norm use params.hbar, the lattice Δk uses grid.hbar
+        raise GridMismatchError("hbar: grid and params disagree")
     eps = cfg.epsilon
     hbar = params.hbar
     G = grid.points_per_axis

@@ -222,6 +222,8 @@ def test_empty_m_list_is_rejected(config_path, command):
     (("theta",), [[0.0, float("inf")], [float("-inf"), 0.0]]),
     (("dim",), 2.7),
     (("grid", "points_per_axis"), 8.9),
+    (("potential",), {"form": "polynomial",
+                      "coefficients": {"terms": [{"powers": [1.5, 0], "c": 1.0}]}}),
 ])
 def test_non_finite_or_fractional_config_is_rejected(tmp_path, capsys, path, value):
     config = json.loads(json.dumps(CONFIG))

@@ -143,6 +143,9 @@ def test_polynomial_and_gaussian_forms():
     assert V(u)[0] == pytest.approx(9.0 - 8.0)
     with pytest.raises(ConfigError):
         Potential.polynomial([((20, 0), 1.0)], dim=2)
+    # a fractional power is rejected, not truncated to the integer below it
+    with pytest.raises(ConfigError, match="potential.coefficients.terms.powers"):
+        Potential.polynomial([((1.5, 0), 1.0)], dim=2)
     W = Potential.gaussian_well(5.0, 2.0, dim=2)
     assert W(np.zeros((1, 2)))[0] == pytest.approx(-5.0)
     with pytest.raises(ConfigError):

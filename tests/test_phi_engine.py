@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncpath.phi_engine import (
     AuditReport,
@@ -29,6 +31,44 @@ XIN = [F(5), F(-2)]
 
 def gr(re=0, im=0):
     return GaussianRational(F(re), F(im))
+
+
+def reference_phi_polynomial(ctx, x_f, x_in):
+    """Brute-force Φ: μ_a as polynomials, then (iε/ħ)[(M/2)A - (M/8)Σ μ_a D⁻¹_ab μ_b]
+    by literal polynomial products, independent of the engine's block form."""
+    x_f = [F(v) for v in x_f]
+    x_in = [F(v) for v in x_in]
+    dim, m = len(x_f), ctx.slices_m
+    eps, M, alpha, half = ctx.epsilon, ctx.mass, ctx.alpha, F(1, 2)
+
+    def poly(*terms):
+        p = SourcePolynomial()
+        for mono, c in terms:
+            p.add_term(mono, GaussianRational(c))
+        return p
+
+    A = SourcePolynomial()
+    for i in range(dim):
+        A = A + poly(((("J", m, i),), 2 / M * (half + alpha) * x_f[i]),
+                     ((("J", 0, i),), 2 / M * (half - alpha) * x_in[i]),
+                     ((("Z", m, i),), 2 / eps * x_f[i]),
+                     ((("Z", 0, i),), -2 / eps * x_in[i]),
+                     ((), (x_f[i] ** 2 + x_in[i] ** 2) / eps ** 2),
+                     *(((("Z", a, i), ("Z", a, i)), 1) for a in range(m + 1)))
+
+    def mu(a, i):
+        return poly(((), -2 / eps * x_in[i] if a == 1 else 0),
+                    ((), -2 / eps * x_f[i] if a == m else 0),
+                    ((("Z", a - 1, i),), 2), ((("Z", a, i),), -2),
+                    ((("J", a - 1, i),), 2 * eps / M * (half + alpha)),
+                    ((("J", a, i),), 2 * eps / M * (half - alpha)))
+
+    quad = SourcePolynomial()
+    for a in range(1, m + 1):
+        for b in range(1, m + 1):
+            for i in range(dim):
+                quad = quad + mu(a, i).multiply(mu(b, i)).scale(d_inverse_entry(m, a, b))
+    return (A.scale(M / 2) + quad.scale(-M / 8)).scale(GaussianRational(0, eps / ctx.hbar))
 
 
 # -- exact number type --------------------------------------------------------
@@ -216,6 +256,59 @@ def test_exponential_action_matches_pairing_expansion(count):
     assert apply_L_to_exp(phi, indices) == _pairing_expansion(phi, indices)
 
 
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+
+
+@st.composite
+def phi_cases(draw):
+    m = draw(st.integers(1, 6))
+    alpha = draw(st.fractions(min_value=F(-1, 2), max_value=F(1, 2), max_denominator=9))
+    dim = draw(st.sampled_from([2, 3]))
+    theta = [[F(0)] * dim for _ in range(dim)]
+    for r, c in itertools.combinations(range(dim), 2):
+        theta[r][c] = draw(rationals)
+        theta[c][r] = -theta[r][c]
+    x_f = draw(st.lists(rationals, min_size=dim, max_size=dim))
+    x_in = draw(st.lists(rationals, min_size=dim, max_size=dim))
+    total_time = draw(st.fractions(min_value=F(1, 4), max_value=3, max_denominator=5))
+    return PhiContext(m, total_time, alpha), theta, x_f, x_in
+
+
+@settings(max_examples=20, deadline=None)
+@given(phi_cases(), st.data())
+def test_block_engine_matches_brute_force_reference(case, data):
+    ctx, theta, x_f, x_in = case
+    phi = build_phi(ctx, theta, x_f, x_in)
+    reference = reference_phi_polynomial(ctx, x_f, x_in)
+    assert phi.polynomial == reference
+    assert phi.constant == reference.at_zero()
+    # the derivative reports read the blocks; apply_L reads the reference
+    ref_phi = build_phi(ctx, theta, x_f, x_in)
+    ref_phi.polynomial = reference
+    labels = st.integers(0, ctx.slices_m)
+    components = st.integers(0, len(x_f) - 1)
+    for a in range(ctx.slices_m + 1):
+        for i in range(len(x_f)):
+            assert first_derivative_report(phi, a, i).total == \
+                apply_L(ref_phi, [(a, i)]).at_zero()
+    for _ in range(8):
+        a, b = data.draw(labels), data.draw(labels)
+        i, j = data.draw(components), data.draw(components)
+        assert second_derivative_report(phi, a, b, i, j).total == \
+            apply_L(ref_phi, [(a, i), (b, j)]).at_zero()
+
+
+def test_reports_reject_labels_out_of_range():
+    phi = build_phi(PhiContext(3, F(1), F(0)), THETA, XF, XIN)
+    for bad in ((4, 0), (-1, 0), (0, 2), (0, -1)):
+        with pytest.raises(ValueError):
+            first_derivative_report(phi, *bad)
+    with pytest.raises(ValueError):
+        second_derivative_report(phi, 0, 0, 0, 2)
+    with pytest.raises(ValueError):
+        second_derivative_report(phi, -1, 0, 0, 0)
+
+
 # -- second derivatives -------------------------------------------------------
 
 
@@ -348,6 +441,10 @@ def test_alpha_cancellation_audit_passes():
     report = alpha_cancellation_audit(3, [F(-1, 2), F(0), F(1, 2)])
     assert isinstance(report, AuditReport)
     assert report.ok
+
+
+def test_full_identity_audit_passes_at_m_64():
+    assert run_phi_audit(64, [F(-1, 2), F(0), F(1, 2)]).ok
 
 
 def test_alpha_cancellation_audit_needs_three_values():

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ncpath.core import PhaseSpaceGrid, PhysicsParams, Potential, ThetaMatrix
+from ncpath.core import GridMismatchError, PhaseSpaceGrid, PhysicsParams, Potential, ThetaMatrix
 from ncpath.slicer import (
     PropagatorKernel,
     SlicingConfig,
@@ -263,6 +263,19 @@ def test_config_validation():
         SlicingConfig(2, 1.0, 0.7, params)
     cfg = SlicingConfig(3, 1.0, 0.0, params)
     assert cfg.epsilon == pytest.approx(0.25)
+
+
+def test_slice_rejects_hbar_mismatch_between_grid_and_params():
+    # the slice phase uses params.hbar and the lattice Δk uses grid.hbar: with
+    # 0.5 vs 1.0 each free slice scaled the norm by 2, silently
+    params = PhysicsParams(dim=1, hbar=0.5)
+    grid = PhaseSpaceGrid(8, 4.0, 1, hbar=1.0)
+    cfg = SlicingConfig(4, 1.0, 0.0, params)
+    probe = gaussian_packet(grid, width=1.0)
+    with pytest.raises(GridMismatchError, match="hbar"):
+        propagate(cfg, Potential.zero(1), ThetaMatrix.zero(1), grid, probe)
+    with pytest.raises(GridMismatchError, match="hbar"):
+        short_time_propagator(cfg, Potential.harmonic(1.0, dim=1), ThetaMatrix.zero(1), grid)
 
 
 def test_alpha_sweep_zero_potential_is_flat(small2d):
