@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -44,18 +45,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_artifact(path, header, rows, footer_rows=()):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    for row in footer_rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
+def _csv_line(row) -> str:
+    return ",".join(_fmt(v) for v in row) + "\n"
+
+
+def _write_lines(path, lines):
+    """Stream newline-terminated lines to path, or to stdout without a path."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
+
+
+def _write_artifact(path, header, rows, footer_rows=()):
+    _write_lines(path, chain([",".join(header) + "\n"], map(_csv_line, rows),
+                             map(_csv_line, footer_rows)))
 
 
 def _config_hash(cfg) -> str:
@@ -119,6 +124,22 @@ def _workers(args):
 # -- subcommands --------------------------------------------------------------
 
 
+def _symbol_blocks(report, target):
+    """The symbol CSV's data lines, one formatted block per (α, k-row)."""
+    n = target.shape[0]
+    row = np.empty((n, 5))  # k_index, x_index, re, im, deviation
+    row[:, 1] = np.arange(n)
+    for a, sym in zip(report.alphas, report.symbols):
+        block = (_fmt(a) + ",%d,%d,%.17g,%.17g,%.17g\n") * n
+        dev = np.abs(sym.values - target)
+        for ki in range(n):
+            row[:, 0] = ki
+            row[:, 2] = sym.values[ki].real
+            row[:, 3] = sym.values[ki].imag
+            row[:, 4] = dev[ki]
+            yield block % tuple(row.ravel().tolist())
+
+
 def cmd_symbol(args) -> int:
     cfg = _load(args)
     alphas = _parse_float_list(args.alphas)
@@ -128,20 +149,18 @@ def cmd_symbol(args) -> int:
     target = cfg.potential(
         cfg.grid.x_points[None, :, :] + cfg.theta.shift(cfg.grid.k_points)[:, None, :])
     header = ["alpha", "k_index", "x_index", "re", "im", "deviation"]
-    rows = []
-    for a, sym in zip(report.alphas, report.symbols):
-        dev = np.abs(sym.values - target)
-        for ki in range(cfg.grid.size):
-            for xi in range(cfg.grid.size):
-                v = sym.values[ki, xi]
-                rows.append((a, ki, xi, v.real, v.imag, dev[ki, xi]))
     footer = [("# max_pairwise_abs", report.max_pairwise_abs, "", "", "", ""),
               ("# max_pairwise_relative", report.max_pairwise_relative, "", "", "", "")]
-    _write_artifact(args.out, header, rows, footer)
-    _write_summary(args.summary, "symbol", cfg, header, rows,
-                   {"max_pairwise_abs": _fmt(report.max_pairwise_abs),
-                    "max_pairwise_relative": _fmt(report.max_pairwise_relative),
-                    "method": report.method})
+    blocks = _symbol_blocks(report, target)
+    if args.summary:
+        blocks = list(blocks)  # the summary repeats every row
+    _write_lines(args.out, chain([",".join(header) + "\n"], blocks, map(_csv_line, footer)))
+    if args.summary:
+        rows = [line.split(",") for block in blocks for line in block.splitlines()]
+        _write_summary(args.summary, "symbol", cfg, header, rows,
+                       {"max_pairwise_abs": _fmt(report.max_pairwise_abs),
+                        "max_pairwise_relative": _fmt(report.max_pairwise_relative),
+                        "method": report.method})
     return EXIT_OK
 
 
@@ -180,15 +199,10 @@ def cmd_kernel(args) -> int:
     header_line = (f"{grid.dim},{grid.points_per_axis},{_fmt(grid.box_half_width)},"
                    f"{args.m},{_fmt(args.alpha)},{_fmt(args.total_time)},"
                    f"{_fmt(cfg.params.hbar)},{_fmt(cfg.params.mass)},{theta_flat}")
-    lines = [header_line]
-    for row in kernel.entries:
-        lines.append(" ".join(f"{_fmt(v.real)},{_fmt(v.imag)}" for v in row))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    row_format = " ".join(["%.17g,%.17g"] * grid.size) + "\n"
+    parts = np.ascontiguousarray(kernel.entries).view(np.float64)  # re, im interleaved
+    _write_lines(args.out, chain([header_line + "\n"],
+                                 (row_format % tuple(row.tolist()) for row in parts)))
     return EXIT_OK
 
 
@@ -220,6 +234,8 @@ def cmd_alpha_sweep(args) -> int:
 
 
 def cmd_phi_audit(args) -> int:
+    if args.dim < 2:
+        raise ConfigError("--dim: the audit needs at least two dimensions")
     alphas = [Fraction(v) for v in args.alphas.split(",")]
     report = phi_engine.run_phi_audit(args.m, alphas, dim=args.dim,
                                       theta_value=Fraction(args.theta),

@@ -232,6 +232,14 @@ def _circulant_entries(grid: PhaseSpaceGrid, multiplier, norm: float):
     return entries
 
 
+def _squared_norm(u):
+    """u·u over the last axis, summed axis by axis (cheaper than a short reduce)."""
+    r2 = u[..., 0] * u[..., 0]
+    for i in range(1, u.shape[-1]):
+        r2 = r2 + u[..., i] * u[..., i]
+    return r2
+
+
 _POTENTIAL_FORMS = ("zero", "linear", "harmonic", "quartic", "polynomial", "gaussian_well")
 _MAX_POLY_DEGREE = 12
 
@@ -309,10 +317,10 @@ class Potential:
         if self.form == "linear":
             return u @ self.coeffs["c"]
         if self.form == "harmonic":
-            r2 = np.sum(u * u, axis=-1)
+            r2 = _squared_norm(u)
             return 0.5 * self.coeffs["mass"] * self.coeffs["omega"] ** 2 * r2
         if self.form == "quartic":
-            r2 = np.sum(u * u, axis=-1)
+            r2 = _squared_norm(u)
             return self.coeffs["lam"] * r2 * r2
         if self.form == "polynomial":
             out = np.zeros(u.shape[:-1])
@@ -324,7 +332,7 @@ class Potential:
                 out += term
             return out
         # gaussian_well
-        r2 = np.sum(u * u, axis=-1)
+        r2 = _squared_norm(u)
         w = self.coeffs["width"]
         return -self.coeffs["depth"] * np.exp(-r2 / (2.0 * w * w))
 

@@ -634,6 +634,8 @@ def bareiss_determinant(matrix) -> Fraction:
 def _audit_forms(m: int, sample_alphas, dim: int, theta_value, x_f, x_in,
                  total_time) -> dict:
     """One Φ per distinct sampled α, on the audit's θ and boundary points."""
+    if dim < 2:
+        raise ValueError("dim: the audit needs at least two dimensions (θ vanishes in one)")
     alphas = [Fraction(a) for a in sample_alphas]
     if len(set(alphas)) < 3:
         raise ValueError("sample_alphas: need at least three distinct values")
@@ -642,9 +644,8 @@ def _audit_forms(m: int, sample_alphas, dim: int, theta_value, x_f, x_in,
     if x_in is None:
         x_in = [Fraction(-2, 3)] * dim
     theta = [[_ZERO] * dim for _ in range(dim)]
-    if dim >= 2:
-        theta[0][1] = Fraction(theta_value)
-        theta[1][0] = -Fraction(theta_value)
+    theta[0][1] = Fraction(theta_value)
+    theta[1][0] = -Fraction(theta_value)
     T = Fraction(total_time)
     return {al: build_phi(PhiContext(m, T, al), theta, x_f, x_in) for al in alphas}
 
@@ -682,8 +683,7 @@ def _alpha_cancellation_rows(forms: dict) -> list:
     zz_ok = True
     sum_ok = True
     jz_varies = False
-    comp_pairs = [(0, 0), (0, 1)] if dim >= 2 else [(0, 0)]
-    for (i, j) in comp_pairs:
+    for (i, j) in ((0, 0), (0, 1)):
         theta_sq = sum((theta[i][k] * theta[j][k] for k in range(dim)), _ZERO)
         expected_zz = _imag(-M * hbar * theta_sq / T)
         for a in range(m + 1):

@@ -11,6 +11,15 @@ the mixed-domain sum.  The same shifted evaluation gives the matrix elements
 
     ⟨y|V(X+θK)|y'⟩ = (2πħ)^{-N} Σ_k Δk^N V(y + θk) e^{(i/ħ) k·(y-y')}.
 
+For a lattice multiplier φ = Σ_w c_w e^{(i/ħ) w·x} the star product is the
+twisted convolution
+
+    (φ ⋆ ψ)(x) = (2πħ)^{-N/2} Δk^N
+                 · Σ_{w,k} c_w ψ̂(k) e^{-(i/ħ) k·θw} e^{(i/ħ)(w+k)·x},
+
+whose twist e^{-(i/ħ) k·θw} is the Moyal phase; on the lattice it is one
+inverse transform over the frequency sum w + k taken mod G.
+
 Plane waves are normalized as ⟨y|k⟩ = (2πħ)^{-N/2} e^{(i/ħ) y·k} and all
 lattice sums carry explicit Δx^N / Δk^N measures.
 """
@@ -153,11 +162,18 @@ def star_apply_field(phi: ComplexField, theta: ThetaMatrix, psi: ComplexField) -
 
     φ's values at the off-lattice points x + θk come from its own Fourier
     series (trigonometric interpolation), the natural extension of periodic
-    lattice data.  Grouped by φ-frequency w this reads
+    lattice data.  With φ(x) = Σ_w c_w e^{(i/ħ) w·x} and
+    pref = (2πħ)^{-N/2} Δk^N this reads
 
-        (φ ⋆ ψ)(x) = Σ_w c_w e^{(i/ħ) w·x} ψ_interp(x - θw),
+        (φ ⋆ ψ)(x) = pref · Σ_{w,k} c_w ψ̂(k) e^{-(i/ħ) k·θw} e^{(i/ħ)(w+k)·x},
 
-    where ψ_interp(x - θw) is one phase-twisted inverse transform per w.
+    a twisted convolution of c and ψ̂.  On lattice x the last phase depends
+    only on q = (n_w + n_k) mod G per axis (n the integer lattice indices),
+    so the result is one inverse transform  pref · Σ_q A_q e^{2πi q·n_x/G}  of
+
+        A_q = Σ_{n_w + n_k ≡ q} c_w ψ̂(k) e^{-(i/ħ) k·θw},
+
+    accumulated over blocks of w with temporaries of about (block · G^N).
     """
     grid = psi.grid
     grid.require_same(phi.grid)
@@ -165,24 +181,27 @@ def star_apply_field(phi: ComplexField, theta: ThetaMatrix, psi: ComplexField) -
         raise GridMismatchError("theta dimension does not match the field grid")
     if theta.is_zero:
         return ComplexField(phi.values * psi.values, grid)
-    hbar = grid.hbar
-    pref = grid.momentum_cell_volume * (2.0 * np.pi * hbar) ** (-grid.dim / 2.0)
+    G, N = grid.points_per_axis, grid.dim
+    pref = grid.momentum_cell_volume * (2.0 * np.pi * grid.hbar) ** (-N / 2.0)
     c = grid.wave_to_momentum(phi.values) * pref  # φ(x) = Σ_w c_w e^{(i/ħ)wx}
-    psi_hat = grid.wave_to_momentum(psi.values)
-    # ψ_interp(x - θw) for all x, batched over w: twist ψ̂ by e^{-(i/ħ)k·θw},
-    # then one centered inverse transform per w.
-    out = np.zeros(grid.size, dtype=complex)
+    psi_hat = grid.wave_to_momentum(psi.values).reshape(grid.shape)
+    # acc holds A in centered slot order: slot p on an axis holds q ≡ p - G//2,
+    # so the ψ̂ slot paired there with frequency index n_w is (p - n_w) mod G.
+    acc = np.zeros(grid.shape, dtype=complex)
+    slots = np.arange(G)
     chunk = max(1, 2**22 // (16 * grid.size))
     for start in range(0, grid.size, chunk):
         stop = min(start + chunk, grid.size)
-        w_block = grid.k_points[start:stop]
-        twists = np.exp(-1j * (theta.shift(w_block) @ grid.k_points.T) / hbar)  # (B, k)
-        shifted = np.fft.fftshift(
-            _centered_fft(grid, (psi_hat[None, :] * twists).reshape((-1,) + grid.shape), +1),
-            axes=tuple(range(1, grid.dim + 1)),
-        ).reshape(stop - start, grid.size) * pref
-        phases = np.exp(1j * (grid.x_points @ w_block.T) / hbar)  # (x, B)
-        out += np.einsum("b,xb,bx->x", c[start:stop], phases, shifted)
+        w_slots = np.unravel_index(np.arange(start, stop), grid.shape)  # n_w + G//2
+        shifts = theta.shift(grid.k_points[start:stop]) / grid.hbar  # (B, N): θw/ħ
+        idx = [((slots[None, :] - w_slots[a][:, None] + G // 2) % G).reshape(
+            (stop - start,) + (1,) * a + (G,) + (1,) * (N - 1 - a)) for a in range(N)]
+        block = psi_hat[tuple(idx)]  # (B, G, …, G)
+        for a in range(N):  # the twist, one axis of k·θw at a time
+            block *= np.exp(-1j * shifts[:, a].reshape((-1,) + (1,) * N)
+                            * grid.k_axis[idx[a]])
+        acc += np.tensordot(c[start:stop], block, axes=1)
+    out = np.fft.fftshift(_centered_fft(grid, acc, +1)).reshape(-1) * pref
     return ComplexField(out, grid)
 
 

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 CONFIG = {
@@ -236,3 +237,98 @@ def test_non_finite_or_fractional_config_is_rejected(tmp_path, capsys, path, val
     code = _run_in_process("unitarity", "--config", str(config_file), "--m-list", "1")
     assert code == 2
     assert ".".join(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim", ["1", "0"])
+def test_phi_audit_rejects_dimension_below_two(dim):
+    result = run_cli("phi-audit", "--m", "3", "--dim", dim)
+    assert result.returncode == 2
+    assert "--dim" in result.stderr
+    assert "PASS" not in result.stdout and "FAIL" not in result.stdout
+
+
+def _literal(value):
+    """The artifact spelling of one value: 17 significant digits, str() otherwise."""
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+
+def _literal_kernel_text(cfg, m, alpha, total_time, entries):
+    grid = cfg.grid
+    header = [grid.dim, grid.points_per_axis, grid.box_half_width, m, alpha, total_time,
+              cfg.params.hbar, cfg.params.mass, *cfg.theta.entries.reshape(-1).tolist()]
+    lines = [",".join(_literal(v) for v in header)]
+    for row in entries:
+        lines.append(" ".join(f"{_literal(float(v.real))},{_literal(float(v.imag))}"
+                              for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def test_kernel_artifact_bytes_match_literal_rendering(config_path, tmp_path, capsys):
+    import ncpath
+    from ncpath.slicer import SlicingConfig, short_time_propagator
+
+    cfg = ncpath.load_config(config_path)
+    kernel = short_time_propagator(SlicingConfig(2, 1.0, 0.3, cfg.params), cfg.potential,
+                                   cfg.theta, cfg.grid)
+    expected = _literal_kernel_text(cfg, 2, 0.3, 1.0, kernel.entries)
+    out = tmp_path / "kernel.txt"
+    args = ("kernel", "--config", config_path, "--m", "2", "--alpha", "0.3")
+    assert _run_in_process(*args, "--out", str(out)) == 0
+    assert out.read_bytes() == expected.encode()
+    capsys.readouterr()
+    assert _run_in_process(*args) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_kernel_artifact_spells_special_values_like_the_literal(tmp_path, monkeypatch, capsys):
+    import ncpath
+    import ncpath.cli
+    from ncpath.star import OperatorKernel
+
+    config = {"dim": 1, "theta": [[0.0]],
+              "grid": {"points_per_axis": 2, "box_half_width": 1.0},
+              "potential": {"form": "zero"}}
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(config))
+    cfg = ncpath.load_config(str(path))
+    special = np.array([-0.0, 5e-324, 1e300, 1.0, np.nan, np.inf, -np.inf, 0.1])
+    entries = special.view(complex).reshape(2, 2)  # (re, im) pairs, -0.0 kept
+    monkeypatch.setattr(ncpath.cli, "short_time_propagator",
+                        lambda *args: OperatorKernel(entries, cfg.grid))
+    assert _run_in_process("kernel", "--config", str(path)) == 0
+    text = capsys.readouterr().out
+    assert text == _literal_kernel_text(cfg, 0, 0.0, 1.0, entries)
+    assert text.splitlines()[1:] == ["-0,4.9406564584124654e-324 1.0000000000000001e+300,1",
+                                     "nan,inf -inf,0.10000000000000001"]
+
+
+def test_symbol_artifact_bytes_match_literal_rendering(config_path, tmp_path):
+    import ncpath
+    from ncpath.weyl import verify_alpha_washout
+
+    cfg = ncpath.load_config(config_path)
+    report = verify_alpha_washout(cfg.potential, cfg.theta, cfg.grid, [-0.4, 0.0, 0.4])
+    target = cfg.potential(
+        cfg.grid.x_points[None, :, :] + cfg.theta.shift(cfg.grid.k_points)[:, None, :])
+    rows = []
+    for a, sym in zip(report.alphas, report.symbols):
+        for ki in range(cfg.grid.size):
+            for xi in range(cfg.grid.size):
+                v = sym.values[ki, xi]
+                rows.append([_literal(a), str(ki), str(xi), _literal(float(v.real)),
+                             _literal(float(v.imag)),
+                             _literal(float(abs(v - target[ki, xi])))])
+    footer = [["# max_pairwise_abs", _literal(report.max_pairwise_abs), "", "", "", ""],
+              ["# max_pairwise_relative", _literal(report.max_pairwise_relative),
+               "", "", "", ""]]
+    expected = "".join(",".join(row) + "\n" for row in
+                       [["alpha", "k_index", "x_index", "re", "im", "deviation"], *rows,
+                        *footer])
+    plain, with_summary, summary = (tmp_path / name for name in
+                                    ("plain.csv", "summary.csv", "summary.json"))
+    assert _run_in_process("symbol", "--config", config_path, "--out", str(plain)) == 0
+    assert _run_in_process("symbol", "--config", config_path, "--out", str(with_summary),
+                           "--summary", str(summary)) == 0
+    assert plain.read_bytes() == expected.encode()
+    assert with_summary.read_bytes() == expected.encode()
+    assert json.loads(summary.read_text())["rows"] == rows

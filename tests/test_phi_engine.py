@@ -452,6 +452,14 @@ def test_alpha_cancellation_audit_needs_three_values():
         alpha_cancellation_audit(3, [F(0), F(1, 2)])
 
 
+@pytest.mark.parametrize("audit", [alpha_cancellation_audit, run_phi_audit])
+@pytest.mark.parametrize("dim", [1, 0])
+def test_audits_reject_dimension_below_two(audit, dim):
+    # θ vanishes in one dimension, so the α-dependence rows would check nothing
+    with pytest.raises(ValueError, match="dim"):
+        audit(3, [F(-1, 2), F(0), F(1, 2)], dim=dim)
+
+
 def test_full_identity_audit_passes():
     report = run_phi_audit(4, [F(-1, 2), F(-1, 4), F(0), F(1, 4), F(1, 2)])
     assert report.ok

@@ -164,6 +164,38 @@ def test_star_apply_field_matches_potential_on_bandlimited_data():
     assert np.max(np.abs(out.values - expected)) < 1e-12
 
 
+def per_frequency_star_field(phi, theta, psi):
+    """φ ⋆ ψ = Σ_w c_w e^{(i/ħ) w·x} ψ_interp(x - θw), one inverse DFT per frequency w.
+
+    The literal reading of the twisted convolution that star_apply_field
+    evaluates as a single transform.
+    """
+    grid = psi.grid
+    c = grid.wave_to_momentum(phi.values) * grid.momentum_cell_volume \
+        * (2 * np.pi * grid.hbar) ** (-grid.dim / 2)
+    hat = grid.wave_to_momentum(psi.values)
+    out = np.zeros(grid.size, dtype=complex)
+    for iw in range(grid.size):
+        w = grid.k_points[iw]
+        twisted = hat * np.exp(-1j * (grid.k_points @ theta.shift(w)) / grid.hbar)
+        out += c[iw] * np.exp(1j * (grid.x_points @ w) / grid.hbar) \
+            * grid.momentum_to_wave(twisted)
+    return out
+
+
+@pytest.mark.parametrize("points, dim", [(8, 2), (9, 2), (7, 3), (5, 4)])
+def test_star_apply_field_matches_per_frequency_reference(points, dim):
+    rng = np.random.default_rng(points * 10 + dim)
+    grid = PhaseSpaceGrid(points, 3.0, dim, hbar=0.8)
+    upper = np.triu(rng.normal(size=(dim, dim)), 1)
+    theta = ThetaMatrix(upper - upper.T)
+    phi, psi = (ComplexField(rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size),
+                             grid) for _ in range(2))
+    reference = per_frequency_star_field(phi, theta, psi)
+    fast = star_apply_field(phi, theta, psi).values
+    assert np.max(np.abs(fast - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
 def test_potential_kernel_theta_zero_diagonal():
     grid = PhaseSpaceGrid(8, 4.0, 2)
     V = Potential.harmonic(1.0, 1.0, dim=2)
