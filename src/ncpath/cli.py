@@ -5,8 +5,7 @@ Subcommands: symbol, star-check, kernel, alpha-sweep, phi-audit,
 limit-check, oracle-compare, unitarity.  Exit codes: 0 pass,
 1 verification failure, 2 usage/config error.  Identical config and flags
 produce byte-identical output; floats are printed with 17 significant
-digits.  NCPATH_THREADS caps the worker count for the independent (m, α)
-propagations of alpha-sweep.
+digits.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from fractions import Fraction
 from itertools import chain
@@ -22,7 +20,7 @@ from itertools import chain
 import numpy as np
 
 from . import phi_engine
-from .core import ConfigError, load_config
+from .core import _DENSE_POINTS, ConfigError, load_config
 from .oracle import oracle_compare
 from .slicer import SlicingConfig, alpha_sweep, edge_phase_turns, full_kernel, propagate, \
     short_time_propagator
@@ -68,7 +66,7 @@ def _config_hash(cfg) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _write_summary(path, command, cfg, header, rows, extra=None):
+def _write_summary(path, command, cfg, header=(), rows=(), extra=None):
     if not path:
         return
     payload = {
@@ -107,18 +105,6 @@ def _parse_m_list(text):
     if not values:
         raise ConfigError("--m-list: needs at least one slice count")
     return values
-
-
-def _workers(args):
-    env = os.environ.get("NCPATH_THREADS")
-    if args.workers is not None:
-        return max(1, args.workers)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError("NCPATH_THREADS: must be an integer")
-    return 1
 
 
 # -- subcommands --------------------------------------------------------------
@@ -175,7 +161,7 @@ def cmd_star_check(args) -> int:
     dev = star_integral_identity_check(phi, psi, theta)
     checks.append(("integral_identity", dev, 1e-8))
     applied = star_apply(V, theta, psi)
-    if grid.size <= 4096:
+    if grid.size <= _DENSE_POINTS:
         kern = potential_operator_kernel(V, theta, grid)
         via_kernel = kern.apply(psi)
         checks.append(("kernel_vs_star", float(np.max(np.abs(
@@ -203,6 +189,9 @@ def cmd_kernel(args) -> int:
     parts = np.ascontiguousarray(kernel.entries).view(np.float64)  # re, im interleaved
     _write_lines(args.out, chain([header_line + "\n"],
                                  (row_format % tuple(row.tolist()) for row in parts)))
+    _write_summary(args.summary, "kernel", cfg,
+                   extra={"m": args.m, "alpha": _fmt(args.alpha), "compose": args.compose,
+                          "edge_phase_turns": _fmt(edge_phase_turns(scfg, grid))})
     return EXIT_OK
 
 
@@ -217,8 +206,7 @@ def cmd_alpha_sweep(args) -> int:
     alphas = _parse_float_list(args.alphas)
     m_values = _parse_m_list(args.m_list)
     result = alpha_sweep(cfg.params, args.total_time, alphas, m_values,
-                         cfg.potential, cfg.theta, cfg.grid, _probe(cfg, args),
-                         workers=_workers(args))
+                         cfg.potential, cfg.theta, cfg.grid, _probe(cfg, args))
     header = ["m", "alpha_pair", "spread"]
     rows = []
     for m in result.m_values:
@@ -341,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", default="0.5,-0.5")
     p.add_argument("--m-list", default="4,8,16,32")
     p.add_argument("--total-time", type=float, default=1.0)
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=cmd_alpha_sweep)
 
     p = sub.add_parser("phi-audit", help="exact source-functional identities")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -86,6 +86,20 @@ class ThetaMatrix:
     @property
     def is_zero(self) -> bool:
         return not self.entries.any()
+
+    def axis_pairing(self):
+        """The involution σ with θ nonzero only at (b, σ(b)), or None.
+
+        σ(b) = b on a zero row; a row with two nonzeros couples three axes
+        and gives None.  Antisymmetry makes σ its own inverse.
+        """
+        pairing = []
+        for b, row in enumerate(self.entries):
+            cols = np.flatnonzero(row)
+            if cols.size > 1:
+                return None
+            pairing.append(int(cols[0]) if cols.size else b)
+        return tuple(pairing)
 
     def shift(self, k):
         """Map momentum vectors k (shape (..., N)) to (θk)^j = θ^{jl} k^l."""
@@ -166,6 +180,18 @@ class PhaseSpaceGrid:
 # -- lattice plumbing shared by the kernel builders ---------------------------
 
 
+_DENSE_POINTS = 4096
+
+
+def _require_dense_size(grid: PhaseSpaceGrid):
+    """Refuse an n×n kernel build on more than _DENSE_POINTS lattice points."""
+    if grid.size > _DENSE_POINTS:
+        raise ConfigError(
+            f"grid.points_per_axis: {grid.points_per_axis}^{grid.dim} = {grid.size} lattice "
+            f"points exceed the dense-kernel limit of {_DENSE_POINTS} "
+            f"({grid.size**2 * 16 / 1e9:.1f} GB per kernel)")
+
+
 @lru_cache(maxsize=32)
 def _dft_phase(points: int, sign: int):
     """Centered DFT phase matrix exp(sign·2πi n m / G) from exact integer products."""
@@ -240,6 +266,14 @@ def _squared_norm(u):
     return r2
 
 
+def _power_sum(terms, u):
+    """Σ c·u^p over (p, c) pairs: one axis's share of a polynomial potential."""
+    out = np.zeros(np.shape(u))
+    for p, c in terms:
+        out = out + c * u**p
+    return out
+
+
 _POTENTIAL_FORMS = ("zero", "linear", "harmonic", "quartic", "polynomial", "gaussian_well")
 _MAX_POLY_DEGREE = 12
 
@@ -306,6 +340,31 @@ class Potential:
     @property
     def is_zero(self) -> bool:
         return self.form == "zero"
+
+    def axis_terms(self):
+        """N one-axis callables V_b with V(u) = Σ_b V_b(u_b), or None.
+
+        Zero, linear, harmonic and polynomials whose terms each touch at most
+        one axis split this way (a constant term goes to axis 0); quartic,
+        Gaussian-well and mixed polynomials do not.
+        """
+        if self.form == "zero":
+            return [np.zeros_like] * self.dim
+        if self.form == "linear":
+            return [partial(np.multiply, c) for c in self.coeffs["c"]]
+        if self.form == "harmonic":
+            half = 0.5 * self.coeffs["mass"] * self.coeffs["omega"] ** 2
+            return [lambda u: half * (u * u)] * self.dim
+        if self.form == "polynomial":
+            per_axis = [[] for _ in range(self.dim)]
+            for powers, c in self.coeffs["terms"]:
+                axes = [a for a, p in enumerate(powers) if p]
+                if len(axes) > 1:
+                    return None
+                axis = axes[0] if axes else 0
+                per_axis[axis].append((powers[axis], c))
+            return [partial(_power_sum, terms) for terms in per_axis]
+        return None
 
     def __call__(self, u):
         """Evaluate V at points of shape (..., N)."""

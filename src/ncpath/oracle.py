@@ -18,11 +18,16 @@ import time
 
 import numpy as np
 
-from .core import PhaseSpaceGrid, PhysicsParams, Potential, ThetaMatrix, _circulant_entries
+from .core import (
+    PhaseSpaceGrid,
+    PhysicsParams,
+    Potential,
+    ThetaMatrix,
+    _circulant_entries,
+    _require_dense_size,
+)
 from .slicer import PropagatorKernel, SlicingConfig, propagate
 from .star import ComplexField, OperatorKernel, potential_operator_kernel
-
-_DENSE_LIMIT = 4096
 
 
 def kinetic_operator_kernel(grid: PhaseSpaceGrid, params: PhysicsParams) -> OperatorKernel:
@@ -35,8 +40,7 @@ def kinetic_operator_kernel(grid: PhaseSpaceGrid, params: PhysicsParams) -> Oper
 def build_hamiltonian_matrix(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceGrid,
                              params: PhysicsParams) -> OperatorKernel:
     """Dense lattice Hamiltonian kernel; guarded to G^N ≤ 4096."""
-    if grid.size > _DENSE_LIMIT:
-        raise ValueError(f"dense Hamiltonian capped at {_DENSE_LIMIT} lattice points")
+    _require_dense_size(grid)
     kinetic = kinetic_operator_kernel(grid, params)
     potential = potential_operator_kernel(V, theta, grid)
     return OperatorKernel(kinetic.entries + potential.entries, grid)

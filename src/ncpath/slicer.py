@@ -20,6 +20,19 @@ of the sum without touching the V = 0 case.
 for every α, and the α-spread of composed kernels shrinks like 1/(m+1) —
 the quantitative face of ordering independence in the continuum limit.
 
+A slice is built by one of three routes, chosen in this order:
+
+- V = 0: the circulant kernel of the kinetic multiplier (α and θ unused).
+- V = Σ_b V_b(u_b) a sum of one-axis terms and θ with at most one nonzero
+  per row: V_b's argument is x̄_b + θ_{b,σ(b)} k_{σ(b)}, so the integrand,
+  its ±K fold and the momentum sum factor over axes.  Each axis needs one
+  (G, G, G) table of 1-D transforms, and an entry is the product of one
+  table value per axis; the cost does not depend on α.
+- Any other V (quartic, Gaussian well, mixed polynomials): the slice-point
+  builders, which group lattice pairs by their slice point x̄(α) and
+  transform the full N-dimensional integrand once per group, or once per
+  x_out row when α leaves more than 8G slice points per axis.
+
 Kernels are star.OperatorKernel; PropagatorKernel is an alias of that one
 type, and a slice's kernel carries its SlicingConfig in `config`.
 """
@@ -41,6 +54,7 @@ from .core import (
     _circulant_entries,
     _index_difference_table,
     _pair_table,
+    _require_dense_size,
 )
 from .star import ComplexField, OperatorKernel
 
@@ -118,12 +132,21 @@ def short_time_propagator(cfg: SlicingConfig, V: Potential, theta: ThetaMatrix,
                           grid: PhaseSpaceGrid) -> PropagatorKernel:
     """One slice of duration ε = T/(m+1) at ordering index α.
 
-    The V = 0 path never touches α or θ.  Otherwise pairs (x_out, x_in) are
-    grouped by their per-axis slice point x̄(α) (exact integer arithmetic
-    for α ∈ {0, ±1/2}), and the groups sharing one leading-axis slice point
-    are built in one batched momentum-lattice transform.  Only an ordering
-    index with more than 8G distinct slice points per axis takes the
-    row-wise fallback, which evaluates V at every (x_out, x_in) pair.
+    Three routes build the same entries; the first that applies is taken.
+
+    - V = 0: the circulant kernel of the kinetic multiplier, which never
+      touches α or θ.
+    - V a sum of one-axis terms (`Potential.axis_terms`) and θ pairing the
+      axes (`ThetaMatrix.axis_pairing`): the factorized route, one table of
+      1-D momentum transforms per axis, at any α.
+    - Otherwise the slice-point builders: pairs (x_out, x_in) are grouped
+      by their per-axis slice point x̄(α) (exact integer arithmetic for
+      α ∈ {0, ±1/2}) and each leading-axis slice point is one batched
+      momentum-lattice transform; an ordering index with more than 8G
+      distinct slice points per axis takes the row-wise fallback, which
+      evaluates V at every (x_out, x_in) pair.
+
+    Grids of more than 4096 lattice points are refused before any n×n build.
     """
     params = cfg.params
     if grid.dim != params.dim or theta.dim != params.dim or V.dim != params.dim:
@@ -131,9 +154,9 @@ def short_time_propagator(cfg: SlicingConfig, V: Potential, theta: ThetaMatrix,
     if grid.hbar != params.hbar:
         # the phase and norm use params.hbar, the lattice Δk uses grid.hbar
         raise GridMismatchError("hbar: grid and params disagree")
+    _require_dense_size(grid)
     eps = cfg.epsilon
     hbar = params.hbar
-    G = grid.points_per_axis
     if edge_phase_turns(cfg, grid) > 1.0:
         warnings.warn(
             "slice phase at the momentum edge exceeds one full turn; "
@@ -147,11 +170,64 @@ def short_time_propagator(cfg: SlicingConfig, V: Potential, theta: ThetaMatrix,
         kin = np.exp(-1j * eps * k2 / (2.0 * params.mass * hbar))
         return PropagatorKernel(_circulant_entries(grid, kin, norm), grid, cfg)
 
-    k_ext = _extended_k_points(grid)
-    k2_ext = np.sum(k_ext**2, axis=-1)
-    kin_ext = np.exp(-1j * eps * k2_ext / (2.0 * params.mass * hbar))
-    shifts_ext = theta.shift(k_ext)
+    terms, pairing = V.axis_terms(), theta.axis_pairing()
+    if terms is not None and pairing is not None:
+        entries = _factorized_slice(cfg, terms, theta, pairing, grid)
+    else:
+        svals, slot = _slice_points(cfg, grid)
+        if svals.size > 8 * grid.points_per_axis:
+            entries = _short_time_rowwise(cfg, V, theta, grid)
+        else:
+            entries = _grouped_slice(cfg, V, theta, grid, svals, slot)
+    entries *= norm
+    return PropagatorKernel(entries, grid, cfg)
 
+
+def _factorized_slice(cfg, terms, theta, pairing, grid):
+    """Slice entries, before the momentum measure, for V = Σ_b V_b(u_b) and a
+    θ that pairs momentum axis a with position axis b = σ(a).
+
+    V_b's argument is then x̄_b + θ_{ba} k_a, so the integrand is a product
+    over momentum axes of  f_a = e^{-iεk_a²/2Mħ} e^{-iεV_b(x̄_b + θ_{ba}k_a)/ħ},
+    and the ±K fold and the momentum sum factor with it.  A_a[n_out_b, n_in_b, d]
+    is the 1-D transform of f_a at every per-axis pair's slice point, and
+
+        entry = Π_a A_a[n_out_σ(a), n_in_σ(a), (n_out_a - n_in_a) mod G],
+
+    gathered factor by factor into the kernel viewed as (G,)*2N.
+    """
+    G, N = grid.points_per_axis, grid.dim
+    eps, hbar = cfg.epsilon, cfg.params.hbar
+    line = PhaseSpaceGrid(G, grid.box_half_width, 1, hbar)
+    k = (np.arange(G + 1) - G // 2) * grid.dk
+    kin = np.exp(-1j * eps * k * k / (2.0 * cfg.params.mass * hbar))
+    xbar = (0.5 + cfg.alpha) * grid.x_axis[:, None] + (0.5 - cfg.alpha) * grid.x_axis[None, :]
+    diff = _index_difference_table(grid)
+
+    def along(values, *axes):
+        """values with its dimensions on the given axes of the (G,)*2N view."""
+        return values.reshape([G if i in axes else 1 for i in range(2 * N)])
+
+    entries = np.empty((grid.size, grid.size), dtype=complex)
+    view = entries.reshape((G,) * (2 * N))
+    for a, b in enumerate(pairing):
+        u = xbar[:, :, None] + theta.entries[b, a] * k
+        integrand = kin * np.exp(-1j * eps * terms[b](u) / hbar)
+        table = _centered_fft(line, _fold_nyquist(line, integrand), +1)  # (G, G, G)
+        slots = (along(np.arange(G), b) * G + along(np.arange(G), N + b)) * G \
+            + along(diff, a, N + a)
+        factor = table.reshape(-1)[slots]
+        if a == 0:
+            view[...] = factor
+        else:
+            view *= factor
+    return entries
+
+
+def _slice_points(cfg, grid):
+    """(svals, slot): the distinct per-axis slice-point coordinates x̄(α) and,
+    for each per-axis pair (n_out, n_in), the position of its x̄ in svals."""
+    G = grid.points_per_axis
     two_alpha = 2.0 * cfg.alpha
     n = grid.index_axis
     if float(two_alpha).is_integer():
@@ -163,14 +239,21 @@ def short_time_propagator(cfg: SlicingConfig, V: Potential, theta: ThetaMatrix,
     else:
         wa = 0.5 + cfg.alpha  # weight on x_out
         wb = 0.5 - cfg.alpha  # weight on x_in
-        mids = np.round((wa * n[:, None] + wb * n[None, :]) * grid.dx, 12)
-        svals, slot = np.unique(mids, return_inverse=True)
-        if svals.size > 8 * G:
-            return _short_time_rowwise(cfg, V, theta, grid, norm, kin_ext, shifts_ext)
-    entries = _grouped_slice(grid, eps, hbar, V, kin_ext, shifts_ext,
-                             svals, slot.reshape(G, G))
-    entries *= norm
-    return PropagatorKernel(entries, grid, cfg)
+        mids = ((wa * n[:, None] + wb * n[None, :]) * grid.dx).reshape(-1)
+        # group on rounded coordinates, but evaluate V at a member's unrounded
+        # x̄: the rounding itself would move V's argument by up to 5e-13
+        _, first, slot = np.unique(np.round(mids, 12), return_index=True,
+                                   return_inverse=True)
+        svals = mids[first]
+    return svals, slot.reshape(G, G)
+
+
+def _extended_factors(cfg, theta, grid):
+    """Kinetic phase and θk shift on the symmetric momentum window."""
+    k_ext = _extended_k_points(grid)
+    k2_ext = np.sum(k_ext**2, axis=-1)
+    kin_ext = np.exp(-1j * cfg.epsilon * k2_ext / (2.0 * cfg.params.mass * cfg.params.hbar))
+    return kin_ext, theta.shift(k_ext)
 
 
 def _slice_chi(grid, eps, hbar, V, kin_ext, shifts_ext, xbar):
@@ -182,15 +265,18 @@ def _slice_chi(grid, eps, hbar, V, kin_ext, shifts_ext, xbar):
     return _centered_fft(grid, folded, +1).reshape(xbar.shape[0], grid.size)
 
 
-def _grouped_slice(grid, eps, hbar, V, kin_ext, shifts_ext, svals, slot):
+def _grouped_slice(cfg, V, theta, grid, svals, slot):
     """Slice entries, before the momentum measure, grouped by slice point.
 
     svals holds the S distinct per-axis slice-point coordinates and
-    slot[n_out, n_in] the position of each pair's coordinate in svals.  Each
-    pass fixes the leading axis's slice point and takes the other axes'
-    S^{N-1} slice points as one batch: one V evaluation and one batched
-    momentum transform, scattered into the kernel before the next pass.
+    slot[n_out, n_in] the position of each pair's coordinate in svals
+    (`_slice_points`).  Each pass fixes the leading axis's slice point and
+    takes the other axes' S^{N-1} slice points as one batch: one V
+    evaluation and one batched momentum transform, scattered into the
+    kernel before the next pass.
     """
+    eps, hbar = cfg.epsilon, cfg.params.hbar
+    kin_ext, shifts_ext = _extended_factors(cfg, theta, grid)
     G = grid.points_per_axis
     rest = grid.dim - 1
     size_rest = G**rest
@@ -213,20 +299,21 @@ def _grouped_slice(grid, eps, hbar, V, kin_ext, shifts_ext, svals, slot):
     return entries
 
 
-def _short_time_rowwise(cfg, V, theta, grid, norm, kin_ext, shifts_ext):
-    """Fallback for generic α: per-x_out rows, exact but O(G^{3N}) V-evals."""
+def _short_time_rowwise(cfg, V, theta, grid):
+    """Slice entries, before the momentum measure, one x_out row at a time:
+    exact for any α, but O(G^{3N}) V-evaluations."""
     eps = cfg.epsilon
     hbar = cfg.params.hbar
-    G = grid.points_per_axis
+    kin_ext, shifts_ext = _extended_factors(cfg, theta, grid)
     wa = 0.5 + cfg.alpha
     wb = 0.5 - cfg.alpha
     entries = np.empty((grid.size, grid.size), dtype=complex)
-    diff = _pair_table(_index_difference_table(grid), G, grid.dim)
+    diff = _pair_table(_index_difference_table(grid), grid.points_per_axis, grid.dim)
     for row in range(grid.size):
         xbar = wa * grid.x_points[row][None, :] + wb * grid.x_points  # (size_in, N)
         chi = _slice_chi(grid, eps, hbar, V, kin_ext, shifts_ext, xbar)
         entries[row, :] = chi[np.arange(grid.size), diff[row]]
-    return PropagatorKernel(entries * norm, grid, cfg)
+    return entries
 
 
 def compose(Ka: PropagatorKernel, Kb: PropagatorKernel) -> PropagatorKernel:
@@ -306,15 +393,12 @@ def _loglog_fit(m_values, d_values):
 
 def alpha_sweep(params: PhysicsParams, total_time: float, alphas, m_values,
                 V: Potential, theta: ThetaMatrix, grid: PhaseSpaceGrid,
-                probe: ComplexField, workers: int | None = None) -> SweepResult:
+                probe: ComplexField) -> SweepResult:
     """Measure D(m) = max α-pair spread of K^{m+1}·ψ, relative to ||K^{m+1}·ψ||
     at the first α.
 
     Expected: D(m) ∝ 1/(m+1) (log-log slope ≈ -1), since each slice's
     α-sensitivity enters at order ε and the kernels stay near unitary.
-    The (m, α) propagations of the probe are independent; `workers` > 1
-    distributes them over a thread pool (results are merged in a fixed
-    order either way).
     """
     alphas = [float(a) for a in alphas]
     m_values = [int(m) for m in m_values]
@@ -325,23 +409,11 @@ def alpha_sweep(params: PhysicsParams, total_time: float, alphas, m_values,
     if probe.norm() == 0:
         raise ValueError("probe: degenerate (zero norm)")
 
-    def build(task):
-        m, a = task
-        return propagate(SlicingConfig(m, total_time, a, params), V, theta, grid, probe)
-
-    tasks = [(m, a) for m in m_values for a in alphas]
-    if workers and workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = dict(zip(tasks, pool.map(build, tasks)))
-    else:
-        results = {task: build(task) for task in tasks}
-
     spreads: dict = {}
     d_values: dict = {}
     for m in m_values:
-        actions = [results[(m, a)] for a in alphas]
+        actions = [propagate(SlicingConfig(m, total_time, a, params), V, theta, grid, probe)
+                   for a in alphas]
         ref = actions[0].norm()
         pair_spread = {}
         for i in range(len(alphas)):

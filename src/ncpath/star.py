@@ -37,6 +37,7 @@ from .core import (
     Potential,
     ThetaMatrix,
     _centered_fft,
+    _require_dense_size,
 )
 
 if TYPE_CHECKING:
@@ -225,10 +226,12 @@ def potential_operator_kernel(V: Potential, theta: ThetaMatrix,
     """Position-space kernel ⟨y|V(X+θK)|y'⟩ on the lattice.
 
     Hermitian up to discretization error for real V (exactly so for
-    polynomials of degree ≤ 2); θ = 0 gives diag(V(y))/Δx^N.
+    polynomials of degree ≤ 2); θ = 0 gives diag(V(y))/Δx^N.  Grids of more
+    than 4096 lattice points are refused.
     """
     if theta.dim != grid.dim or V.dim != grid.dim:
         raise GridMismatchError("potential/theta dimensions do not match the grid")
+    _require_dense_size(grid)
     if theta.is_zero:
         return OperatorKernel(np.diag(V(grid.x_points) / grid.cell_volume).astype(complex), grid)
     norm = grid.momentum_cell_volume * (2.0 * np.pi * grid.hbar) ** (-grid.dim)

@@ -132,6 +132,38 @@ def test_summary_json_written(config_path, tmp_path):
     assert payload["columns"] == ["m", "norm_ratio"]
 
 
+@pytest.mark.parametrize("compose", [False, True])
+def test_kernel_summary_written(config_path, tmp_path, compose):
+    summary = tmp_path / "kernel.json"
+    argv = ["kernel", "--config", config_path, "--m", "2", "--alpha", "-0.17",
+            "--out", str(tmp_path / "k.txt"), "--summary", str(summary)]
+    code = _run_in_process(*argv, *(["--compose"] if compose else []))
+    assert code == 0
+    payload = json.loads(summary.read_text())
+    assert payload["command"] == "kernel"
+    assert len(payload["config_sha256"]) == 64
+    assert payload["m"] == 2
+    assert float(payload["alpha"]) == -0.17
+    assert payload["compose"] is compose
+    # G = 8 on a half-width 5 box: Δk = 2π/(8·1.25), corner k² = 2·(4Δk)², ε = 1/3
+    dk = 2 * math.pi / (8 * 1.25)
+    expected = (1.0 / 3) * 2 * (4 * dk) ** 2 / 2.0 / (2 * math.pi)
+    assert float(payload["edge_phase_turns"]) == pytest.approx(expected, rel=1e-12)
+
+
+def test_kernel_on_a_grid_too_big_for_a_dense_kernel_exits_2(tmp_path, capsys):
+    # G = 128, N = 2: one kernel would take 4.3 GB
+    config = json.loads(json.dumps(CONFIG))
+    config["grid"]["points_per_axis"] = 128
+    config_file = tmp_path / "big.json"
+    config_file.write_text(json.dumps(config))
+    out = tmp_path / "k.txt"
+    code = _run_in_process("kernel", "--config", str(config_file), "--out", str(out))
+    assert code == 2
+    assert "grid.points_per_axis" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_symbol_csv_columns(config_path, tmp_path):
     out = tmp_path / "symbol.csv"
     result = run_cli("symbol", "--config", config_path, "--alphas", "-0.4,0.4",
@@ -141,16 +173,6 @@ def test_symbol_csv_columns(config_path, tmp_path):
     assert lines[0] == "alpha,k_index,x_index,re,im,deviation"
     # two alphas over an 8x8 grid: 2 * 64 * 64 data rows plus two footer rows
     assert len(lines) == 1 + 2 * 64 * 64 + 2
-
-
-def test_thread_env_variable_accepted(config_path, tmp_path):
-    import os
-
-    env = dict(os.environ)
-    env["NCPATH_THREADS"] = "2"
-    result = run_cli("alpha-sweep", "--config", config_path, "--m-list", "1,2,4",
-                     env=env)
-    assert result.returncode == 0, result.stderr
 
 
 def test_probe_width_flag_overrides_config(config_path):

@@ -240,3 +240,18 @@ def test_lattice_kernels_on_odd_and_3d_grids_match_literal_sums(G, N):
     A = rng.standard_normal((grid.size,) * 2) + 1j * rng.standard_normal((grid.size,) * 2)
     symbol = symbol_of_operator(OperatorKernel(A, grid), 0.5).values
     assert np.max(np.abs(symbol - _literal_symbol_half(A, grid))) < 1e-12
+
+
+def test_dense_kernel_builds_refuse_grids_over_4096_points():
+    from ncpath.core import _require_dense_size
+    from ncpath.oracle import build_hamiltonian_matrix
+    from ncpath.star import potential_operator_kernel
+
+    _require_dense_size(PhaseSpaceGrid(64, 8.0, 2))  # 4096 points: allowed
+    big = PhaseSpaceGrid(65, 8.0, 2)
+    theta = ThetaMatrix.single_block(2, 0.1)
+    V = Potential.harmonic(1.0, dim=2)
+    with pytest.raises(ConfigError, match="grid.points_per_axis"):
+        potential_operator_kernel(V, theta, big)
+    with pytest.raises(ConfigError, match="grid.points_per_axis"):
+        build_hamiltonian_matrix(V, theta, big, PhysicsParams(dim=2))

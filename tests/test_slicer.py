@@ -3,10 +3,21 @@ import warnings
 import numpy as np
 import pytest
 
-from ncpath.core import GridMismatchError, PhaseSpaceGrid, PhysicsParams, Potential, ThetaMatrix
+from ncpath.core import (
+    ConfigError,
+    GridMismatchError,
+    PhaseSpaceGrid,
+    PhysicsParams,
+    Potential,
+    ThetaMatrix,
+)
 from ncpath.slicer import (
     PropagatorKernel,
     SlicingConfig,
+    _factorized_slice,
+    _grouped_slice,
+    _short_time_rowwise,
+    _slice_points,
     alpha_sweep,
     compose,
     free_kernel_closed_form,
@@ -59,9 +70,20 @@ def small2d():
     return params, grid, theta, V
 
 
-@pytest.mark.parametrize("alpha", [0.5, -0.5, 0.0, 0.3])
-def test_slice_matches_brute_force(small2d, alpha):
+NON_SEPARABLE = {
+    "quartic": Potential.quartic(0.05, dim=2),
+    "gaussian_well": Potential.gaussian_well(2.0, 1.3, dim=2),
+}
+
+
+@pytest.mark.parametrize("form,alpha", [
+    *(pytest.param("harmonic", a, id=str(a)) for a in (0.5, -0.5, 0.0, 0.3)),
+    # non-separable V takes the slice-point builders
+    *(pytest.param(f, a, id=f"{f}-{a}") for f in NON_SEPARABLE for a in (-0.5, 0.3)),
+])
+def test_slice_matches_brute_force(small2d, form, alpha):
     params, grid, theta, V = small2d
+    V = NON_SEPARABLE.get(form, V)
     cfg = SlicingConfig(31, 1.0, alpha, params)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -70,20 +92,67 @@ def test_slice_matches_brute_force(small2d, alpha):
     assert np.max(np.abs(fast - slow)) < 1e-12
 
 
+def point_builders(cfg, V, theta, grid):
+    """The grouped and the row-wise slice-point builders, called directly."""
+    return (_grouped_slice(cfg, V, theta, grid, *_slice_points(cfg, grid)),
+            _short_time_rowwise(cfg, V, theta, grid))
+
+
 def test_rowwise_fallback_matches_grouped_builder(small2d):
     # the per-row path used for ordering indices that defeat slice-point
     # grouping must agree with the grouped builder on a shared index
-    from ncpath.slicer import _extended_k_points, _short_time_rowwise
-
     params, grid, theta, V = small2d
     cfg = SlicingConfig(15, 1.0, 0.3, params)
-    grouped = short_time_propagator(cfg, V, theta, grid)
-    k_ext = _extended_k_points(grid)
-    k2 = np.sum(k_ext**2, axis=-1)
-    kin = np.exp(-1j * cfg.epsilon * k2 / (2.0 * params.mass * params.hbar))
     norm = grid.momentum_cell_volume * (2 * np.pi * params.hbar) ** (-2)
-    rowwise = _short_time_rowwise(cfg, V, theta, grid, norm, kin, theta.shift(k_ext))
-    assert np.max(np.abs(grouped.entries - rowwise.entries)) < 1e-12
+    grouped, rowwise = point_builders(cfg, V, theta, grid)
+    assert np.max(np.abs(grouped - rowwise)) * norm < 1e-12
+
+
+def two_pair_theta():
+    """N = 4 θ pairing axes (0, 3) and (1, 2)."""
+    entries = np.zeros((4, 4))
+    entries[0, 3], entries[3, 0], entries[1, 2], entries[2, 1] = 0.2, -0.2, -0.1, 0.1
+    return ThetaMatrix(entries)
+
+
+SEPARABLE_CASES = {
+    # N: (G, θ) with one axis at θ = 0, one pair, one pair plus an unpaired
+    # axis, two crossed pairs on an odd grid
+    1: (8, ThetaMatrix.zero(1)),
+    2: (6, ThetaMatrix.single_block(2, 0.1)),
+    3: (4, ThetaMatrix.single_block(3, 0.15)),
+    4: (3, two_pair_theta()),
+}
+
+
+def separable_potential(form, dim):
+    if form == "harmonic":
+        return Potential.harmonic(1.3, 1.0, dim=dim)
+    if form == "linear":
+        return Potential.linear(np.linspace(0.5, -0.3, dim))
+    # single-axis terms on the first and last axis plus a constant
+    return Potential.polynomial([((3,) + (0,) * (dim - 1), 0.2),
+                                 ((0,) * (dim - 1) + (2,), 0.7), ((0,) * dim, 0.4)], dim)
+
+
+@pytest.mark.parametrize("alpha", [0.5, -0.5, 0.0, 0.3, -0.17])
+@pytest.mark.parametrize("form", ["harmonic", "linear", "polynomial"])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_factorized_slice_matches_point_builders(dim, form, alpha):
+    G, theta = SEPARABLE_CASES[dim]
+    grid = PhaseSpaceGrid(G, 2.0, dim)
+    V = separable_potential(form, dim)
+    cfg = SlicingConfig(7, 1.0, alpha, PhysicsParams(dim=dim))
+    factorized = _factorized_slice(cfg, V.axis_terms(), theta, theta.axis_pairing(), grid)
+    scale = np.max(np.abs(factorized))
+    for reference in point_builders(cfg, V, theta, grid):
+        assert np.max(np.abs(factorized - reference)) <= 1e-13 * scale
+    # short_time_propagator takes the factorized route for this input
+    norm = grid.momentum_cell_volume * (2 * np.pi) ** (-dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        kernel = short_time_propagator(cfg, V, theta, grid)
+    assert np.array_equal(kernel.entries, factorized * norm)
 
 
 def test_zero_potential_kernels_bitwise_alpha_independent(small2d):
@@ -213,15 +282,37 @@ def test_propagate_zero_potential_bitwise_alpha_independent(small2d):
 
 
 def test_grouped_slice_builder_memory_stays_near_kernel_size():
-    # α = 0.3 on G = 16 has 76 slice points per axis: the grouped builder,
-    # whose batches are scattered one leading-axis slice point at a time.
-    # Gathering every group's χ first would need 76²·16²·16 B ≈ 24 kernels.
+    # harmonic V takes the factorized route, which gathers its per-axis
+    # factors into the kernel one axis at a time.
     import tracemalloc
 
     params = PhysicsParams(dim=2)
     grid = PhaseSpaceGrid(16, 5.0, 2)
     cfg = SlicingConfig(4, 1.0, 0.3, params)
     V = Potential.harmonic(1.0, 1.0, dim=2)
+    theta = ThetaMatrix.single_block(2, 0.1)
+    kernel_bytes = grid.size**2 * 16
+    tracemalloc.start()
+    try:
+        kernel = short_time_propagator(cfg, V, theta, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kernel.entries.nbytes == kernel_bytes
+    assert peak <= 4 * kernel_bytes, f"peak {peak} B for a {kernel_bytes} B kernel"
+
+
+def test_grouped_slice_builder_memory_stays_near_kernel_size_quartic():
+    # α = 0.3 on G = 16 has 76 slice points per axis, and quartic V takes the
+    # grouped builder, whose batches are scattered one leading-axis slice
+    # point at a time.  Gathering every group's χ first would need
+    # 76²·16²·16 B ≈ 24 kernels.
+    import tracemalloc
+
+    params = PhysicsParams(dim=2)
+    grid = PhaseSpaceGrid(16, 5.0, 2)
+    cfg = SlicingConfig(4, 1.0, 0.3, params)
+    V = Potential.quartic(0.05, dim=2)
     theta = ThetaMatrix.single_block(2, 0.1)
     kernel_bytes = grid.size**2 * 16
     tracemalloc.start()
@@ -302,18 +393,19 @@ def test_alpha_sweep_first_order_shrinkage():
     assert max(scaled) / min(scaled) < 1.5
 
 
-def test_alpha_sweep_workers_deterministic():
+def test_alpha_sweep_generic_ordering_index_shrinks_first_order():
+    # α = -0.17 has more than 8G slice points per axis, so before the
+    # factorized route it took the row-wise builder at every m
     params = PhysicsParams(dim=2)
-    grid = PhaseSpaceGrid(8, 5.0, 2)
+    grid = PhaseSpaceGrid(12, 6.0, 2)
     theta = ThetaMatrix.single_block(2, 0.1)
     V = Potential.harmonic(1.0, 1.0, dim=2)
     probe = gaussian_packet(grid)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        serial = alpha_sweep(params, 1.0, [0.5, -0.5], [2, 4, 8], V, theta, grid, probe)
-        pooled = alpha_sweep(params, 1.0, [0.5, -0.5], [2, 4, 8], V, theta, grid, probe,
-                             workers=4)
-    assert serial.d_values == pooled.d_values
+        result = alpha_sweep(params, 1.0, [0.5, -0.17], [4, 8, 16], V, theta, grid,
+                             probe)
+    assert -1.2 < result.slope < -0.8
 
 
 def test_alpha_sweep_rejects_degenerate_probe(small2d):
@@ -342,3 +434,34 @@ def test_propagator_kernel_is_the_one_kernel_type():
 
     assert ncpath.PropagatorKernel is ncpath.OperatorKernel
     assert all(hasattr(ncpath, name) for name in ncpath.__all__)
+
+
+def test_axis_split_of_potentials_and_theta():
+    u = np.random.default_rng(3).normal(size=(5, 3))
+    for form in ("harmonic", "linear", "polynomial"):
+        V = separable_potential(form, 3)
+        terms = V.axis_terms()
+        assert len(terms) == 3
+        total = sum(term(u[:, b]) for b, term in enumerate(terms))
+        assert np.max(np.abs(total - V(u))) <= 1e-14 * np.max(np.abs(V(u)))
+    mixed = Potential.polynomial([((1, 1, 0), 0.3), ((2, 0, 0), 1.0)], 3)
+    assert mixed.axis_terms() is None
+    assert Potential.quartic(1.0, dim=3).axis_terms() is None
+    assert Potential.gaussian_well(1.0, 1.0, dim=3).axis_terms() is None
+    assert ThetaMatrix.single_block(3, 0.1).axis_pairing() == (1, 0, 2)
+    assert ThetaMatrix.zero(2).axis_pairing() == (0, 1)
+    assert two_pair_theta().axis_pairing() == (3, 2, 1, 0)
+    full = [[0.0, 0.1, 0.2], [-0.1, 0.0, 0.3], [-0.2, -0.3, 0.0]]
+    assert ThetaMatrix(full).axis_pairing() is None
+
+
+@pytest.mark.parametrize("form", ["zero", "harmonic", "quartic"])
+def test_slice_refuses_grids_too_big_for_a_dense_kernel(form):
+    # 128² lattice points: one kernel would take 4.3 GB; the check runs first
+    params = PhysicsParams(dim=2)
+    grid = PhaseSpaceGrid(128, 8.0, 2)
+    V = {"zero": Potential.zero(2), "harmonic": Potential.harmonic(1.0, dim=2),
+         "quartic": Potential.quartic(1.0, dim=2)}[form]
+    with pytest.raises(ConfigError, match="grid.points_per_axis"):
+        short_time_propagator(SlicingConfig(4, 1.0, 0.3, params), V,
+                              ThetaMatrix.single_block(2, 0.1), grid)
