@@ -18,6 +18,7 @@ from .core import (
 )
 from .oracle import (
     build_hamiltonian_matrix,
+    chebyshev_evolve,
     kinetic_operator_kernel,
     oracle_compare,
     spectral_propagator,
@@ -77,6 +78,7 @@ __all__ = [
     "WashoutReport",
     "alpha_sweep",
     "build_hamiltonian_matrix",
+    "chebyshev_evolve",
     "compose",
     "delta_alpha_matrix_element",
     "edge_phase_turns",

@@ -96,6 +96,14 @@ def _probe(cfg, args=None):
                            width=width, momentum=cfg.probe.momentum)
 
 
+def _positive_float(text):
+    """argparse type for a duration or width: a finite number above zero."""
+    value = float(text)
+    if not 0 < value < np.inf:  # NaN fails the comparison too
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
 def _parse_float_list(text):
     return [float(v) for v in text.split(",") if v.strip() != ""]
 
@@ -261,15 +269,18 @@ def cmd_limit_check(args) -> int:
 def cmd_oracle_compare(args) -> int:
     cfg = _load(args)
     m_values = _parse_m_list(args.m_list)
-    timings = {}
+    report = {}
     result = oracle_compare(cfg.potential, cfg.theta, cfg.grid, cfg.params,
                             args.total_time, m_values, _probe(cfg, args), alpha=args.alpha,
-                            timings=timings)
+                            report=report)
     header = ["m", "l2_error_vs_spectral", "runtime_seconds"]
-    rows = [(m, err, timings[m]) for m, err in result]
+    rows = [(m, err, report[m]) for m, err in result]
     _write_artifact(args.out, header, rows)
     _write_summary(args.summary, "oracle-compare", cfg, header, rows,
-                   {"reference_seconds": _fmt(timings["reference"]),
+                   {"reference_seconds": _fmt(report["reference"]),
+                    "reference_terms": report["terms"],
+                    "spectral_bounds": [_fmt(b) for b in report["spectral_bounds"]],
+                    "hermiticity_deviation": _fmt(report["hermiticity_deviation"]),
                     **_edge_phase(cfg, args, m_values, args.alpha)})
     return EXIT_OK
 
@@ -300,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, needs_config=True):
         if needs_config:
             p.add_argument("--config", required=True, help="JSON configuration file")
-            p.add_argument("--probe-width", type=float, default=None,
+            p.add_argument("--probe-width", type=_positive_float, default=None,
                            help="probe packet width; overrides the config key")
         p.add_argument("--out", default=None, help="CSV artifact path (default stdout)")
         p.add_argument("--summary", default=None, help="JSON summary path")
@@ -319,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--total-time", type=float, default=1.0)
+    p.add_argument("--total-time", type=_positive_float, default=1.0)
     p.add_argument("--compose", action="store_true",
                    help="emit the composed kernel instead of a single slice")
     p.set_defaults(func=cmd_kernel)
@@ -328,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--alphas", default="0.5,-0.5")
     p.add_argument("--m-list", default="4,8,16,32")
-    p.add_argument("--total-time", type=float, default=1.0)
+    p.add_argument("--total-time", type=_positive_float, default=1.0)
     p.set_defaults(func=cmd_alpha_sweep)
 
     p = sub.add_parser("phi-audit", help="exact source-functional identities")
@@ -349,21 +360,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-compare", help="sliced kernel vs spectral propagator")
     add_common(p)
     p.add_argument("--m-list", default="16,32,64")
-    p.add_argument("--total-time", type=float, default=1.0)
+    p.add_argument("--total-time", type=_positive_float, default=1.0)
     p.add_argument("--alpha", type=float, default=0.5)
     p.set_defaults(func=cmd_oracle_compare)
 
     p = sub.add_parser("unitarity", help="probe norm conservation vs slice count")
     add_common(p)
     p.add_argument("--m-list", default="16,32,64")
-    p.add_argument("--total-time", type=float, default=1.0)
+    p.add_argument("--total-time", type=_positive_float, default=1.0)
     p.add_argument("--alpha", type=float, default=0.5)
     p.set_defaults(func=cmd_unitarity)
 
     return parser
 
 
-_VALUE_FLAGS = {"--alphas", "--theta", "--m-list", "--total-time", "--alpha", "--m"}
+_VALUE_FLAGS = {"--alphas", "--theta", "--m-list", "--total-time", "--alpha", "--m",
+                "--probe-width"}
 
 
 def _merge_value_flags(argv):

@@ -552,8 +552,11 @@ def load_config(source) -> RunConfig:
     center = _finite(probe_cfg.get("center", (0.0,) * dim), "probe.center", (dim,))
     momentum = _finite(probe_cfg.get("momentum", (0.0,) * dim), "probe.momentum", (dim,))
     width = probe_cfg.get("width")
-    probe = ProbeSpec(center=tuple(center.tolist()),
-                      width=None if width is None else _finite(width, "probe.width"),
+    if width is not None:
+        width = _finite(width, "probe.width")
+        if width <= 0:
+            raise ConfigError("probe.width: must be positive")
+    probe = ProbeSpec(center=tuple(center.tolist()), width=width,
                       momentum=tuple(momentum.tolist()))
 
     return RunConfig(params=params, theta=theta, grid=grid, potential=potential,

@@ -74,8 +74,8 @@ class SlicingConfig:
     def __post_init__(self):
         if self.slices_m < 0:
             raise ValueError("slices_m: must be a nonnegative integer")
-        if self.total_time <= 0:
-            raise ValueError("total_time: must be positive")
+        if not 0 < self.total_time < np.inf:  # NaN fails the comparison too
+            raise ValueError("total_time: must be positive and finite")
         if not -0.5 <= self.alpha <= 0.5:
             raise ValueError("alpha: ordering index must lie in [-1/2, 1/2]")
 

@@ -115,6 +115,8 @@ def gaussian_packet(grid: PhaseSpaceGrid, center=None, width: float | None = Non
     momentum = np.zeros(N) if momentum is None else np.asarray(momentum, dtype=float)
     if width is None:
         width = grid.box_half_width / 6.0
+    elif not 0 < width < np.inf:  # NaN fails the comparison too
+        raise ValueError(f"width: must be positive and finite, got {width}")
     d = grid.x_points - center
     phase = (grid.x_points @ momentum) / grid.hbar
     values = np.exp(-np.sum(d * d, axis=-1) / (4.0 * width**2) + 1j * phase)

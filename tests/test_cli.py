@@ -193,13 +193,13 @@ def test_oracle_compare_builds_one_spectral_reference(config_path, tmp_path, mon
     import ncpath.oracle
 
     calls = []
-    original = ncpath.oracle.spectral_propagator
+    original = ncpath.oracle.chebyshev_evolve
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(ncpath.oracle, "spectral_propagator", counted)
+    monkeypatch.setattr(ncpath.oracle, "chebyshev_evolve", counted)
     summary = tmp_path / "oracle.json"
     code = _run_in_process("oracle-compare", "--config", config_path, "--m-list", "2,4,8",
                            "--out", str(tmp_path / "oracle.csv"), "--summary", str(summary))
@@ -210,6 +210,40 @@ def test_oracle_compare_builds_one_spectral_reference(config_path, tmp_path, mon
     assert [row[0] for row in payload["rows"]] == ["2", "4", "8"]
     assert float(payload["reference_seconds"]) > 0.0
     assert all(float(row[2]) > 0.0 for row in payload["rows"])
+    assert payload["reference_terms"] > 1
+    lo, hi = (float(b) for b in payload["spectral_bounds"])
+    assert math.isfinite(lo) and math.isfinite(hi) and lo < hi
+    deviation = float(payload["hermiticity_deviation"])
+    assert math.isfinite(deviation) and 0.0 <= deviation < 1e-8
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("oracle-compare", "--total-time", "nan"),
+    ("oracle-compare", "--total-time", "0"),
+    ("oracle-compare", "--probe-width", "nan"),
+    ("oracle-compare", "--probe-width", "0"),
+    ("oracle-compare", "--probe-width", "-1"),
+    ("unitarity", "--total-time", "inf"),
+    ("unitarity", "--probe-width", "-inf"),
+    ("alpha-sweep", "--total-time", "-1"),
+    ("kernel", "--total-time", "nan"),
+])
+def test_non_finite_or_non_positive_time_and_width_exit_2(config_path, command, flag, value):
+    result = run_cli(command, "--config", config_path, flag, value)
+    assert result.returncode == 2
+    assert flag in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("width", [0.0, -0.5])
+def test_non_positive_config_probe_width_is_rejected(tmp_path, capsys, width):
+    config = json.loads(json.dumps(CONFIG))
+    config["probe"]["width"] = width
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps(config))
+    code = _run_in_process("unitarity", "--config", str(config_file), "--m-list", "1")
+    assert code == 2
+    assert "probe.width" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, m_list", [("alpha-sweep", "8,2,4"),

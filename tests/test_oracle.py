@@ -3,7 +3,9 @@ import pytest
 
 from ncpath.core import PhaseSpaceGrid, PhysicsParams, Potential, ThetaMatrix
 from ncpath.oracle import (
+    _bessel_coefficients,
     build_hamiltonian_matrix,
+    chebyshev_evolve,
     kinetic_operator_kernel,
     oracle_compare,
     spectral_propagator,
@@ -73,6 +75,93 @@ def test_spectral_propagator_rejects_non_hermitian():
     bad = OperatorKernel(np.triu(np.ones((8, 8))) * 5.0, grid)
     with pytest.raises(ValueError):
         spectral_propagator(bad, 1.0)
+
+
+# The lattice kernel of a non-separable V(X + θK) is Hermitian only at θ = 0.
+@pytest.mark.parametrize("V, theta", [
+    (Potential.harmonic(1.0, 1.0, dim=2), ThetaMatrix.single_block(2, 0.1)),
+    (Potential.quartic(0.1), ThetaMatrix.zero(2)),
+    (Potential.zero(2), ThetaMatrix.single_block(2, 0.1)),
+], ids=["harmonic", "quartic", "zero"])
+@pytest.mark.parametrize("T", [1e-3, 1.0, 5.0])
+def test_chebyshev_evolve_matches_diagonalization(V, theta, T):
+    params = PhysicsParams(dim=2)
+    grid = PhaseSpaceGrid(16, 6.0, 2)
+    H = build_hamiltonian_matrix(V, theta, grid, params)
+    psi = gaussian_packet(grid, center=(0.5, -0.3), width=0.8, momentum=(0.4, 0.2))
+    out = chebyshev_evolve(H, T, psi)
+    ref = spectral_propagator(H, T).apply(psi)
+    assert np.linalg.norm(out.values - ref.values) <= 1e-12 * np.linalg.norm(ref.values)
+    assert abs(out.norm() / psi.norm() - 1.0) <= 1e-12
+
+
+def test_chebyshev_evolve_reports_bounds_around_the_spectrum():
+    params = PhysicsParams(dim=2)
+    grid = PhaseSpaceGrid(12, 5.0, 2)
+    H = build_hamiltonian_matrix(Potential.quartic(0.1), ThetaMatrix.zero(2), grid, params)
+    stats = {}
+    chebyshev_evolve(H, 1.0, gaussian_packet(grid), stats=stats)
+    lo, hi = stats["spectral_bounds"]
+    evals = np.linalg.eigvalsh(0.5 * (H.entries + H.entries.conj().T) * grid.cell_volume)
+    assert lo <= evals[0] and evals[-1] <= hi
+    assert stats["hermiticity_deviation"] < 1e-10
+    # terms grow past z = (hi - lo)T/(2ħ): the series is not cut early
+    assert stats["terms"] > 0.5 * (hi - lo)
+
+
+def test_chebyshev_evolve_at_zero_time_returns_the_state():
+    params = PhysicsParams(dim=2)
+    grid = PhaseSpaceGrid(12, 5.0, 2)
+    H = build_hamiltonian_matrix(Potential.harmonic(1.0, 1.0, dim=2),
+                                 ThetaMatrix.single_block(2, 0.1), grid, params)
+    psi = gaussian_packet(grid, center=(0.3, 0.1), momentum=(0.2, 0.0))
+    assert np.array_equal(chebyshev_evolve(H, 0.0, psi).values, psi.values)
+    tiny = chebyshev_evolve(H, 1e-15, psi)
+    assert np.max(np.abs(tiny.values - psi.values)) <= 1e-12
+
+
+def test_chebyshev_evolve_rejects_non_hermitian_like_diagonalization():
+    grid = PhaseSpaceGrid(8, 4.0, 1)
+    bad = OperatorKernel(np.triu(np.ones((8, 8))) * 5.0, grid)
+    psi = gaussian_packet(grid)
+    with pytest.raises(ValueError) as series:
+        chebyshev_evolve(bad, 1.0, psi)
+    with pytest.raises(ValueError) as dense:
+        spectral_propagator(bad, 1.0)
+    assert str(series.value) == str(dense.value)
+
+
+@pytest.mark.parametrize("T", [float("nan"), float("inf")])
+def test_chebyshev_evolve_rejects_non_finite_time(T):
+    grid = PhaseSpaceGrid(8, 4.0, 1)
+    H = build_hamiltonian_matrix(Potential.harmonic(1.0, 1.0, dim=1), ThetaMatrix.zero(1),
+                                 grid, PhysicsParams(dim=1))
+    with pytest.raises(ValueError, match="not finite"):
+        chebyshev_evolve(H, T, gaussian_packet(grid))
+
+
+def test_bessel_coefficients_match_tables_and_sum_to_the_exponential():
+    # J_0(1), J_1(1), J_0(10), J_1(10) from Abramowitz & Stegun, table 9.1
+    one, ten = _bessel_coefficients(1.0), _bessel_coefficients(10.0)
+    assert one[0] == pytest.approx(0.765197686557966551, abs=1e-15)
+    assert one[1] == pytest.approx(-1j * 0.440050585744933516, abs=1e-15)
+    assert ten[0] == pytest.approx(-0.245935764451348335, abs=1e-14)
+    assert ten[1] == pytest.approx(-1j * 0.0434727461688614367, abs=1e-14)
+    assert np.array_equal(_bessel_coefficients(0.0), [1.0])
+    for z in (0.0, 1.0, 10.0, 300.0):
+        coeffs = _bessel_coefficients(z)
+        assert len(coeffs) == 1 or np.all(np.abs(coeffs[-3:]) < 1e-12)
+        for x in (-1.0, 0.3, 1.0):
+            series = coeffs[0] + 2.0 * np.sum(coeffs[1:] * np.cos(
+                np.arange(1, len(coeffs)) * np.arccos(x)))
+            assert abs(series - np.exp(-1j * z * x)) <= 1e-13 * max(1.0, z)
+
+
+def test_bessel_coefficients_refuse_a_window_too_short_for_the_tail():
+    # J_k(100) is still above rounding at k = 120: 512 points (128 terms) fail
+    assert len(_bessel_coefficients(100.0)) > 128
+    with pytest.raises(ValueError, match="did not reach rounding"):
+        _bessel_coefficients(100.0, size=512)
 
 
 def test_spectral_free_matches_analytic_gaussian_spreading():

@@ -465,3 +465,9 @@ def test_slice_refuses_grids_too_big_for_a_dense_kernel(form):
     with pytest.raises(ConfigError, match="grid.points_per_axis"):
         short_time_propagator(SlicingConfig(4, 1.0, 0.3, params), V,
                               ThetaMatrix.single_block(2, 0.1), grid)
+
+
+@pytest.mark.parametrize("total_time", [float("nan"), float("inf"), 0.0, -1.0])
+def test_slicing_config_rejects_non_finite_or_non_positive_time(total_time):
+    with pytest.raises(ValueError, match="total_time"):
+        SlicingConfig(4, total_time, 0.5, PhysicsParams(dim=2))

@@ -255,3 +255,9 @@ def test_gaussian_packet_boundary_mass_and_norm():
     edge = np.max(np.abs(grid.x_points), axis=1) >= grid.box_half_width - 2 * grid.dx
     boundary_mass = np.sum(np.abs(narrow.values[edge]) ** 2) * grid.cell_volume
     assert boundary_mass < 1e-12
+
+
+@pytest.mark.parametrize("width", [float("nan"), float("inf"), 0.0, -1.0])
+def test_gaussian_packet_rejects_non_finite_or_non_positive_width(width):
+    with pytest.raises(ValueError, match="width"):
+        gaussian_packet(PhaseSpaceGrid(8, 4.0, 2), width=width)
