@@ -269,18 +269,18 @@ def cmd_limit_check(args) -> int:
 def cmd_oracle_compare(args) -> int:
     cfg = _load(args)
     m_values = _parse_m_list(args.m_list)
-    report = {}
+    timings = {}
     result = oracle_compare(cfg.potential, cfg.theta, cfg.grid, cfg.params,
                             args.total_time, m_values, _probe(cfg, args), alpha=args.alpha,
-                            report=report)
+                            timings=timings)
     header = ["m", "l2_error_vs_spectral", "runtime_seconds"]
-    rows = [(m, err, report[m]) for m, err in result]
+    rows = [(m, err, timings[m]) for m, err in result]
     _write_artifact(args.out, header, rows)
     _write_summary(args.summary, "oracle-compare", cfg, header, rows,
-                   {"reference_seconds": _fmt(report["reference"]),
-                    "reference_terms": report["terms"],
-                    "spectral_bounds": [_fmt(b) for b in report["spectral_bounds"]],
-                    "hermiticity_deviation": _fmt(report["hermiticity_deviation"]),
+                   {"reference_seconds": _fmt(timings["reference"]),
+                    "reference_terms": timings["terms"],
+                    "spectral_bounds": [_fmt(b) for b in timings["spectral_bounds"]],
+                    "hermiticity_deviation": _fmt(timings["hermiticity_deviation"]),
                     **_edge_phase(cfg, args, m_values, args.alpha)})
     return EXIT_OK
 

@@ -83,29 +83,36 @@ def spectral_propagator(H: OperatorKernel, T: float) -> PropagatorKernel:
     return PropagatorKernel(entries, grid, None)
 
 
-def _bessel_coefficients(z: float, size: int | None = None) -> np.ndarray:
+# largest FFT window for the Bessel coefficients: 2^20 points, 2^18 terms
+_MAX_WINDOW = 1 << 20
+
+
+def _bessel_coefficients(z: float) -> np.ndarray:
     """(-i)^k J_k(z) for k = 0 … K-1, cut where |J_k(z)| falls below rounding.
 
     Jacobi–Anger: e^{-iz cos t} = Σ_k (-i)^k J_k(z) e^{ikt}, so one FFT of
-    e^{-iz cos t} on `size` points (by default the first power of two from
-    4|z| + 128) gives the coefficients.  Rounding is max(1, |z|)·eps: a
+    e^{-iz cos t} gives the coefficients.  Rounding is max(1, |z|)·eps: a
     phase of size |z| is known only to that, so the samples, and the
     evolution they expand, carry that error anyway.  K is one past the last
-    coefficient above it; raises if that is beyond a quarter of the window,
-    where aliasing would reach the kept terms.
+    coefficient above it, about |z| + 10|z|^{1/3}.  The window starts at the
+    first power of two from 4|z| + 128 and doubles while K is beyond a
+    quarter of it, where aliasing would reach the kept terms; raises if K
+    does not fit in `_MAX_WINDOW` points.
     """
     if not np.isfinite(z):
         raise ValueError(f"Chebyshev argument not finite ({z})")
-    if size is None:
-        size = 1 << int(np.ceil(np.log2(4.0 * abs(z) + 128.0)))
-    t = 2.0 * np.pi * np.arange(size) / size
-    coeffs = np.fft.fft(np.exp(-1j * z * np.cos(t)))[: size // 2] / size
-    rounding = np.finfo(float).eps * max(1.0, abs(z))
-    terms = int(np.nonzero(np.abs(coeffs) > rounding)[0][-1]) + 1
-    if terms > size // 4:
-        raise ValueError(f"Chebyshev series for z = {z:.6g} did not reach rounding "
-                         f"within {size // 4} terms")
-    return coeffs[:terms]
+    a = abs(z)
+    rounding = np.finfo(float).eps * max(1.0, a)
+    size = 1 << int(np.ceil(np.log2(4.0 * a + 128.0)))
+    while size <= _MAX_WINDOW:
+        t = 2.0 * np.pi * np.arange(size) / size
+        coeffs = np.fft.fft(np.exp(-1j * z * np.cos(t)))[: size // 2] / size
+        terms = int(np.nonzero(np.abs(coeffs) > rounding)[0][-1]) + 1
+        if terms <= size // 4:
+            return coeffs[:terms]
+        size *= 2
+    raise ValueError(f"Chebyshev series for z = {z:.6g} did not reach rounding "
+                     f"within {_MAX_WINDOW // 4} terms")
 
 
 def chebyshev_evolve(H: OperatorKernel, T: float, psi: ComplexField,
@@ -191,7 +198,7 @@ def split_step_evolve(psi: ComplexField, V: Potential, theta: ThetaMatrix,
 
 def oracle_compare(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceGrid,
                    params: PhysicsParams, total_time: float, m_values,
-                   probe: ComplexField, alpha: float = 0.5, report: dict | None = None):
+                   probe: ComplexField, alpha: float = 0.5, timings: dict | None = None):
     """Rows of (m, L2 error of the sliced propagation vs the spectral reference).
 
     The sliced kernel uses α = +1/2 by default: there the slice point
@@ -199,23 +206,23 @@ def oracle_compare(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceGrid,
     reference Hamiltonian's potential kernel, so the comparison converges
     without an ordering-mismatch floor.  The reference e^{-(i/ħ) T H} probe
     is evaluated once for all m, by `chebyshev_evolve` on the dense H.  A
-    `report` dict receives the seconds of that one-off evaluation (H build
+    `timings` dict receives the seconds of that one-off evaluation (H build
     included) under "reference", each m's propagation seconds under m, and
     the series' "terms", "spectral_bounds" and "hermiticity_deviation".
     """
-    report = {} if report is None else report
+    timings = {} if timings is None else timings
     t0 = time.perf_counter()
     H = build_hamiltonian_matrix(V, theta, grid, params)
-    reference = chebyshev_evolve(H, total_time, probe, stats=report)
+    reference = chebyshev_evolve(H, total_time, probe, stats=timings)
     del H  # free the n×n H before the slices are built
     ref_norm = reference.norm() or 1.0
-    report["reference"] = time.perf_counter() - t0
+    timings["reference"] = time.perf_counter() - t0
     rows = []
     for m in m_values:
         t0 = time.perf_counter()
         cfg = SlicingConfig(int(m), total_time, alpha, params)
         sliced = propagate(cfg, V, theta, grid, probe)
         err = ComplexField(sliced.values - reference.values, grid).norm() / ref_norm
-        report[int(m)] = time.perf_counter() - t0
+        timings[int(m)] = time.perf_counter() - t0
         rows.append((int(m), err))
     return rows

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ncpath.oracle
 from ncpath.core import PhaseSpaceGrid, PhysicsParams, Potential, ThetaMatrix
 from ncpath.oracle import (
     _bessel_coefficients,
@@ -157,11 +158,47 @@ def test_bessel_coefficients_match_tables_and_sum_to_the_exponential():
             assert abs(series - np.exp(-1j * z * x)) <= 1e-13 * max(1.0, z)
 
 
-def test_bessel_coefficients_refuse_a_window_too_short_for_the_tail():
-    # J_k(100) is still above rounding at k = 120: 512 points (128 terms) fail
-    assert len(_bessel_coefficients(100.0)) > 128
-    with pytest.raises(ValueError, match="did not reach rounding"):
-        _bessel_coefficients(100.0, size=512)
+# 4z + 128 gives 512, 1024, 2048 and 4096 points here, a quarter of which is
+# fewer than the z + 10·z^{1/3} terms: the window must double, not refuse
+@pytest.mark.parametrize("z", [90.0, 95.0, 210.0, 220.0, 470.0, 990.0])
+def test_bessel_coefficients_reach_rounding_just_below_each_window_boundary(z):
+    coeffs = _bessel_coefficients(z)
+    assert len(coeffs) > z
+    for x in (-1.0, 0.3, 1.0):
+        series = coeffs[0] + 2.0 * np.sum(coeffs[1:] * np.cos(
+            np.arange(1, len(coeffs)) * np.arccos(x)))
+        assert abs(series - np.exp(-1j * z * x)) <= 1e-13 * z
+
+
+def test_bessel_coefficients_accept_every_z_up_to_2000():
+    for z in np.arange(0.0, 2000.0, 3.7):
+        assert len(_bessel_coefficients(z)) <= z + 20.0 * np.cbrt(z) + 20.0
+
+
+def test_bessel_coefficients_refuse_a_tail_beyond_the_largest_window(monkeypatch):
+    with pytest.raises(ValueError, match="did not reach rounding within 262144 terms"):
+        _bessel_coefficients(1e7)
+    # J_k(100) is above rounding past k = 128, a quarter of 512 points
+    monkeypatch.setattr(ncpath.oracle, "_MAX_WINDOW", 512)
+    with pytest.raises(ValueError, match="within 128 terms"):
+        _bessel_coefficients(100.0)
+    assert len(_bessel_coefficients(50.0)) <= 128
+
+
+def test_chebyshev_evolve_matches_diagonalization_where_the_window_doubles():
+    params = PhysicsParams(dim=2)
+    grid = PhaseSpaceGrid(16, 6.0, 2)
+    H = build_hamiltonian_matrix(Potential.harmonic(1.0, 1.0, dim=2),
+                                 ThetaMatrix.single_block(2, 0.1), grid, params)
+    psi = gaussian_packet(grid, center=(0.5, -0.3), width=0.8, momentum=(0.4, 0.2))
+    stats = {}
+    chebyshev_evolve(H, 1.0, psi, stats=stats)
+    lo, hi = stats["spectral_bounds"]
+    T = 95.0 * 2.0 * grid.hbar / (hi - lo)  # z = 95: 512 points are too few
+    out = chebyshev_evolve(H, T, psi, stats=stats)
+    assert stats["terms"] > 128
+    ref = spectral_propagator(H, T).apply(psi)
+    assert np.linalg.norm(out.values - ref.values) <= 1e-12 * np.linalg.norm(ref.values)
 
 
 def test_spectral_free_matches_analytic_gaussian_spreading():
