@@ -83,11 +83,6 @@ def _write_summary(path, command, cfg, header=(), rows=(), extra=None):
         fh.write("\n")
 
 
-def _load(args):
-    cfg = load_config(args.config)
-    return cfg
-
-
 def _probe(cfg, args=None):
     width = cfg.probe.width
     if args is not None and getattr(args, "probe_width", None) is not None:
@@ -135,7 +130,7 @@ def _symbol_blocks(report, target):
 
 
 def cmd_symbol(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     alphas = _parse_float_list(args.alphas)
     method = args.method.replace("-", "_")
     report = verify_alpha_washout(cfg.potential, cfg.theta, cfg.grid, alphas,
@@ -159,10 +154,9 @@ def cmd_symbol(args) -> int:
 
 
 def cmd_star_check(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     grid, theta, V = cfg.grid, cfg.theta, cfg.potential
-    phi = gaussian_packet(grid, center=cfg.probe.center, width=cfg.probe.width,
-                          momentum=cfg.probe.momentum)
+    phi = _probe(cfg)
     psi = gaussian_packet(grid, width=None if cfg.probe.width is None
                           else 0.9 * cfg.probe.width)
     checks = []
@@ -184,7 +178,7 @@ def cmd_star_check(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     scfg = SlicingConfig(args.m, args.total_time, args.alpha, cfg.params)
     kernel = full_kernel(scfg, cfg.potential, cfg.theta, cfg.grid) if args.compose \
         else short_time_propagator(scfg, cfg.potential, cfg.theta, cfg.grid)
@@ -210,7 +204,7 @@ def _edge_phase(cfg, args, m_values, alpha):
 
 
 def cmd_alpha_sweep(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     alphas = _parse_float_list(args.alphas)
     m_values = _parse_m_list(args.m_list)
     result = alpha_sweep(cfg.params, args.total_time, alphas, m_values,
@@ -267,7 +261,7 @@ def cmd_limit_check(args) -> int:
 
 
 def cmd_oracle_compare(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     m_values = _parse_m_list(args.m_list)
     timings = {}
     result = oracle_compare(cfg.potential, cfg.theta, cfg.grid, cfg.params,
@@ -286,7 +280,7 @@ def cmd_oracle_compare(args) -> int:
 
 
 def cmd_unitarity(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     m_values = _parse_m_list(args.m_list)
     probe = _probe(cfg, args)
     header = ["m", "norm_ratio"]

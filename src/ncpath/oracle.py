@@ -46,9 +46,11 @@ def build_hamiltonian_matrix(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceG
                              params: PhysicsParams) -> OperatorKernel:
     """Dense lattice Hamiltonian kernel; guarded to G^N ≤ 4096."""
     _require_dense_size(grid)
-    kinetic = kinetic_operator_kernel(grid, params)
-    potential = potential_operator_kernel(V, theta, grid)
-    return OperatorKernel(kinetic.entries + potential.entries, grid)
+    # kinetic first: its n×n index table is freed before the potential kernel exists
+    kinetic = kinetic_operator_kernel(grid, params).entries
+    H = potential_operator_kernel(V, theta, grid)
+    H.entries += kinetic
+    return H
 
 
 def _hermitian_part(H: OperatorKernel):

@@ -28,10 +28,10 @@ A slice is built by one of three routes, chosen in this order:
   its ±K fold and the momentum sum factor over axes.  Each axis needs one
   (G, G, G) table of 1-D transforms, and an entry is the product of one
   table value per axis; the cost does not depend on α.
-- Any other V (quartic, Gaussian well, mixed polynomials): the slice-point
-  builders, which group lattice pairs by their slice point x̄(α) and
-  transform the full N-dimensional integrand once per group, or once per
-  x_out row when α leaves more than 8G slice points per axis.
+- Any other V (quartic, Gaussian well, mixed polynomials): the grouped
+  builder, which groups lattice pairs by their slice point x̄(α) and
+  transforms the full N-dimensional integrand once per slice point, at
+  any α.
 
 Kernels are star.OperatorKernel; PropagatorKernel is an alias of that one
 type, and a slice's kernel carries its SlicingConfig in `config`.
@@ -50,10 +50,10 @@ from .core import (
     PhysicsParams,
     Potential,
     ThetaMatrix,
+    _anchored_entries,
     _centered_fft,
     _circulant_entries,
     _index_difference_table,
-    _pair_table,
     _require_dense_size,
 )
 from .star import ComplexField, OperatorKernel
@@ -139,12 +139,11 @@ def short_time_propagator(cfg: SlicingConfig, V: Potential, theta: ThetaMatrix,
     - V a sum of one-axis terms (`Potential.axis_terms`) and θ pairing the
       axes (`ThetaMatrix.axis_pairing`): the factorized route, one table of
       1-D momentum transforms per axis, at any α.
-    - Otherwise the slice-point builders: pairs (x_out, x_in) are grouped
-      by their per-axis slice point x̄(α) (exact integer arithmetic for
-      α ∈ {0, ±1/2}) and each leading-axis slice point is one batched
-      momentum-lattice transform; an ordering index with more than 8G
-      distinct slice points per axis takes the row-wise fallback, which
-      evaluates V at every (x_out, x_in) pair.
+    - Otherwise the grouped builder: pairs (x_out, x_in) are grouped by
+      their per-axis slice point x̄(α) (exact integer arithmetic for
+      α ∈ {0, ±1/2}), and each leading-axis slice point is one pass of
+      batched momentum-lattice transforms over the other axes' slice
+      points, at most G^N of them per batch.
 
     Grids of more than 4096 lattice points are refused before any n×n build.
     """
@@ -174,11 +173,7 @@ def short_time_propagator(cfg: SlicingConfig, V: Potential, theta: ThetaMatrix,
     if terms is not None and pairing is not None:
         entries = _factorized_slice(cfg, terms, theta, pairing, grid)
     else:
-        svals, slot = _slice_points(cfg, grid)
-        if svals.size > 8 * grid.points_per_axis:
-            entries = _short_time_rowwise(cfg, V, theta, grid)
-        else:
-            entries = _grouped_slice(cfg, V, theta, grid, svals, slot)
+        entries = _grouped_slice(cfg, V, theta, grid)
     entries *= norm
     return PropagatorKernel(entries, grid, cfg)
 
@@ -248,72 +243,27 @@ def _slice_points(cfg, grid):
     return svals, slot.reshape(G, G)
 
 
-def _extended_factors(cfg, theta, grid):
-    """Kinetic phase and θk shift on the symmetric momentum window."""
-    k_ext = _extended_k_points(grid)
-    k2_ext = np.sum(k_ext**2, axis=-1)
-    kin_ext = np.exp(-1j * cfg.epsilon * k2_ext / (2.0 * cfg.params.mass * cfg.params.hbar))
-    return kin_ext, theta.shift(k_ext)
-
-
-def _slice_chi(grid, eps, hbar, V, kin_ext, shifts_ext, xbar):
-    """χ(d), shape (B, G^N), of the ±K-folded slice integrand at each x̄ in xbar (B, N)."""
-    ext_shape = (grid.points_per_axis + 1,) * grid.dim
-    vvals = V(xbar[:, None, :] + shifts_ext[None, :, :])
-    integrand = kin_ext * np.exp(-1j * eps * vvals / hbar)
-    folded = _fold_nyquist(grid, integrand.reshape((-1,) + ext_shape))
-    return _centered_fft(grid, folded, +1).reshape(xbar.shape[0], grid.size)
-
-
-def _grouped_slice(cfg, V, theta, grid, svals, slot):
+def _grouped_slice(cfg, V, theta, grid):
     """Slice entries, before the momentum measure, grouped by slice point.
 
-    svals holds the S distinct per-axis slice-point coordinates and
-    slot[n_out, n_in] the position of each pair's coordinate in svals
-    (`_slice_points`).  Each pass fixes the leading axis's slice point and
-    takes the other axes' S^{N-1} slice points as one batch: one V
-    evaluation and one batched momentum transform, scattered into the
-    kernel before the next pass.
+    χ at a slice point x̄ is the momentum transform of the ±K-folded
+    integrand e^{-iεk²/2Mħ} e^{-iεV(x̄ + θk)/ħ}; `core._anchored_entries`
+    gathers it by offset for every lattice pair with that slice point
+    (`_slice_points`), one leading-axis slice point per pass.
     """
     eps, hbar = cfg.epsilon, cfg.params.hbar
-    kin_ext, shifts_ext = _extended_factors(cfg, theta, grid)
-    G = grid.points_per_axis
-    rest = grid.dim - 1
-    size_rest = G**rest
-    diff_mod = _index_difference_table(grid)
-    batch_rest = _pair_table(slot, svals.size, rest)
-    diff_rest = _pair_table(diff_mod, G, rest)
-    lattice_rest = np.arange(size_rest)
-    xbar = np.empty((svals.size**rest, grid.dim))
-    for axis, coords in enumerate(np.meshgrid(*(svals,) * rest, indexing="ij"), start=1):
-        xbar[:, axis] = coords.reshape(-1)
-    entries = np.empty((grid.size, grid.size), dtype=complex)
-    for s, lead in enumerate(svals):
-        xbar[:, 0] = lead
-        chi = _slice_chi(grid, eps, hbar, V, kin_ext, shifts_ext, xbar)
-        outs, ins = np.nonzero(slot == s)
-        rows = outs[:, None, None] * size_rest + lattice_rest[None, :, None]
-        cols = ins[:, None, None] * size_rest + lattice_rest[None, None, :]
-        diffs = diff_mod[outs, ins][:, None, None] * size_rest + diff_rest[None]
-        entries[rows, cols] = chi[batch_rest[None], diffs]
-    return entries
+    k_ext = _extended_k_points(grid)
+    kin_ext = np.exp(-1j * eps * np.sum(k_ext**2, axis=-1) / (2.0 * cfg.params.mass * hbar))
+    shifts_ext = theta.shift(k_ext)
+    ext_shape = (grid.points_per_axis + 1,) * grid.dim
 
+    def chi_of(xbar):
+        vvals = V(xbar[:, None, :] + shifts_ext[None, :, :])
+        integrand = kin_ext * np.exp(-1j * eps * vvals / hbar)
+        folded = _fold_nyquist(grid, integrand.reshape((-1,) + ext_shape))
+        return _centered_fft(grid, folded, +1).reshape(xbar.shape[0], grid.size)
 
-def _short_time_rowwise(cfg, V, theta, grid):
-    """Slice entries, before the momentum measure, one x_out row at a time:
-    exact for any α, but O(G^{3N}) V-evaluations."""
-    eps = cfg.epsilon
-    hbar = cfg.params.hbar
-    kin_ext, shifts_ext = _extended_factors(cfg, theta, grid)
-    wa = 0.5 + cfg.alpha
-    wb = 0.5 - cfg.alpha
-    entries = np.empty((grid.size, grid.size), dtype=complex)
-    diff = _pair_table(_index_difference_table(grid), grid.points_per_axis, grid.dim)
-    for row in range(grid.size):
-        xbar = wa * grid.x_points[row][None, :] + wb * grid.x_points  # (size_in, N)
-        chi = _slice_chi(grid, eps, hbar, V, kin_ext, shifts_ext, xbar)
-        entries[row, :] = chi[np.arange(grid.size), diff[row]]
-    return entries
+    return _anchored_entries(grid, *_slice_points(cfg, grid), chi_of)
 
 
 def compose(Ka: PropagatorKernel, Kb: PropagatorKernel) -> PropagatorKernel:

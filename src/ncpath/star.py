@@ -36,6 +36,7 @@ from .core import (
     PhaseSpaceGrid,
     Potential,
     ThetaMatrix,
+    _anchored_entries,
     _centered_fft,
     _require_dense_size,
 )
@@ -59,10 +60,6 @@ class ComplexField:
     def norm(self) -> float:
         """L2 norm with the Δx^N measure."""
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.cell_volume))
-
-    def inner(self, other: "ComplexField") -> complex:
-        self.grid.require_same(other.grid)
-        return complex(np.sum(np.conj(self.values) * other.values) * self.grid.cell_volume)
 
     def copy(self) -> "ComplexField":
         return ComplexField(self.values.copy(), self.grid)
@@ -124,22 +121,6 @@ def gaussian_packet(grid: PhaseSpaceGrid, center=None, width: float | None = Non
     return ComplexField(values, grid)
 
 
-def _phase_block(grid: PhaseSpaceGrid, x_block, sign: int):
-    """exp(sign·(i/ħ) x·k) for a block of x rows against all k nodes."""
-    return np.exp(sign * 1j * (x_block @ grid.k_points.T) / grid.hbar)
-
-
-def _shifted_potential_blocks(V: Potential, theta: ThetaMatrix, base_points, k_points,
-                              chunk: int = 128):
-    """Yield (slice, V(base + θk)) blocks over chunks of base points."""
-    shifts = theta.shift(k_points)  # (size_k, N)
-    n = base_points.shape[0]
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        pts = base_points[start:stop, None, :] + shifts[None, :, :]
-        yield slice(start, stop), V(pts)
-
-
 def star_apply(V: Potential, theta: ThetaMatrix, psi: ComplexField) -> ComplexField:
     """V ⋆ ψ via the mixed-domain sum over momentum nodes.
 
@@ -153,10 +134,13 @@ def star_apply(V: Potential, theta: ThetaMatrix, psi: ComplexField) -> ComplexFi
         return ComplexField(V(grid.x_points) * psi.values, grid)
     psi_hat = grid.wave_to_momentum(psi.values)
     weight = grid.momentum_cell_volume * (2.0 * np.pi * grid.hbar) ** (-grid.dim / 2.0)
+    shifts = theta.shift(grid.k_points)
     out = np.zeros(grid.size, dtype=complex)
-    for rows, vvals in _shifted_potential_blocks(V, theta, grid.x_points, grid.k_points):
-        phase = _phase_block(grid, grid.x_points[rows], +1)
-        out[rows] = (phase * vvals) @ psi_hat
+    for start in range(0, grid.size, 128):
+        rows = slice(start, start + 128)
+        x = grid.x_points[rows]
+        phase = np.exp(1j * (x @ grid.k_points.T) / grid.hbar)
+        out[rows] = (phase * V(x[:, None, :] + shifts[None, :, :])) @ psi_hat
     return ComplexField(out * weight, grid)
 
 
@@ -227,21 +211,26 @@ def potential_operator_kernel(V: Potential, theta: ThetaMatrix,
                               grid: PhaseSpaceGrid) -> OperatorKernel:
     """Position-space kernel ⟨y|V(X+θK)|y'⟩ on the lattice.
 
-    Hermitian up to discretization error for real V (exactly so for
-    polynomials of degree ≤ 2); θ = 0 gives diag(V(y))/Δx^N.  Grids of more
-    than 4096 lattice points are refused.
+    The shifted potential is evaluated at the row point y, so this is the
+    standard-ordered (x̄ = y) kernel: an entry is χ_y at the offset
+    (n_y - n_y') mod G, with χ_y the centered transform of V(y + θk) over
+    the momentum window.  For real V it is Hermitian when θ = 0 or V has
+    degree ≤ 2; otherwise (quartic V, θ ≠ 0) its deviation from
+    Hermiticity is of first order in θ.  θ = 0 gives diag(V(y))/Δx^N.
+    Grids of more than 4096 lattice points are refused.
     """
     if theta.dim != grid.dim or V.dim != grid.dim:
         raise GridMismatchError("potential/theta dimensions do not match the grid")
     _require_dense_size(grid)
     if theta.is_zero:
         return OperatorKernel(np.diag(V(grid.x_points) / grid.cell_volume).astype(complex), grid)
-    norm = grid.momentum_cell_volume * (2.0 * np.pi * grid.hbar) ** (-grid.dim)
-    entries = np.empty((grid.size, grid.size), dtype=complex)
-    for rows, vvals in _shifted_potential_blocks(V, theta, grid.x_points, grid.k_points):
-        phase = _phase_block(grid, grid.x_points[rows], +1)
-        entries[rows] = np.fft.fftshift(
-            _centered_fft(grid, (phase * vvals).reshape((-1,) + grid.shape), -1),
-            axes=tuple(range(1, grid.dim + 1)),
-        ).reshape(-1, grid.size)
-    return OperatorKernel(entries * norm, grid)
+    shifts = theta.shift(grid.k_points)
+
+    def chi_of(y):
+        vvals = V(y[:, None, :] + shifts[None, :, :]).reshape((-1,) + grid.shape)
+        return _centered_fft(grid, vvals, +1).reshape(y.shape[0], grid.size)
+
+    rows = np.indices((grid.points_per_axis,) * 2)[0]  # the anchor of (y, y') is y
+    entries = _anchored_entries(grid, grid.x_axis, rows, chi_of)
+    entries *= grid.momentum_cell_volume * (2.0 * np.pi * grid.hbar) ** (-grid.dim)
+    return OperatorKernel(entries, grid)

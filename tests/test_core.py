@@ -203,10 +203,14 @@ def test_load_config_rejects_bad_theta_shape():
 
 
 def _literal_momentum_sum(grid, multiplier):
-    """(2πħ)^{-N} Δk^N Σ_k f(k) e^{(i/ħ) k·(y - y')} for every lattice pair (y, y')."""
+    """(2πħ)^{-N} Δk^N Σ_k f(y, k) e^{(i/ħ) k·(y - y')} for every lattice pair (y, y').
+
+    multiplier holds f(k) in grid.k_points order, or f(y, k) indexed [y, k].
+    """
     d = grid.x_points[:, None, :] - grid.x_points[None, :, :]
-    phase = np.exp(1j * (d @ grid.k_points.T) / grid.hbar)
-    return (grid.dk / (2.0 * np.pi * grid.hbar)) ** grid.dim * (phase @ multiplier)
+    phase = np.exp(1j * (d @ grid.k_points.T) / grid.hbar)  # [y, y', k]
+    f = np.reshape(multiplier, (-1, 1, grid.size))
+    return (grid.dk / (2.0 * np.pi * grid.hbar)) ** grid.dim * np.sum(phase * f, axis=-1)
 
 
 def _literal_symbol_half(A, grid):
@@ -224,7 +228,7 @@ def _literal_symbol_half(A, grid):
 def test_lattice_kernels_on_odd_and_3d_grids_match_literal_sums(G, N):
     from ncpath.oracle import kinetic_operator_kernel
     from ncpath.slicer import SlicingConfig, short_time_propagator
-    from ncpath.star import OperatorKernel
+    from ncpath.star import OperatorKernel, potential_operator_kernel
     from ncpath.weyl import symbol_of_operator
 
     params = PhysicsParams(hbar=0.7, mass=1.3, dim=N)
@@ -236,6 +240,12 @@ def test_lattice_kernels_on_odd_and_3d_grids_match_literal_sums(G, N):
     free = short_time_propagator(cfg, Potential.zero(N), ThetaMatrix.zero(N), grid).entries
     expected = _literal_momentum_sum(grid, np.exp(-1j * cfg.epsilon * k2 / (2.6 * 0.7)))
     assert np.max(np.abs(free - expected)) < 1e-12
+    if N > 1:  # V(Y + θK) with θ pairing the first two axes
+        theta = ThetaMatrix.single_block(N, 0.3)
+        V = Potential.quartic(0.05, dim=N)
+        shifted = V(grid.x_points[:, None, :] + theta.shift(grid.k_points)[None, :, :])
+        potential = potential_operator_kernel(V, theta, grid).entries
+        assert np.max(np.abs(potential - _literal_momentum_sum(grid, shifted))) < 1e-12
     rng = np.random.default_rng(G + 10 * N)
     A = rng.standard_normal((grid.size,) * 2) + 1j * rng.standard_normal((grid.size,) * 2)
     symbol = symbol_of_operator(OperatorKernel(A, grid), 0.5).values

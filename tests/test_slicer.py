@@ -16,8 +16,6 @@ from ncpath.slicer import (
     SlicingConfig,
     _factorized_slice,
     _grouped_slice,
-    _short_time_rowwise,
-    _slice_points,
     alpha_sweep,
     compose,
     free_kernel_closed_form,
@@ -25,7 +23,7 @@ from ncpath.slicer import (
     propagate,
     short_time_propagator,
 )
-from ncpath.star import gaussian_packet, identity_kernel
+from ncpath.star import gaussian_packet, identity_kernel, potential_operator_kernel
 
 
 def brute_slice(cfg, V, theta, grid):
@@ -78,7 +76,7 @@ NON_SEPARABLE = {
 
 @pytest.mark.parametrize("form,alpha", [
     *(pytest.param("harmonic", a, id=str(a)) for a in (0.5, -0.5, 0.0, 0.3)),
-    # non-separable V takes the slice-point builders
+    # non-separable V takes the grouped builder
     *(pytest.param(f, a, id=f"{f}-{a}") for f in NON_SEPARABLE for a in (-0.5, 0.3)),
 ])
 def test_slice_matches_brute_force(small2d, form, alpha):
@@ -90,22 +88,6 @@ def test_slice_matches_brute_force(small2d, form, alpha):
         fast = short_time_propagator(cfg, V, theta, grid).entries
     slow = brute_slice(cfg, V, theta, grid)
     assert np.max(np.abs(fast - slow)) < 1e-12
-
-
-def point_builders(cfg, V, theta, grid):
-    """The grouped and the row-wise slice-point builders, called directly."""
-    return (_grouped_slice(cfg, V, theta, grid, *_slice_points(cfg, grid)),
-            _short_time_rowwise(cfg, V, theta, grid))
-
-
-def test_rowwise_fallback_matches_grouped_builder(small2d):
-    # the per-row path used for ordering indices that defeat slice-point
-    # grouping must agree with the grouped builder on a shared index
-    params, grid, theta, V = small2d
-    cfg = SlicingConfig(15, 1.0, 0.3, params)
-    norm = grid.momentum_cell_volume * (2 * np.pi * params.hbar) ** (-2)
-    grouped, rowwise = point_builders(cfg, V, theta, grid)
-    assert np.max(np.abs(grouped - rowwise)) * norm < 1e-12
 
 
 def two_pair_theta():
@@ -145,8 +127,8 @@ def test_factorized_slice_matches_point_builders(dim, form, alpha):
     cfg = SlicingConfig(7, 1.0, alpha, PhysicsParams(dim=dim))
     factorized = _factorized_slice(cfg, V.axis_terms(), theta, theta.axis_pairing(), grid)
     scale = np.max(np.abs(factorized))
-    for reference in point_builders(cfg, V, theta, grid):
-        assert np.max(np.abs(factorized - reference)) <= 1e-13 * scale
+    grouped = _grouped_slice(cfg, V, theta, grid)
+    assert np.max(np.abs(factorized - grouped)) <= 1e-13 * scale
     # short_time_propagator takes the factorized route for this input
     norm = grid.momentum_cell_volume * (2 * np.pi) ** (-dim)
     with warnings.catch_warnings():
@@ -281,48 +263,40 @@ def test_propagate_zero_potential_bitwise_alpha_independent(small2d):
         assert np.array_equal(base.values, other.values)
 
 
-def test_grouped_slice_builder_memory_stays_near_kernel_size():
+def _slice_at_generic_alpha(V, theta, grid):
+    cfg = SlicingConfig(4, 1.0, 0.3, PhysicsParams(dim=2))
+    return short_time_propagator(cfg, V, theta, grid)
+
+
+@pytest.mark.parametrize("form,build,bound", [
     # harmonic V takes the factorized route, which gathers its per-axis
-    # factors into the kernel one axis at a time.
-    import tracemalloc
-
-    params = PhysicsParams(dim=2)
-    grid = PhaseSpaceGrid(16, 5.0, 2)
-    cfg = SlicingConfig(4, 1.0, 0.3, params)
-    V = Potential.harmonic(1.0, 1.0, dim=2)
-    theta = ThetaMatrix.single_block(2, 0.1)
-    kernel_bytes = grid.size**2 * 16
-    tracemalloc.start()
-    try:
-        kernel = short_time_propagator(cfg, V, theta, grid)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert kernel.entries.nbytes == kernel_bytes
-    assert peak <= 4 * kernel_bytes, f"peak {peak} B for a {kernel_bytes} B kernel"
-
-
-def test_grouped_slice_builder_memory_stays_near_kernel_size_quartic():
+    # factors into the kernel one axis at a time
+    pytest.param("harmonic", _slice_at_generic_alpha, 4, id="harmonic-slice"),
     # α = 0.3 on G = 16 has 76 slice points per axis, and quartic V takes the
     # grouped builder, whose batches are scattered one leading-axis slice
     # point at a time.  Gathering every group's χ first would need
     # 76²·16²·16 B ≈ 24 kernels.
+    pytest.param("quartic", _slice_at_generic_alpha, 4, id="quartic-slice"),
+    # the same gather with the row point y as anchor: G transforms per pass,
+    # scattered into the one kernel array that is also the result
+    pytest.param("quartic", potential_operator_kernel, 2, id="quartic-potential_kernel"),
+])
+def test_kernel_build_memory_stays_near_kernel_size(form, build, bound):
     import tracemalloc
 
-    params = PhysicsParams(dim=2)
     grid = PhaseSpaceGrid(16, 5.0, 2)
-    cfg = SlicingConfig(4, 1.0, 0.3, params)
-    V = Potential.quartic(0.05, dim=2)
+    V = Potential.harmonic(1.0, 1.0, dim=2) if form == "harmonic" \
+        else Potential.quartic(0.05, dim=2)
     theta = ThetaMatrix.single_block(2, 0.1)
     kernel_bytes = grid.size**2 * 16
     tracemalloc.start()
     try:
-        kernel = short_time_propagator(cfg, V, theta, grid)
+        kernel = build(V, theta, grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert kernel.entries.nbytes == kernel_bytes
-    assert peak <= 4 * kernel_bytes, f"peak {peak} B for a {kernel_bytes} B kernel"
+    assert peak <= bound * kernel_bytes, f"peak {peak} B for a {kernel_bytes} B kernel"
 
 
 def test_theta_reflection_transposes_kernel(small2d):
@@ -394,8 +368,8 @@ def test_alpha_sweep_first_order_shrinkage():
 
 
 def test_alpha_sweep_generic_ordering_index_shrinks_first_order():
-    # α = -0.17 has more than 8G slice points per axis, so before the
-    # factorized route it took the row-wise builder at every m
+    # α = -0.17 gives every per-axis pair its own slice point (G² per axis);
+    # harmonic V builds its slices by the factorized route
     params = PhysicsParams(dim=2)
     grid = PhaseSpaceGrid(12, 6.0, 2)
     theta = ThetaMatrix.single_block(2, 0.1)
