@@ -113,8 +113,9 @@ def _parse_m_list(text):
 # -- subcommands --------------------------------------------------------------
 
 
-def _symbol_blocks(report, target):
+def _symbol_blocks(report):
     """The symbol CSV's data lines, one formatted block per (α, k-row)."""
+    target = report.target
     n = target.shape[0]
     row = np.empty((n, 5))  # k_index, x_index, re, im, deviation
     row[:, 1] = np.arange(n)
@@ -135,12 +136,10 @@ def cmd_symbol(args) -> int:
     method = args.method.replace("-", "_")
     report = verify_alpha_washout(cfg.potential, cfg.theta, cfg.grid, alphas,
                                   method=method)
-    target = cfg.potential(
-        cfg.grid.x_points[None, :, :] + cfg.theta.shift(cfg.grid.k_points)[:, None, :])
     header = ["alpha", "k_index", "x_index", "re", "im", "deviation"]
     footer = [("# max_pairwise_abs", report.max_pairwise_abs, "", "", "", ""),
               ("# max_pairwise_relative", report.max_pairwise_relative, "", "", "", "")]
-    blocks = _symbol_blocks(report, target)
+    blocks = _symbol_blocks(report)
     if args.summary:
         blocks = list(blocks)  # the summary repeats every row
     _write_lines(args.out, chain([",".join(header) + "\n"], blocks, map(_csv_line, footer)))

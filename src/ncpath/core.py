@@ -9,15 +9,17 @@ argument x + θk, so the types here expose exactly that operation.
 
 Lattice convention: a box [-L, L)^N with G points per axis pairs with the
 momentum lattice of spacing Δk = 2πħ/(G Δx).  Then k·x/ħ on lattice pairs is an
-exact multiple of 2π/G, forward/inverse transforms are exact inverses of each
-other, and every ∫dx or ∫dk becomes a Δx^N- or Δk^N-weighted lattice sum.
+exact multiple of 2π/G, the forward and inverse transforms (one centered FFT
+each) are inverses of each other up to rounding, and every ∫dx or ∫dk becomes
+a Δx^N- or Δk^N-weighted lattice sum.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
+from math import prod
 
 import numpy as np
 
@@ -168,13 +170,13 @@ class PhaseSpaceGrid:
         """ψ̂(k) = (2πħ)^{-N/2} Δx^N Σ_x e^{-(i/ħ) k·x} ψ(x)."""
         scale = self.cell_volume * (2.0 * np.pi * self.hbar) ** (-self.dim / 2.0)
         tensor = np.asarray(values, dtype=complex).reshape(self.shape)
-        return _centered_dft(self, tensor, -1).reshape(-1) * scale
+        return np.fft.fftshift(_centered_fft(tensor, -1, range(self.dim))).reshape(-1) * scale
 
     def momentum_to_wave(self, values):
         """ψ(x) = (2πħ)^{-N/2} Δk^N Σ_k e^{+(i/ħ) k·x} ψ̂(k)."""
         scale = self.momentum_cell_volume * (2.0 * np.pi * self.hbar) ** (-self.dim / 2.0)
         tensor = np.asarray(values, dtype=complex).reshape(self.shape)
-        return _centered_dft(self, tensor, +1).reshape(-1) * scale
+        return np.fft.fftshift(_centered_fft(tensor, +1, range(self.dim))).reshape(-1) * scale
 
 
 # -- lattice plumbing shared by the kernel builders ---------------------------
@@ -192,38 +194,17 @@ def _require_dense_size(grid: PhaseSpaceGrid):
             f"({grid.size**2 * 16 / 1e9:.1f} GB per kernel)")
 
 
-@lru_cache(maxsize=32)
-def _dft_phase(points: int, sign: int):
-    """Centered DFT phase matrix exp(sign·2πi n m / G) from exact integer products."""
-    n = np.arange(points) - points // 2
-    prod = np.outer(n, n) % points
-    return np.exp(sign * 2j * np.pi * prod / points)
-
-
-def _centered_dft(grid: PhaseSpaceGrid, tensor, sign: int, first_axis: int = 0):
-    """Dense centered DFT over the grid.dim consecutive axes of tensor from first_axis.
-
-    Each axis contracts with the exact-integer-phase matrix _dft_phase, so
-    forward and inverse transforms are exact inverses on the lattice.
-    """
-    mat = _dft_phase(grid.points_per_axis, sign)
-    for axis in range(first_axis, first_axis + grid.dim):
-        tensor = np.moveaxis(np.tensordot(mat, tensor, axes=([1], [axis])), 0, axis)
-    return tensor
-
-
-def _centered_fft(grid: PhaseSpaceGrid, tensor, sign: int):
-    """Σ_n T[.., n] e^{sign·2πi n·d/G} over centered n on the trailing grid axes.
+def _centered_fft(tensor, sign: int, axes):
+    """Σ_n T[.., n, ..] e^{sign·2πi n·d/G} over centered n on the given axes.
 
     The output is indexed by 0-based offsets d = 0 … G-1 per axis; the phase
     depends on d only mod G, so np.fft.fftshift puts it in centered order.
     """
-    G = grid.points_per_axis
-    axes = tuple(range(tensor.ndim - grid.dim, tensor.ndim))
-    work = np.roll(tensor, (-(G // 2),) * grid.dim, axis=axes)
+    axes = tuple(axes)
+    work = np.roll(tensor, [-(tensor.shape[a] // 2) for a in axes], axis=axes)
     if sign < 0:
         return np.fft.fftn(work, axes=axes)
-    return np.fft.ifftn(work, axes=axes) * (G ** grid.dim)
+    return np.fft.ifftn(work, axes=axes) * prod(tensor.shape[a] for a in axes)
 
 
 def _index_difference_table(grid: PhaseSpaceGrid):
@@ -252,7 +233,7 @@ def _circulant_entries(grid: PhaseSpaceGrid, multiplier, norm: float):
     The position kernel of a multiplier f on the k-lattice (values in
     grid.k_points order): one centered transform χ, gathered by offset.
     """
-    chi = _centered_fft(grid, multiplier.reshape(grid.shape), +1).reshape(-1)
+    chi = _centered_fft(multiplier.reshape(grid.shape), +1, range(grid.dim)).reshape(-1)
     entries = chi[_pair_table(_index_difference_table(grid), grid.points_per_axis, grid.dim)]
     entries *= norm
     return entries
@@ -440,7 +421,7 @@ def evaluate_potential_shifted(V: Potential, theta: ThetaMatrix, x, k):
     """V(x + θk): the potential at the θ-shifted phase-space argument.
 
     Broadcasts over leading axes of x and k; `realize_hamiltonian_symbol`
-    evaluates its potential term through it.
+    and the washout's V(x+θk) table evaluate through it.
     """
     if theta.dim != V.dim:
         raise ConfigError("theta: dimension does not match potential")

@@ -36,7 +36,9 @@ from .star import ComplexField, OperatorKernel, potential_operator_kernel
 
 
 def kinetic_operator_kernel(grid: PhaseSpaceGrid, params: PhysicsParams) -> OperatorKernel:
-    """⟨y|K²/(2M)|y'⟩: diagonal in momentum, circulant in position."""
+    """⟨y|K²/(2M)|y'⟩: diagonal in momentum, circulant in position; grids of
+    more than 4096 lattice points are refused."""
+    _require_dense_size(grid)
     norm = grid.momentum_cell_volume * (2.0 * np.pi * grid.hbar) ** (-grid.dim)
     k2 = np.sum(grid.k_points**2, axis=-1) / (2.0 * params.mass)
     return OperatorKernel(_circulant_entries(grid, k2, norm), grid)
@@ -45,8 +47,8 @@ def kinetic_operator_kernel(grid: PhaseSpaceGrid, params: PhysicsParams) -> Oper
 def build_hamiltonian_matrix(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceGrid,
                              params: PhysicsParams) -> OperatorKernel:
     """Dense lattice Hamiltonian kernel; guarded to G^N ≤ 4096."""
-    _require_dense_size(grid)
-    # kinetic first: its n×n index table is freed before the potential kernel exists
+    # kinetic first (it checks the size): its n×n index table is freed before
+    # the potential kernel exists
     kinetic = kinetic_operator_kernel(grid, params).entries
     H = potential_operator_kernel(V, theta, grid)
     H.entries += kinetic
@@ -162,7 +164,8 @@ def split_step_evolve(psi: ComplexField, V: Potential, theta: ThetaMatrix,
 
     The potential half-step applies the shifted-symbol phase in mixed
     domain:  ψ(x) ← (2πħ)^{-N/2} Σ_k Δk^N e^{(i/ħ)k·x} e^{-(i/ħ)(δt/2)V(x+θk)} ψ̂(k).
-    V = 0 evolution is exact for any step count.
+    V = 0 evolution is exact for any step count.  At θ ≠ 0 the half-step
+    is an n×n matrix, so grids of more than 4096 lattice points are refused.
     """
     if steps < 1:
         raise ValueError("steps: must be at least 1")
@@ -185,6 +188,7 @@ def split_step_evolve(psi: ComplexField, V: Potential, theta: ThetaMatrix,
             values *= half
         return ComplexField(values, grid)
     # mixed-domain half-step matrix: momentum rep -> position rep
+    _require_dense_size(grid)
     shifted = grid.x_points[:, None, :] + theta.shift(grid.k_points)[None, :, :]
     vvals = V(shifted)  # (x, k)
     pref = grid.momentum_cell_volume * (2.0 * np.pi * hbar) ** (-grid.dim / 2.0)

@@ -11,10 +11,11 @@ full kernel is the (m+1)-fold composition, each intermediate integration a
 Δx^N-weighted matrix product; `propagate` applies that composition to one
 field slice by slice without forming it.
 
-Quadrature detail: on even grids the momentum window [-K, K) has an
-unpaired endpoint; the V-dependent factor at that row is replaced by the
-average over ±K (a trapezoid fold), which restores exact k → -k symmetry
-of the sum without touching the V = 0 case.
+Quadrature detail: the momentum sum runs over a window symmetric under
+k → -k.  On odd grids that is the G lattice momenta.  On even grids the
+lattice [-K, K) has an unpaired endpoint, so the sum runs over the G+1
+momenta -K … +K and the ±K endpoint sheets are averaged onto the -K row (a
+trapezoid fold), which leaves the V = 0 case untouched.
 
 α enters only through V's argument, so V = 0 kernels are bitwise identical
 for every α, and the α-spread of composed kernels shrinks like 1/(m+1) —
@@ -87,38 +88,28 @@ class SlicingConfig:
 PropagatorKernel = OperatorKernel
 
 
-def _fold_nyquist(grid: PhaseSpaceGrid, values_ext):
-    """Average the two ±K endpoint sheets of an extended per-axis table.
+def _momentum_window(grid: PhaseSpaceGrid):
+    """Per-axis momenta of a slice's sum, symmetric under k → -k: the G
+    lattice momenta on odd G, and -K … +K (G+1 of them) on even G."""
+    G = grid.points_per_axis
+    return (np.arange(G + 1 - G % 2) - G // 2) * grid.dk
 
-    values_ext has G+1 entries on each of its trailing grid.dim axes
-    (indices -G/2 ... +G/2); the result has G entries per axis with the
-    -G/2 slot holding the ±K average.  Leading axes are batch axes.
+
+def _fold_nyquist(values, points: int, dims: int):
+    """Fold a table over `_momentum_window` onto the G-point lattice window.
+
+    On each of the trailing dims axes, a window of G+1 entries (even G)
+    gives up its +K sheet and its -K slot holds the ±K average; a window of
+    G entries (odd G) has no endpoint pair and is returned as it is.
     """
-    G = grid.points_per_axis
-    out = values_ext
-    offset = out.ndim - grid.dim
-    for axis in range(offset, out.ndim):
-        sl_lo = [slice(None)] * out.ndim
-        sl_hi = [slice(None)] * out.ndim
-        sl_lo[axis] = slice(0, 1)
-        sl_hi[axis] = slice(G, G + 1)
-        lo = out[tuple(sl_lo)]
-        hi = out[tuple(sl_hi)]
-        body = [slice(None)] * out.ndim
-        body[axis] = slice(0, G)
-        out = out[tuple(body)].copy()
-        sl_set = [slice(None)] * out.ndim
-        sl_set[axis] = slice(0, 1)
-        out[tuple(sl_set)] = 0.5 * (lo + hi)
-    return out
-
-
-def _extended_k_points(grid: PhaseSpaceGrid):
-    """Momentum nodes on the symmetric window -K ... +K (G+1 per axis)."""
-    G = grid.points_per_axis
-    axis = (np.arange(G + 1) - G // 2) * grid.dk
-    mesh = np.meshgrid(*(axis,) * grid.dim, indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    for axis in range(values.ndim - dims, values.ndim):
+        if values.shape[axis] == points:
+            continue
+        head = (slice(None),) * axis
+        folded = values[head + (slice(0, points),)].copy()
+        folded[head + (0,)] = 0.5 * (values[head + (0,)] + values[head + (points,)])
+        values = folded
+    return values
 
 
 def edge_phase_turns(cfg: SlicingConfig, grid: PhaseSpaceGrid) -> float:
@@ -193,8 +184,7 @@ def _factorized_slice(cfg, terms, theta, pairing, grid):
     """
     G, N = grid.points_per_axis, grid.dim
     eps, hbar = cfg.epsilon, cfg.params.hbar
-    line = PhaseSpaceGrid(G, grid.box_half_width, 1, hbar)
-    k = (np.arange(G + 1) - G // 2) * grid.dk
+    k = _momentum_window(grid)
     kin = np.exp(-1j * eps * k * k / (2.0 * cfg.params.mass * hbar))
     xbar = (0.5 + cfg.alpha) * grid.x_axis[:, None] + (0.5 - cfg.alpha) * grid.x_axis[None, :]
     diff = _index_difference_table(grid)
@@ -208,7 +198,7 @@ def _factorized_slice(cfg, terms, theta, pairing, grid):
     for a, b in enumerate(pairing):
         u = xbar[:, :, None] + theta.entries[b, a] * k
         integrand = kin * np.exp(-1j * eps * terms[b](u) / hbar)
-        table = _centered_fft(line, _fold_nyquist(line, integrand), +1)  # (G, G, G)
+        table = _centered_fft(_fold_nyquist(integrand, G, 1), +1, (-1,))  # (G, G, G)
         slots = (along(np.arange(G), b) * G + along(np.arange(G), N + b)) * G \
             + along(diff, a, N + a)
         factor = table.reshape(-1)[slots]
@@ -252,16 +242,19 @@ def _grouped_slice(cfg, V, theta, grid):
     (`_slice_points`), one leading-axis slice point per pass.
     """
     eps, hbar = cfg.epsilon, cfg.params.hbar
-    k_ext = _extended_k_points(grid)
+    G, N = grid.points_per_axis, grid.dim
+    window = _momentum_window(grid)
+    mesh = np.meshgrid(*(window,) * N, indexing="ij")
+    k_ext = np.stack([m.reshape(-1) for m in mesh], axis=-1)
     kin_ext = np.exp(-1j * eps * np.sum(k_ext**2, axis=-1) / (2.0 * cfg.params.mass * hbar))
     shifts_ext = theta.shift(k_ext)
-    ext_shape = (grid.points_per_axis + 1,) * grid.dim
+    ext_shape = (window.size,) * N
 
     def chi_of(xbar):
         vvals = V(xbar[:, None, :] + shifts_ext[None, :, :])
         integrand = kin_ext * np.exp(-1j * eps * vvals / hbar)
-        folded = _fold_nyquist(grid, integrand.reshape((-1,) + ext_shape))
-        return _centered_fft(grid, folded, +1).reshape(xbar.shape[0], grid.size)
+        folded = _fold_nyquist(integrand.reshape((-1,) + ext_shape), G, N)
+        return _centered_fft(folded, +1, range(-N, 0)).reshape(xbar.shape[0], grid.size)
 
     return _anchored_entries(grid, *_slice_points(cfg, grid), chi_of)
 
@@ -310,7 +303,9 @@ def propagate(cfg: SlicingConfig, V: Potential, theta: ThetaMatrix,
 
 def free_kernel_closed_form(grid: PhaseSpaceGrid, params: PhysicsParams,
                             T: float) -> PropagatorKernel:
-    """Closed-form free kernel (M/(2πiħT))^{N/2} e^{iM|Δx|²/(2ħT)} on lattice pairs."""
+    """Closed-form free kernel (M/(2πiħT))^{N/2} e^{iM|Δx|²/(2ħT)} on lattice pairs;
+    grids of more than 4096 lattice points are refused."""
+    _require_dense_size(grid)
     d = grid.x_points[:, None, :] - grid.x_points[None, :, :]
     r2 = np.sum(d * d, axis=-1)
     pref = (params.mass / (2.0 * np.pi * params.hbar * T)) ** (grid.dim / 2.0) \

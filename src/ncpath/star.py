@@ -96,7 +96,8 @@ class OperatorKernel:
 
 
 def identity_kernel(grid: PhaseSpaceGrid) -> OperatorKernel:
-    """Lattice identity: δ_{yy'} / Δx^N."""
+    """Lattice identity: δ_{yy'} / Δx^N; grids over 4096 points are refused."""
+    _require_dense_size(grid)
     return OperatorKernel(np.eye(grid.size) / grid.cell_volume, grid)
 
 
@@ -188,7 +189,7 @@ def star_apply_field(phi: ComplexField, theta: ThetaMatrix, psi: ComplexField) -
             block *= np.exp(-1j * shifts[:, a].reshape((-1,) + (1,) * N)
                             * grid.k_axis[idx[a]])
         acc += np.tensordot(c[start:stop], block, axes=1)
-    out = np.fft.fftshift(_centered_fft(grid, acc, +1)).reshape(-1) * pref
+    out = np.fft.fftshift(_centered_fft(acc, +1, range(N))).reshape(-1) * pref
     return ComplexField(out, grid)
 
 
@@ -228,7 +229,7 @@ def potential_operator_kernel(V: Potential, theta: ThetaMatrix,
 
     def chi_of(y):
         vvals = V(y[:, None, :] + shifts[None, :, :]).reshape((-1,) + grid.shape)
-        return _centered_fft(grid, vvals, +1).reshape(y.shape[0], grid.size)
+        return _centered_fft(vvals, +1, range(-grid.dim, 0)).reshape(y.shape[0], grid.size)
 
     rows = np.indices((grid.points_per_axis,) * 2)[0]  # the anchor of (y, y') is y
     entries = _anchored_entries(grid, grid.x_axis, rows, chi_of)

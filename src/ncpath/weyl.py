@@ -34,8 +34,11 @@ from .core import (
     PhysicsParams,
     Potential,
     ThetaMatrix,
-    _centered_dft,
+    _centered_fft,
+    _circulant_entries,
     _pair_table,
+    _require_dense_size,
+    evaluate_potential_shifted,
 )
 from .star import OperatorKernel, potential_operator_kernel
 
@@ -109,16 +112,17 @@ def symbol_of_operator(K: OperatorKernel, alpha) -> PhaseSpaceSymbol:
     beta = 0.5 + a
     grid = K.grid
     G, N = grid.points_per_axis, grid.dim
+    first, last = range(N), range(N, 2 * N)
     diag = _diagonal_layout(K).reshape(grid.shape * 2)  # (i axes..., d axes...)
-    spectrum = _centered_dft(grid, diag, -1) / grid.size  # (w axes..., d axes...)
+    spectrum = np.fft.fftshift(_centered_fft(diag, -1, first), first) / grid.size  # (w..., d...)
     twist = _balanced_twist(G, beta, grid.index_axis)  # [w, d]
     for axis in range(N):
         shape = [1] * (2 * N)
         shape[axis] = G
         shape[N + axis] = G
         spectrum = spectrum * twist.reshape(shape)
-    pvals = _centered_dft(grid, spectrum, +1, first_axis=N) * grid.cell_volume  # (w..., k...)
-    out = _centered_dft(grid, pvals, +1)  # (x axes..., k axes...)
+    pvals = np.fft.fftshift(_centered_fft(spectrum, +1, last), last) * grid.cell_volume
+    out = np.fft.fftshift(_centered_fft(pvals, +1, first), first)  # (x axes..., k axes...)
     flat = out.reshape(grid.size, grid.size).T  # -> [k, x]
     return PhaseSpaceSymbol(flat, grid)
 
@@ -142,6 +146,7 @@ def shifted_potential_symbol(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceG
     if a == -0.5:
         raise ValueError("alpha: the closed-form route divides by (alpha + 1/2); "
                          "use symbol_of_operator at alpha = -1/2")
+    _require_dense_size(grid)
     shifts = theta.shift(grid.k_points)  # (k, N)
     twist = np.einsum("kj,kj->k", grid.k_points, shifts)  # k·θk: cancels exactly
     factor = np.exp(-1j * twist / (grid.hbar * (a + 0.5)))
@@ -159,6 +164,7 @@ class WashoutReport:
     scale: float                        # max |V(x+θk)| over the lattice
     method: str = "closed_form"
     symbols: list = field(repr=False, default_factory=list)
+    target: np.ndarray | None = field(repr=False, default=None)  # V(x+θk), [k, x]
 
     @property
     def max_pairwise_abs(self) -> float:
@@ -179,14 +185,18 @@ def verify_alpha_washout(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceGrid,
     symbol_of_operator per α; its spread sits at the lattice quadrature
     scale (comparable to the grid-refinement self-convergence error).
     The report carries per-α deviation from the shifted potential V(x+θk)
-    and the pairwise spread, absolute and relative to max |V(x+θk)|.
+    and the pairwise spread, absolute and relative to max |V(x+θk)|, and
+    the table V(x+θk) itself as `target`.  Grids of more than 4096 lattice
+    points are refused.
     """
     alphas = [(_alpha_value(a)) for a in alphas]
     if len(alphas) < 2:
         raise ValueError("alphas: need at least two ordering indices to compare")
     if method not in ("closed_form", "direct"):
         raise ValueError(f"method: unknown washout method {method!r}")
-    target = V(grid.x_points[None, :, :] + theta.shift(grid.k_points)[:, None, :])
+    _require_dense_size(grid)
+    target = evaluate_potential_shifted(V, theta, grid.x_points[None, :, :],
+                                        grid.k_points[:, None, :])
     scale = float(np.max(np.abs(target))) if target.size else 0.0
     if method == "closed_form":
         symbols = [shifted_potential_symbol(V, theta, grid, a) for a in alphas]
@@ -199,7 +209,7 @@ def verify_alpha_washout(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceGrid,
         for j in range(i + 1, len(alphas)):
             pairwise[(i, j)] = float(np.max(np.abs(symbols[i].values - symbols[j].values)))
     return WashoutReport(alphas=alphas, max_dev_from_shifted=devs, pairwise_abs=pairwise,
-                         scale=scale, method=method, symbols=symbols)
+                         scale=scale, method=method, symbols=symbols, target=target)
 
 
 def _minimal_offsets(grid: PhaseSpaceGrid):
@@ -284,11 +294,7 @@ def symmetrized_position_momentum_kernel(grid: PhaseSpaceGrid,
     """
     if grid.dim != 1:
         raise ValueError("control operator is defined for one-dimensional grids")
-    hbar = grid.hbar
-    norm = grid.momentum_cell_volume * (2.0 * np.pi * hbar) ** (-1)
-    diffs = grid.x_points[:, None, 0] - grid.x_points[None, :, 0]
-    kvals = grid.k_points[:, 0]
-    momentum = norm * np.einsum("k,uvk->uv",
-                                kvals, np.exp(1j * diffs[:, :, None] * kvals / hbar))
+    norm = grid.momentum_cell_volume / (2.0 * np.pi * grid.hbar)
+    momentum = _circulant_entries(grid, grid.k_points[:, 0], norm)
     mid = 0.5 * (grid.x_points[:, None, 0] + grid.x_points[None, :, 0])
     return OperatorKernel(momentum * mid, grid)

@@ -164,6 +164,21 @@ def test_kernel_on_a_grid_too_big_for_a_dense_kernel_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_symbol_on_a_grid_too_big_for_a_dense_table_exits_2(tmp_path, capsys, monkeypatch):
+    import ncpath.core
+
+    monkeypatch.setattr(ncpath.core, "_DENSE_POINTS", 64)  # G = 9, N = 2 has 81 points
+    config = json.loads(json.dumps(CONFIG))
+    config["grid"]["points_per_axis"] = 9
+    config_file = tmp_path / "nine.json"
+    config_file.write_text(json.dumps(config))
+    out = tmp_path / "symbol.csv"
+    code = _run_in_process("symbol", "--config", str(config_file), "--out", str(out))
+    assert code == 2
+    assert "grid.points_per_axis" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_symbol_csv_columns(config_path, tmp_path):
     out = tmp_path / "symbol.csv"
     result = run_cli("symbol", "--config", config_path, "--alphas", "-0.4,0.4",

@@ -65,16 +65,18 @@ def test_grid_transform_roundtrip_machine_precision():
     assert np.max(np.abs(back - field)) < 1e-13
 
 
-def test_grid_transform_matches_explicit_sum():
-    grid = PhaseSpaceGrid(8, 4.0, 1, hbar=2.0)
+@pytest.mark.parametrize("G,N", [(8, 1), (7, 2), (5, 3)])
+def test_grid_transform_matches_explicit_sum(G, N):
+    # odd G is where a centered transform's fftshift and ifftshift differ
+    grid = PhaseSpaceGrid(G, 4.0, N, hbar=2.0)
     rng = np.random.default_rng(3)
-    psi = rng.normal(size=8) + 1j * rng.normal(size=8)
-    x = grid.x_points[:, 0]
-    k = grid.k_points[:, 0]
-    expected = np.array([
-        np.sum(psi * np.exp(-1j * kk * x / grid.hbar)) for kk in k
-    ]) * grid.dx / np.sqrt(2 * np.pi * grid.hbar)
-    assert np.max(np.abs(grid.wave_to_momentum(psi) - expected)) < 1e-12
+    psi = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
+    phase = np.exp(1j * (grid.k_points @ grid.x_points.T) / grid.hbar)  # [k, x]
+    pref = (2 * np.pi * grid.hbar) ** (-N / 2)
+    forward = (phase.conj() @ psi) * grid.dx**N * pref
+    inverse = (phase.T @ psi) * grid.dk**N * pref
+    assert np.max(np.abs(grid.wave_to_momentum(psi) - forward)) < 1e-12
+    assert np.max(np.abs(grid.momentum_to_wave(psi) - inverse)) < 1e-12
 
 
 def test_potential_shifted_trivials():
@@ -265,3 +267,33 @@ def test_dense_kernel_builds_refuse_grids_over_4096_points():
         potential_operator_kernel(V, theta, big)
     with pytest.raises(ConfigError, match="grid.points_per_axis"):
         build_hamiltonian_matrix(V, theta, big, PhysicsParams(dim=2))
+
+
+def test_every_dense_builder_checks_the_size_first(monkeypatch):
+    # with the limit at 64 points a G = 9, N = 2 grid (81 points) is too big
+    import ncpath.core
+    from ncpath.oracle import kinetic_operator_kernel, split_step_evolve
+    from ncpath.slicer import free_kernel_closed_form
+    from ncpath.star import gaussian_packet, identity_kernel
+    from ncpath.weyl import shifted_potential_symbol, verify_alpha_washout
+
+    monkeypatch.setattr(ncpath.core, "_DENSE_POINTS", 64)
+    grid = PhaseSpaceGrid(9, 4.0, 2)
+    params = PhysicsParams(dim=2)
+    theta = ThetaMatrix.single_block(2, 0.1)
+    V = Potential.quartic(0.05, dim=2)
+    psi = gaussian_packet(grid)
+    builders = [
+        lambda: identity_kernel(grid),
+        lambda: free_kernel_closed_form(grid, params, 1.0),
+        lambda: kinetic_operator_kernel(grid, params),
+        lambda: split_step_evolve(psi, V, theta, params, 0.1, 2),
+        lambda: shifted_potential_symbol(V, theta, grid, 0.0),
+        lambda: verify_alpha_washout(V, theta, grid, [-0.4, 0.4]),
+        lambda: verify_alpha_washout(V, theta, grid, [-0.4, 0.4], method="direct"),
+    ]
+    for build in builders:
+        with pytest.raises(ConfigError, match="grid.points_per_axis"):
+            build()
+    # the paths without an n×n array still run
+    split_step_evolve(psi, V, ThetaMatrix.zero(2), params, 0.1, 2)

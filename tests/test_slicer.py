@@ -27,17 +27,19 @@ from ncpath.star import gaussian_packet, identity_kernel, potential_operator_ker
 
 
 def brute_slice(cfg, V, theta, grid):
-    """Literal loops over (x_out, x_in, extended momentum window).
+    """Literal loops over (x_out, x_in, symmetric momentum window).
 
-    Endpoint momentum sheets carry trapezoid half-weights, which is the
-    fold the production builder applies to the potential factor.
+    The window is -K ... +K (G+1 momenta) on even G, whose endpoint sheets
+    carry trapezoid half-weights, which is the fold the production builder
+    applies to the potential factor; on odd G it is the G lattice momenta.
     """
     G = grid.points_per_axis
     eps = cfg.epsilon
     hbar = cfg.params.hbar
     M = cfg.params.mass
     wa, wb = 0.5 + cfg.alpha, 0.5 - cfg.alpha
-    ext = np.arange(G + 1) - G // 2
+    even = G % 2 == 0
+    ext = np.arange(G + even) - G // 2
     out = np.zeros((grid.size, grid.size), dtype=complex)
     norm = grid.dk**grid.dim / (2 * np.pi * hbar) ** grid.dim
     for io in range(grid.size):
@@ -48,8 +50,8 @@ def brute_slice(cfg, V, theta, grid):
             acc = 0.0
             for a1 in ext:
                 for a2 in ext:
-                    w = (0.5 if abs(a1) == G // 2 else 1.0) \
-                        * (0.5 if abs(a2) == G // 2 else 1.0)
+                    w = (0.5 if even and abs(a1) == G // 2 else 1.0) \
+                        * (0.5 if even and abs(a2) == G // 2 else 1.0)
                     k = np.array([a1, a2]) * grid.dk
                     shifted = xb + theta.shift(k)
                     phase = (k @ (xo - xi)) / hbar \
@@ -74,13 +76,17 @@ NON_SEPARABLE = {
 }
 
 
-@pytest.mark.parametrize("form,alpha", [
-    *(pytest.param("harmonic", a, id=str(a)) for a in (0.5, -0.5, 0.0, 0.3)),
+@pytest.mark.parametrize("form,alpha,G", [
+    *(pytest.param("harmonic", a, 6, id=str(a)) for a in (0.5, -0.5, 0.0, 0.3)),
     # non-separable V takes the grouped builder
-    *(pytest.param(f, a, id=f"{f}-{a}") for f in NON_SEPARABLE for a in (-0.5, 0.3)),
+    *(pytest.param(f, a, 6, id=f"{f}-{a}") for f in NON_SEPARABLE for a in (-0.5, 0.3)),
+    # an odd grid sums over its G symmetric momenta, with no endpoint fold
+    *(pytest.param(f, a, 5, id=f"G5-{f}-{a}")
+      for f in ("harmonic", "quartic") for a in (0.5, 0.0, 0.3)),
 ])
-def test_slice_matches_brute_force(small2d, form, alpha):
-    params, grid, theta, V = small2d
+def test_slice_matches_brute_force(small2d, form, alpha, G):
+    params, _, theta, V = small2d
+    grid = PhaseSpaceGrid(G, 3.0, 2)
     V = NON_SEPARABLE.get(form, V)
     cfg = SlicingConfig(31, 1.0, alpha, params)
     with warnings.catch_warnings():
