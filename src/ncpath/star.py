@@ -96,7 +96,7 @@ class OperatorKernel:
 
 
 def identity_kernel(grid: PhaseSpaceGrid) -> OperatorKernel:
-    """Lattice identity: δ_{yy'} / Δx^N; grids over 4096 points are refused."""
+    """Lattice identity: δ_{yy'} / Δx^N; grids of more than 4096 lattice points are refused."""
     _require_dense_size(grid)
     return OperatorKernel(np.eye(grid.size) / grid.cell_volume, grid)
 
