@@ -227,15 +227,52 @@ def _pair_table(table, base: int, axes: int):
     return flat
 
 
-def _circulant_entries(grid: PhaseSpaceGrid, multiplier, norm: float):
-    """norm·Σ_k f(k) e^{(i/ħ) k·(x_out - x_in)} on all lattice pairs.
+def _pair_axes(values, axes, ndim: int):
+    """values with its dimensions on the given axes of an ndim-axis view, 1 elsewhere."""
+    return values.reshape([values.shape[0] if i in axes else 1 for i in range(ndim)])
 
-    The position kernel of a multiplier f on the k-lattice (values in
-    grid.k_points order): one centered transform χ, gathered by offset.
+
+def _row_blocks(grid: PhaseSpaceGrid):
+    """Row slices of an n×n array, G^{N-1} rows (n²/G entries) each; slice o
+    is the leading-axis block view[o] of the array viewed as (G,)*2N."""
+    step = grid.size // grid.points_per_axis
+    return [slice(start, start + step) for start in range(0, grid.size, step)]
+
+
+def _gather_block(table, parts, o: int):
+    """table.flat[Σ parts] at leading output index o of the (G,)*2N kernel view.
+
+    parts are `_pair_axes`-shaped arrays of flat offsets into table, which
+    broadcast against each other; their sum is formed for the one block
+    (axis 0 dropped), so no n×n index table exists.
     """
-    chi = _centered_fft(multiplier.reshape(grid.shape), +1, range(grid.dim)).reshape(-1)
-    entries = chi[_pair_table(_index_difference_table(grid), grid.points_per_axis, grid.dim)]
-    entries *= norm
+    flat = sum(p[o] if p.shape[0] > 1 else p[0] for p in parts)
+    return table.reshape(-1)[flat]
+
+
+def _circulant_blocks(grid: PhaseSpaceGrid, multiplier, norm: float):
+    """Yield (rows, block): the circulant entries of one `_row_blocks` slice.
+
+    An entry is norm·Σ_k f(k) e^{(i/ħ) k·(x_out - x_in)}, the position
+    kernel of a multiplier f on the k-lattice (values in grid.k_points
+    order): one centered transform χ, gathered by per-axis offset
+    (n_out - n_in) mod G.
+    """
+    G, N = grid.points_per_axis, grid.dim
+    chi = _centered_fft(multiplier.reshape(grid.shape), +1, range(N))
+    diff = _index_difference_table(grid)
+    parts = [_pair_axes(diff * G ** (N - 1 - a), (a, N + a), 2 * N) for a in range(N)]
+    for o, rows in enumerate(_row_blocks(grid)):
+        block = _gather_block(chi, parts, o).reshape(-1, grid.size)
+        block *= norm
+        yield rows, block
+
+
+def _circulant_entries(grid: PhaseSpaceGrid, multiplier, norm: float):
+    """The n×n circulant kernel of `_circulant_blocks`, filled block by block."""
+    entries = np.empty((grid.size, grid.size), dtype=complex)
+    for rows, block in _circulant_blocks(grid, multiplier, norm):
+        entries[rows] = block
     return entries
 
 

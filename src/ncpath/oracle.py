@@ -28,49 +28,55 @@ from .core import (
     PhysicsParams,
     Potential,
     ThetaMatrix,
+    _circulant_blocks,
     _circulant_entries,
     _require_dense_size,
+    _row_blocks,
 )
 from .slicer import PropagatorKernel, SlicingConfig, propagate
 from .star import ComplexField, OperatorKernel, potential_operator_kernel
+
+
+def _kinetic_multiplier(grid: PhaseSpaceGrid, params: PhysicsParams):
+    """(k²/2M on the k-lattice, the circulant norm (2πħ)^{-N} Δk^N)."""
+    norm = grid.momentum_cell_volume * (2.0 * np.pi * grid.hbar) ** (-grid.dim)
+    return np.sum(grid.k_points**2, axis=-1) / (2.0 * params.mass), norm
 
 
 def kinetic_operator_kernel(grid: PhaseSpaceGrid, params: PhysicsParams) -> OperatorKernel:
     """⟨y|K²/(2M)|y'⟩: diagonal in momentum, circulant in position; grids of
     more than 4096 lattice points are refused."""
     _require_dense_size(grid)
-    norm = grid.momentum_cell_volume * (2.0 * np.pi * grid.hbar) ** (-grid.dim)
-    k2 = np.sum(grid.k_points**2, axis=-1) / (2.0 * params.mass)
-    return OperatorKernel(_circulant_entries(grid, k2, norm), grid)
+    return OperatorKernel(_circulant_entries(grid, *_kinetic_multiplier(grid, params)), grid)
 
 
 def build_hamiltonian_matrix(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceGrid,
                              params: PhysicsParams) -> OperatorKernel:
-    """Dense lattice Hamiltonian kernel; guarded to G^N ≤ 4096."""
-    # kinetic first (it checks the size): its n×n index table is freed before
-    # the potential kernel exists
-    kinetic = kinetic_operator_kernel(grid, params).entries
+    """Dense lattice Hamiltonian kernel; guarded to G^N ≤ 4096.
+
+    The kinetic circulant is added into the potential kernel in place, one
+    row block of n²/G entries at a time, so H is the only n×n array.
+    """
+    _require_dense_size(grid)
     H = potential_operator_kernel(V, theta, grid)
-    H.entries += kinetic
+    for rows, block in _circulant_blocks(grid, *_kinetic_multiplier(grid, params)):
+        H.entries[rows] += block
     return H
 
 
 def _hermitian_part(H: OperatorKernel):
     """(Hermitian part of H·Δx^N, deviation max|A − A†|) for A = H·Δx^N.
 
-    Raises ValueError when the deviation exceeds 1e-8 of the largest entry.
+    Raises ValueError when the deviation exceeds 1e-8 of the largest entry
+    or is NaN (a non-finite entry).  The output is the one n×n array; A and
+    A† are formed one row block of n²/G entries at a time
+    (`OperatorKernel.adjoint_deviation`).
     """
-    op = H.entries * H.grid.cell_volume
-    scale = float(np.max(np.abs(op))) or 1.0
-    adjoint = op.conj().T
-    # row blocks keep the difference temporaries small next to the n×n op
-    dev = max(float(np.max(np.abs(op[i:i + 256] - adjoint[i:i + 256])))
-              for i in range(0, len(op), 256))
-    if dev > 1e-8 * scale:
+    herm = np.empty_like(H.entries)
+    dev, scale = H.adjoint_deviation(H.grid.cell_volume, out=herm)
+    if not dev <= 1e-8 * (scale or 1.0):  # a NaN entry fails too
         raise ValueError(f"Hamiltonian not Hermitian (deviation {dev:.3e})")
-    op += adjoint
-    op *= 0.5
-    return op, dev
+    return herm, dev
 
 
 def spectral_propagator(H: OperatorKernel, T: float) -> PropagatorKernel:
@@ -138,7 +144,8 @@ def chebyshev_evolve(H: OperatorKernel, T: float, psi: ComplexField,
     grid.require_same(psi.grid)
     herm, dev = _hermitian_part(H)
     diag = herm.diagonal().real
-    radius = np.sum(np.abs(herm), axis=1) - np.abs(diag)
+    radius = np.concatenate([np.sum(np.abs(herm[rows]), axis=1) for rows in _row_blocks(grid)])
+    radius -= np.abs(diag)
     lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
     center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     coeffs = _bessel_coefficients(half * T / grid.hbar)
@@ -165,7 +172,8 @@ def split_step_evolve(psi: ComplexField, V: Potential, theta: ThetaMatrix,
     The potential half-step applies the shifted-symbol phase in mixed
     domain:  ψ(x) ← (2πħ)^{-N/2} Σ_k Δk^N e^{(i/ħ)k·x} e^{-(i/ħ)(δt/2)V(x+θk)} ψ̂(k).
     V = 0 evolution is exact for any step count.  At θ ≠ 0 the half-step
-    is an n×n matrix, so grids of more than 4096 lattice points are refused.
+    is an n×n matrix, built row block by row block (n²/G entries each) with
+    no other n×n array; grids of more than 4096 lattice points are refused.
     """
     if steps < 1:
         raise ValueError("steps: must be at least 1")
@@ -189,11 +197,14 @@ def split_step_evolve(psi: ComplexField, V: Potential, theta: ThetaMatrix,
         return ComplexField(values, grid)
     # mixed-domain half-step matrix: momentum rep -> position rep
     _require_dense_size(grid)
-    shifted = grid.x_points[:, None, :] + theta.shift(grid.k_points)[None, :, :]
-    vvals = V(shifted)  # (x, k)
+    shifts = theta.shift(grid.k_points)
     pref = grid.momentum_cell_volume * (2.0 * np.pi * hbar) ** (-grid.dim / 2.0)
-    phase_xk = np.exp(1j * (grid.x_points @ grid.k_points.T) / hbar)
-    half_v = pref * phase_xk * np.exp(-0.5j * dt * vvals / hbar)
+    half_v = np.empty((grid.size, grid.size), dtype=complex)
+    for rows in _row_blocks(grid):
+        x = grid.x_points[rows]
+        block = half_v[rows]  # (x, k)
+        np.exp(-0.5j * dt * V(x[:, None, :] + shifts[None, :, :]) / hbar, out=block)
+        np.multiply(pref * np.exp(1j * (x @ grid.k_points.T) / hbar), block, out=block)
     for _ in range(steps):
         hat = grid.wave_to_momentum(values)
         values = half_v @ hat

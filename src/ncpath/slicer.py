@@ -54,7 +54,9 @@ from .core import (
     _anchored_entries,
     _centered_fft,
     _circulant_entries,
+    _gather_block,
     _index_difference_table,
+    _pair_axes,
     _require_dense_size,
 )
 from .star import ComplexField, OperatorKernel
@@ -180,7 +182,8 @@ def _factorized_slice(cfg, terms, theta, pairing, grid):
 
         entry = Π_a A_a[n_out_σ(a), n_in_σ(a), (n_out_a - n_in_a) mod G],
 
-    gathered factor by factor into the kernel viewed as (G,)*2N.
+    gathered into the kernel viewed as (G,)*2N one leading-axis block view[o]
+    (n²/G entries) at a time, factor by factor in axis order.
     """
     G, N = grid.points_per_axis, grid.dim
     eps, hbar = cfg.epsilon, cfg.params.hbar
@@ -188,24 +191,26 @@ def _factorized_slice(cfg, terms, theta, pairing, grid):
     kin = np.exp(-1j * eps * k * k / (2.0 * cfg.params.mass * hbar))
     xbar = (0.5 + cfg.alpha) * grid.x_axis[:, None] + (0.5 - cfg.alpha) * grid.x_axis[None, :]
     diff = _index_difference_table(grid)
+    pos = np.arange(G)
 
-    def along(values, *axes):
-        """values with its dimensions on the given axes of the (G,)*2N view."""
-        return values.reshape([G if i in axes else 1 for i in range(2 * N)])
-
-    entries = np.empty((grid.size, grid.size), dtype=complex)
-    view = entries.reshape((G,) * (2 * N))
-    for a, b in enumerate(pairing):
+    def axis_table(a, b):
         u = xbar[:, :, None] + theta.entries[b, a] * k
         integrand = kin * np.exp(-1j * eps * terms[b](u) / hbar)
-        table = _centered_fft(_fold_nyquist(integrand, G, 1), +1, (-1,))  # (G, G, G)
-        slots = (along(np.arange(G), b) * G + along(np.arange(G), N + b)) * G \
-            + along(diff, a, N + a)
-        factor = table.reshape(-1)[slots]
-        if a == 0:
-            view[...] = factor
-        else:
-            view *= factor
+        return _centered_fft(_fold_nyquist(integrand, G, 1), +1, (-1,))  # (G, G, G)
+
+    # per momentum axis: its table and the flat offsets of A_a[n_out_b, n_in_b, d]
+    factors = [(axis_table(a, b), (_pair_axes(pos * G * G, (b,), 2 * N),
+                                   _pair_axes(pos * G, (N + b,), 2 * N),
+                                   _pair_axes(diff, (a, N + a), 2 * N)))
+               for a, b in enumerate(pairing)]
+    entries = np.empty((grid.size, grid.size), dtype=complex)
+    view = entries.reshape((G,) * (2 * N))
+    for o in range(G):
+        block = view[o]
+        table, parts = factors[0]
+        block[...] = _gather_block(table, parts, o)
+        for table, parts in factors[1:]:
+            block *= _gather_block(table, parts, o)
     return entries
 
 

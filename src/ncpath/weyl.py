@@ -275,12 +275,15 @@ def delta_alpha_matrix_element(alpha, k, x, grid: PhaseSpaceGrid) -> OperatorKer
 
 
 def symbol_via_quantizer_trace(K: OperatorKernel, alpha, k, x) -> complex:
-    """α-symbol at one phase-space point from the trace form tr[K Δ_{-α}]·(2πħ)^N."""
+    """α-symbol at one phase-space point from the trace form tr[K Δ_{-α}]·(2πħ)^N.
+
+    With both kernels acting by the Δx^N measure the trace is
+    Σ_ij K_ij Δ_ji · Δx^{2N}, summed without forming the product kernel.
+    """
     grid = K.grid
     a = _alpha_value(alpha)
     quantizer = delta_alpha_matrix_element(-a, k, x, grid)
-    prod = K.matmul(quantizer)
-    trace = np.trace(prod.entries) * grid.cell_volume
+    trace = np.einsum("ij,ji->", K.entries, quantizer.entries) * grid.cell_volume**2
     return complex(trace * (2.0 * np.pi * grid.hbar) ** grid.dim)
 
 

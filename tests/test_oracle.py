@@ -78,6 +78,16 @@ def test_spectral_propagator_rejects_non_hermitian():
         spectral_propagator(bad, 1.0)
 
 
+def test_spectral_propagator_rejects_a_non_finite_hamiltonian():
+    # a NaN deviation must not pass the Hermiticity check into eigh
+    grid = PhaseSpaceGrid(8, 4.0, 1)
+    H = build_hamiltonian_matrix(Potential.harmonic(1.0, 1.0, dim=1), ThetaMatrix.zero(1),
+                                 grid, PhysicsParams(dim=1))
+    H.entries[5, 2] = np.nan
+    with pytest.raises(ValueError, match="not Hermitian"):
+        spectral_propagator(H, 1.0)
+
+
 # The lattice kernel of a non-separable V(X + θK) is Hermitian only at θ = 0.
 @pytest.mark.parametrize("V, theta", [
     (Potential.harmonic(1.0, 1.0, dim=2), ThetaMatrix.single_block(2, 0.1)),
@@ -316,3 +326,41 @@ def test_kinetic_kernel_circulant_structure():
         vals = np.array([kin.entries[i, (i + d) % G] for i in range(G)])
         assert np.max(np.abs(vals - vals[0])) == 0.0
     assert kin.hermiticity_deviation() < 1e-12
+
+
+def _hamiltonian_then_evolve(V, theta, grid, params):
+    # H is built before tracing starts: the bound counts the peak above it
+    H = build_hamiltonian_matrix(V, theta, grid, params)
+    probe = gaussian_packet(grid)
+    return lambda: chebyshev_evolve(H, 1.0, probe)
+
+
+@pytest.mark.parametrize("prepare,bound", [
+    (lambda V, theta, grid, params: lambda: kinetic_operator_kernel(grid, params), 1.25),
+    # the potential kernel's own gather sets this peak; the kinetic circulant
+    # is added into it in place
+    (lambda V, theta, grid, params: lambda: build_hamiltonian_matrix(V, theta, grid, params),
+     1.5),
+    (_hamiltonian_then_evolve, 1.25),
+    (lambda V, theta, grid, params: lambda: split_step_evolve(
+        gaussian_packet(grid), V, theta, params, 1.0, 2), 1.25),
+], ids=["kinetic_operator_kernel", "build_hamiltonian_matrix", "chebyshev_evolve",
+        "split_step_evolve"])
+def test_dense_builds_allocate_one_n_by_n_array(prepare, bound):
+    # each builder allocates its n×n output once and fills it in row blocks
+    # of n²/G entries, so the traced peak stays near one kernel
+    import tracemalloc
+
+    params = PhysicsParams(dim=2)
+    grid = PhaseSpaceGrid(16, 5.0, 2)
+    run = prepare(Potential.harmonic(1.0, 1.0, dim=2), ThetaMatrix.single_block(2, 0.1),
+                  grid, params)
+    kernel_bytes = grid.size**2 * 16
+    run()  # the first call imports numpy.fft; its allocations are not the build's
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * kernel_bytes, f"peak {peak} B for a {kernel_bytes} B kernel"

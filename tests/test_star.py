@@ -5,6 +5,7 @@ from ncpath.core import PhaseSpaceGrid, PhysicsParams, Potential, ThetaMatrix
 from ncpath.core import GridMismatchError
 from ncpath.star import (
     ComplexField,
+    OperatorKernel,
     gaussian_packet,
     identity_kernel,
     potential_operator_kernel,
@@ -216,6 +217,18 @@ def test_potential_kernel_hermitian_harmonic():
     theta = ThetaMatrix.single_block(2, 0.1)
     kern = potential_operator_kernel(Potential.harmonic(1.0, 1.0, dim=2), theta, grid)
     assert kern.hermiticity_deviation() < 1e-10
+
+
+def test_hermiticity_deviation_matches_literal_and_keeps_nan():
+    # reduced one row block at a time: the same max as the whole-array
+    # formula, and a NaN in any block is not dropped by the reduction
+    grid = PhaseSpaceGrid(4, 2.0, 2)
+    rng = np.random.default_rng(5)
+    entries = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    literal = float(np.max(np.abs(entries - entries.conj().T)))
+    assert OperatorKernel(entries, grid).hermiticity_deviation() == literal
+    entries[9, 2] = np.nan
+    assert np.isnan(OperatorKernel(entries, grid).hermiticity_deviation())
 
 
 def test_kernel_application_matches_star_apply():

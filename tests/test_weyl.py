@@ -192,10 +192,16 @@ def test_control_operator_symbol_detects_ordering():
     assert d2 >= 1e-2
 
 
-def test_quantizer_trace_matches_direct_symbol():
-    grid = PhaseSpaceGrid(8, 4.0, 1)
+@pytest.mark.parametrize("grid", [
+    PhaseSpaceGrid(8, 4.0, 1),
+    # Δx = 0.75: a lost Δx^N factor in the trace measure shows here only
+    PhaseSpaceGrid(8, 3.0, 1),
+    PhaseSpaceGrid(4, 1.5, 2),
+], ids=["unit-spacing", "spacing-0.75", "2d"])
+def test_quantizer_trace_matches_direct_symbol(grid):
     rng = np.random.default_rng(2)
-    K = OperatorKernel(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)), grid)
+    n = grid.size
+    K = OperatorKernel(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), grid)
     for alpha in (-0.5, 0.0, 0.3, 0.5):
         s = symbol_of_operator(K, alpha).values
         for ik in (0, 3, 7):
