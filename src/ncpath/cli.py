@@ -13,7 +13,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
+import tempfile
 from fractions import Fraction
 from itertools import chain
 
@@ -54,6 +56,85 @@ def _write_lines(path, lines):
             fh.writelines(lines)
     else:
         sys.stdout.writelines(lines)
+
+
+_BLOCK_VALUES = 4096          # table values formatted per `%` call
+_MIN_RANGE_VALUES = 1 << 16   # a forked range below this costs more than it saves
+_COPY_CHARS = 1 << 16         # spooled text copied through per read
+
+
+def _format_range(fmt, table, start, stop):
+    """Yield fmt % row for rows start..stop of table, a block of rows per call."""
+    step = max(1, _BLOCK_VALUES // table.shape[1])
+    for lo in range(start, stop, step):
+        block = table[lo:min(lo + step, stop)]
+        yield (fmt * len(block)) % tuple(block.ravel().tolist())
+
+
+def _usable_cores() -> int:
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _spool_range(fmt, table, start, stop, spool):
+    """In a forked child: format rows start..stop into spool, then leave.
+
+    os._exit skips every cleanup of the caller, so the child never flushes the
+    buffers it inherited (stdout, the artifact file) and never returns.
+    """
+    status = 1
+    try:
+        spool.writelines(_format_range(fmt, table, start, stop))
+        spool.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _formatted_rows(fmt, table):
+    """Yield fmt % row for every row of a 2-D float table, in order.
+
+    A large table is cut into one contiguous row range per usable core.  A
+    forked child formats each later range into a temporary file while this
+    process formats and yields the first; each child's text is then copied
+    through in order.  The text is the same as the serial rendering's, byte for
+    byte; chunks copied from a spool may end mid-line.  A child runs only
+    Python formatting and NumPy copies, never BLAS, so the parent's idle BLAS
+    threads cannot hold a lock the child needs.
+    """
+    workers = min(_usable_cores(), table.size // _MIN_RANGE_VALUES, len(table))
+    if workers < 2:
+        yield from _format_range(fmt, table, 0, len(table))
+        return
+    cuts = [len(table) * i // workers for i in range(workers + 1)]
+    children = []  # (pid, spool) per later range, in row order
+    try:
+        for start, stop in zip(cuts[1:-1], cuts[2:]):
+            spool = tempfile.TemporaryFile("w+", encoding="ascii")
+            try:
+                pid = os.fork()
+            except BaseException:
+                spool.close()
+                raise
+            if pid == 0:
+                _spool_range(fmt, table, start, stop, spool)
+            children.append((pid, spool))
+        yield from _format_range(fmt, table, 0, cuts[1])
+        while children:
+            pid, spool = children.pop(0)
+            with spool:
+                status = os.waitpid(pid, 0)[1]
+                if status:
+                    raise OSError(f"artifact formatting: worker {pid} ended with "
+                                  f"wait status {status}")
+                spool.seek(0)
+                while chunk := spool.read(_COPY_CHARS):
+                    yield chunk
+    finally:
+        for pid, spool in children:  # left behind by an error: reap, then drop
+            os.waitpid(pid, 0)
+            spool.close()
 
 
 def _write_artifact(path, header, rows, footer_rows=()):
@@ -113,21 +194,22 @@ def _parse_m_list(text):
 # -- subcommands --------------------------------------------------------------
 
 
-def _symbol_blocks(report):
-    """The symbol CSV's data lines, one formatted block per (α, k-row)."""
-    target = report.target
-    n = target.shape[0]
-    row = np.empty((n, 5))  # k_index, x_index, re, im, deviation
-    row[:, 1] = np.arange(n)
-    for a, sym in zip(report.alphas, report.symbols):
-        block = (_fmt(a) + ",%d,%d,%.17g,%.17g,%.17g\n") * n
-        dev = np.abs(sym.values - target)
-        for ki in range(n):
-            row[:, 0] = ki
-            row[:, 2] = sym.values[ki].real
-            row[:, 3] = sym.values[ki].imag
-            row[:, 4] = dev[ki]
-            yield block % tuple(row.ravel().tolist())
+_SYMBOL_ROW = "%.17g,%d,%d,%.17g,%.17g,%.17g\n"
+
+
+def _symbol_table(report):
+    """The symbol CSV's data rows as one table: α, k index, x index, re, im, deviation."""
+    target = report.target.reshape(-1)
+    n = report.target.shape[0]
+    table = np.empty((len(report.alphas), n * n, 6))
+    table[:, :, 1], table[:, :, 2] = np.divmod(np.arange(n * n), n)
+    for rows, a, sym in zip(table, report.alphas, report.symbols):
+        values = sym.values.reshape(-1)
+        rows[:, 0] = a
+        rows[:, 3] = values.real
+        rows[:, 4] = values.imag
+        rows[:, 5] = np.abs(values - target)
+    return table.reshape(-1, 6)
 
 
 def cmd_symbol(args) -> int:
@@ -139,12 +221,13 @@ def cmd_symbol(args) -> int:
     header = ["alpha", "k_index", "x_index", "re", "im", "deviation"]
     footer = [("# max_pairwise_abs", report.max_pairwise_abs, "", "", "", ""),
               ("# max_pairwise_relative", report.max_pairwise_relative, "", "", "", "")]
-    blocks = _symbol_blocks(report)
+    body = _formatted_rows(_SYMBOL_ROW, _symbol_table(report))
     if args.summary:
-        blocks = list(blocks)  # the summary repeats every row
-    _write_lines(args.out, chain([",".join(header) + "\n"], blocks, map(_csv_line, footer)))
+        text = "".join(body)  # the summary repeats every row
+        body = [text]
+    _write_lines(args.out, chain([",".join(header) + "\n"], body, map(_csv_line, footer)))
     if args.summary:
-        rows = [line.split(",") for block in blocks for line in block.splitlines()]
+        rows = [line.split(",") for line in text.splitlines()]  # chunks end mid-line
         _write_summary(args.summary, "symbol", cfg, header, rows,
                        {"max_pairwise_abs": _fmt(report.max_pairwise_abs),
                         "max_pairwise_relative": _fmt(report.max_pairwise_relative),
@@ -188,8 +271,7 @@ def cmd_kernel(args) -> int:
                    f"{_fmt(cfg.params.hbar)},{_fmt(cfg.params.mass)},{theta_flat}")
     row_format = " ".join(["%.17g,%.17g"] * grid.size) + "\n"
     parts = np.ascontiguousarray(kernel.entries).view(np.float64)  # re, im interleaved
-    _write_lines(args.out, chain([header_line + "\n"],
-                                 (row_format % tuple(row.tolist()) for row in parts)))
+    _write_lines(args.out, chain([header_line + "\n"], _formatted_rows(row_format, parts)))
     _write_summary(args.summary, "kernel", cfg,
                    extra={"m": args.m, "alpha": _fmt(args.alpha), "compose": args.compose,
                           "edge_phase_turns": _fmt(edge_phase_turns(scfg, grid))})

@@ -574,13 +574,15 @@ def midslice_limit_check(m: int, T) -> tuple:
 
     At the middle slice a = m/2 the finite-m value ε²[4a(m-a) + m] equals
     T²·m/(m+1) exactly, so it tends to T² ≠ 0 as the slicing refines; the
-    exact gap to T² is T²/(m+1).  Requires even m.
+    exact gap to T² is T²/(m+1).  Requires even m and T > 0.
     """
     if m < 1:
         raise ValueError("m: need at least one interior slice")
     if m % 2:
         raise ValueError("m: the middle slice needs an even slice count")
     T = Fraction(T)
+    if T <= 0:
+        raise ValueError("total_time: must be positive")
     eps = Fraction(T, m + 1)
     a = m // 2
     value = eps * eps * (4 * a * (m - a) + m)

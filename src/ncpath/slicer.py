@@ -354,8 +354,12 @@ def alpha_sweep(params: PhysicsParams, total_time: float, alphas, m_values,
     m_values = [int(m) for m in m_values]
     if len(alphas) < 2:
         raise ValueError("alphas: need at least two ordering indices")
+    if len(set(alphas)) < len(alphas):
+        raise ValueError("alphas: ordering indices must be distinct")
     if len(m_values) < 3:
         raise ValueError("m_values: need at least three slice counts for a fit")
+    if len(set(m_values)) < len(m_values):
+        raise ValueError("m_values: slice counts must be distinct")
     if probe.norm() == 0:
         raise ValueError("probe: degenerate (zero norm)")
 

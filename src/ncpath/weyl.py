@@ -128,7 +128,7 @@ def symbol_of_operator(K: OperatorKernel, alpha) -> PhaseSpaceSymbol:
 
 
 def shifted_potential_symbol(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceGrid,
-                             alpha) -> PhaseSpaceSymbol:
+                             alpha, shifted=None) -> PhaseSpaceSymbol:
     """α-symbol of V(X+θK) along the closed-form route.
 
     Exchanging the order of integration collapses the intermediate momentum
@@ -141,6 +141,9 @@ def shifted_potential_symbol(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceG
     the would-be α-dependence is erased at rounding level.  The route
     divides by (α + 1/2) and is therefore unavailable at α = -1/2, where
     the defining integral (symbol_of_operator) remains regular.
+
+    Only the exponential depends on α: a caller that already holds the table
+    V(x + θk), indexed [k, x], passes it as `shifted` and it is not rebuilt.
     """
     a = _alpha_value(alpha)
     if a == -0.5:
@@ -150,7 +153,9 @@ def shifted_potential_symbol(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceG
     shifts = theta.shift(grid.k_points)  # (k, N)
     twist = np.einsum("kj,kj->k", grid.k_points, shifts)  # k·θk: cancels exactly
     factor = np.exp(-1j * twist / (grid.hbar * (a + 0.5)))
-    values = V(grid.x_points[None, :, :] + shifts[:, None, :]) * factor[:, None]
+    if shifted is None:
+        shifted = V(grid.x_points[None, :, :] + shifts[:, None, :])
+    values = shifted * factor[:, None]
     return PhaseSpaceSymbol(values.astype(complex), grid)
 
 
@@ -199,7 +204,8 @@ def verify_alpha_washout(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceGrid,
                                         grid.k_points[:, None, :])
     scale = float(np.max(np.abs(target))) if target.size else 0.0
     if method == "closed_form":
-        symbols = [shifted_potential_symbol(V, theta, grid, a) for a in alphas]
+        symbols = [shifted_potential_symbol(V, theta, grid, a, shifted=target)
+                   for a in alphas]
     else:
         kernel = potential_operator_kernel(V, theta, grid)
         symbols = [symbol_of_operator(kernel, a) for a in alphas]

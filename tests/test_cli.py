@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -403,3 +404,105 @@ def test_symbol_artifact_bytes_match_literal_rendering(config_path, tmp_path):
     assert plain.read_bytes() == expected.encode()
     assert with_summary.read_bytes() == expected.encode()
     assert json.loads(summary.read_text())["rows"] == rows
+
+
+@pytest.fixture
+def forked_formatting(monkeypatch):
+    """Put every table on the fork path of `_formatted_rows`: three row ranges,
+    small blocks and small copy chunks that end mid-line.  Returns the child pids."""
+    import ncpath.cli
+
+    children = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    monkeypatch.setattr(ncpath.cli, "_MIN_RANGE_VALUES", 1)
+    monkeypatch.setattr(ncpath.cli, "_BLOCK_VALUES", 300)
+    monkeypatch.setattr(ncpath.cli, "_COPY_CHARS", 1000)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return children
+
+
+def test_kernel_artifact_bytes_on_the_fork_path(config_path, tmp_path, capsys,
+                                                 forked_formatting):
+    test_kernel_artifact_bytes_match_literal_rendering(config_path, tmp_path, capsys)
+    assert len(forked_formatting) == 4  # two children for --out, two for stdout
+
+
+def test_kernel_special_values_on_the_fork_path(tmp_path, monkeypatch, capsys,
+                                                forked_formatting):
+    test_kernel_artifact_spells_special_values_like_the_literal(tmp_path, monkeypatch, capsys)
+    assert len(forked_formatting) == 1  # two rows: one for this process, one for a child
+
+
+def test_symbol_artifact_bytes_on_the_fork_path(config_path, tmp_path, forked_formatting):
+    test_symbol_artifact_bytes_match_literal_rendering(config_path, tmp_path)
+    assert len(forked_formatting) == 4  # two children for each of the two runs
+
+
+@pytest.mark.parametrize("missing", ["one core", "os.fork", "os.sched_getaffinity"])
+def test_formatting_stays_serial_without_a_second_core_or_fork(
+        config_path, tmp_path, capsys, monkeypatch, missing):
+    import ncpath.cli
+
+    monkeypatch.setattr(ncpath.cli, "_MIN_RANGE_VALUES", 1)
+    if missing == "one core":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked on one core"))
+    else:
+        monkeypatch.delattr(missing, raising=False)
+    test_kernel_artifact_bytes_match_literal_rendering(config_path, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("failure", ["raises", "killed"])
+def test_failed_formatting_child_exits_non_zero(config_path, tmp_path, capsys, monkeypatch,
+                                                forked_formatting, failure):
+    import signal
+
+    import ncpath.cli
+
+    original = ncpath.cli._format_range
+
+    def failing_in_children(fmt, table, start, stop):
+        if start > 0:  # a later range: only children format those
+            if failure == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("formatting failed")
+        return original(fmt, table, start, stop)
+
+    monkeypatch.setattr(ncpath.cli, "_format_range", failing_in_children)
+    out = tmp_path / "kernel.txt"
+    args = ("kernel", "--config", config_path, "--m", "2", "--alpha", "0.3")
+    assert _run_in_process(*args, "--out", str(out)) == 2
+    assert "worker" in capsys.readouterr().err
+    assert _run_in_process(*args) == 2
+    captured = capsys.readouterr()
+    assert "worker" in captured.err
+    assert len(captured.out.splitlines()) < 1 + 64  # the rows stop at the failed range
+    assert len(forked_formatting) == 4
+    for pid in forked_formatting:  # every child was reaped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.parametrize("flag, value, key", [("--alphas", "0.5,0.5", "alphas"),
+                                              ("--m-list", "4,4,4", "m_values")])
+def test_alpha_sweep_rejects_repeated_values(config_path, flag, value, key):
+    result = run_cli("alpha-sweep", "--config", config_path, flag, value)
+    assert result.returncode == 2
+    assert f"{key}: " in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("total_time", ["0", "-1"])
+def test_limit_check_rejects_non_positive_total_time(total_time):
+    result = run_cli("limit-check", "--total-time", total_time)
+    assert result.returncode == 2
+    assert "total_time: must be positive" in result.stderr
+    assert result.stdout == ""

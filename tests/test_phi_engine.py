@@ -431,6 +431,13 @@ def test_midslice_limit_rejects_odd():
         midslice_limit_check(3, F(1))
 
 
+@pytest.mark.parametrize("T", [F(0), F(-1)])
+def test_midslice_limit_rejects_non_positive_duration(T):
+    # at T = 0 the check would compare 0 with 0 and pass vacuously
+    with pytest.raises(ValueError, match="total_time: must be positive"):
+        midslice_limit_check(2, T)
+
+
 def test_midslice_limit_scales_with_duration():
     value, error = midslice_limit_check(4, F(3))
     assert value == F(9) * F(4, 5)

@@ -397,6 +397,17 @@ def test_alpha_sweep_rejects_degenerate_probe(small2d):
         alpha_sweep(params, 1.0, [0.5, -0.5], [1, 2, 4], V, theta, grid, zero_probe)
 
 
+@pytest.mark.parametrize("alphas, m_values, key", [([0.5, 0.5], [1, 2, 4], "alphas"),
+                                                   ([0.5, -0.5, 0.5], [1, 2, 4], "alphas"),
+                                                   ([0.5, -0.5], [4, 4, 4], "m_values"),
+                                                   ([0.5, -0.5], [1, 2, 4, 2], "m_values")])
+def test_alpha_sweep_rejects_repeated_values(small2d, alphas, m_values, key):
+    # a repeated α gives a zero spread and a repeated m a degenerate fit
+    params, grid, theta, V = small2d
+    with pytest.raises(ValueError, match=f"{key}: .* must be distinct"):
+        alpha_sweep(params, 1.0, alphas, m_values, V, theta, grid, gaussian_packet(grid))
+
+
 def test_linear_potential_midpoint_sweep():
     # a linear potential's slice-point sensitivity is a pure O(ε) phase
     params = PhysicsParams(dim=2)

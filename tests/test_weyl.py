@@ -146,6 +146,23 @@ def test_washout_closed_form_quartic():
     assert report.max_pairwise_relative < 1e-6
 
 
+def test_closed_form_washout_evaluates_the_potential_once(monkeypatch):
+    # only the k·θk factor depends on α: the V(x+θk) table is built once
+    grid = PhaseSpaceGrid(8, 4.0, 2)
+    theta = ThetaMatrix.single_block(2, 0.1)
+    V = Potential.quartic(1.0, dim=2)
+    alphas = [-0.4, 0.0, 0.4]
+    rebuilt = [shifted_potential_symbol(V, theta, grid, a).values for a in alphas]
+    calls = []
+    original = Potential.__call__
+    monkeypatch.setattr(Potential, "__call__",
+                        lambda self, u: calls.append(1) or original(self, u))
+    report = verify_alpha_washout(V, theta, grid, alphas)
+    assert len(calls) == 1
+    for sym, values in zip(report.symbols, rebuilt):
+        assert np.array_equal(sym.values, values)
+
+
 def test_closed_form_rejects_endpoint():
     grid = PhaseSpaceGrid(8, 4.0, 2)
     theta = ThetaMatrix.single_block(2, 0.1)
