@@ -50,12 +50,25 @@ def _csv_line(row) -> str:
 
 
 def _write_lines(path, lines):
-    """Stream newline-terminated lines to path, or to stdout without a path."""
-    if path:
+    """Stream newline-terminated lines to path, or to stdout without a path; a
+    regular file is written beside itself and renamed into place once whole."""
+    if not path:
+        sys.stdout.writelines(lines)
+        return
+    if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(lines)
-    else:
-        sys.stdout.writelines(lines)
+        return
+    target = os.path.realpath(path)  # through a symlink, as open() writes
+    partial = f"{target}.{os.getpid()}.tmp"
+    fh = open(partial, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.writelines(lines)
+        os.replace(partial, target)
+    except BaseException:
+        os.remove(partial)
+        raise
 
 
 _BLOCK_VALUES = 4096          # table values formatted per `%` call

@@ -250,29 +250,34 @@ def _gather_block(table, parts, o: int):
     return table.reshape(-1)[flat]
 
 
-def _circulant_blocks(grid: PhaseSpaceGrid, multiplier, norm: float):
-    """Yield (rows, block): the circulant entries of one `_row_blocks` slice.
+def _symbol_entries(grid: PhaseSpaceGrid, symbol):
+    """The standard-ordered kernel (2πħ)^{-N} Σ_k Δk^N f(k, y) e^{(i/ħ) k·(y - y')}.
 
-    An entry is norm·Σ_k f(k) e^{(i/ħ) k·(x_out - x_in)}, the position
-    kernel of a multiplier f on the k-lattice (values in grid.k_points
-    order): one centered transform χ, gathered by per-axis offset
-    (n_out - n_in) mod G.
+    symbol(k, y) is called with k of shape (1, n, N) and one `_row_blocks`
+    slice of row points y, shape (G^{N-1}, 1, N).  Each row's χ_y, the
+    centered transform of f(·, y), is gathered by per-axis offset
+    (n_y - n_y') mod G into its row.  For N ≥ 2 a symbol that returns one
+    row for a block of several is free of y: its one χ serves every block.
     """
-    G, N = grid.points_per_axis, grid.dim
-    chi = _centered_fft(multiplier.reshape(grid.shape), +1, range(N))
-    diff = _index_difference_table(grid)
-    parts = [_pair_axes(diff * G ** (N - 1 - a), (a, N + a), 2 * N) for a in range(N)]
+    G, N, n = grid.points_per_axis, grid.dim, grid.size
+    diff, pos = _index_difference_table(grid), np.arange(G)
+    offsets = [_pair_axes(diff * G ** (N - 1 - a), (a, N + a), 2 * N) for a in range(N)]
+    # a block's row r, its flat index over output axes 1 … N-1, starts at r·n in χ
+    row_part = [_pair_axes(pos * (n * G ** (N - 1 - a)), (a,), 2 * N) for a in range(1, N)]
+    norm = grid.momentum_cell_volume * (2.0 * np.pi * grid.hbar) ** (-N)
+    entries = np.empty((n, n), dtype=complex)
+    shared = None
     for o, rows in enumerate(_row_blocks(grid)):
-        block = _gather_block(chi, parts, o).reshape(-1, grid.size)
+        chi = shared
+        if chi is None:
+            chi = _centered_fft(np.reshape(symbol(grid.k_points[None], grid.x_points[rows, None]),
+                                           (-1,) + grid.shape), +1, range(1, N + 1))
+            if N > 1 and len(chi) == 1:
+                shared = chi
+        block = entries[rows]
+        block[...] = _gather_block(chi, offsets if len(chi) == 1 else offsets + row_part,
+                                   o).reshape(block.shape)
         block *= norm
-        yield rows, block
-
-
-def _circulant_entries(grid: PhaseSpaceGrid, multiplier, norm: float):
-    """The n×n circulant kernel of `_circulant_blocks`, filled block by block."""
-    entries = np.empty((grid.size, grid.size), dtype=complex)
-    for rows, block in _circulant_blocks(grid, multiplier, norm):
-        entries[rows] = block
     return entries
 
 

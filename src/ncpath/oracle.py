@@ -24,44 +24,41 @@ import time
 import numpy as np
 
 from .core import (
+    GridMismatchError,
     PhaseSpaceGrid,
     PhysicsParams,
     Potential,
     ThetaMatrix,
-    _circulant_blocks,
-    _circulant_entries,
     _require_dense_size,
     _row_blocks,
+    _symbol_entries,
+    realize_hamiltonian_symbol,
 )
 from .slicer import PropagatorKernel, SlicingConfig, propagate
-from .star import ComplexField, OperatorKernel, potential_operator_kernel
-
-
-def _kinetic_multiplier(grid: PhaseSpaceGrid, params: PhysicsParams):
-    """(k²/2M on the k-lattice, the circulant norm (2πħ)^{-N} Δk^N)."""
-    norm = grid.momentum_cell_volume * (2.0 * np.pi * grid.hbar) ** (-grid.dim)
-    return np.sum(grid.k_points**2, axis=-1) / (2.0 * params.mass), norm
+from .star import ComplexField, OperatorKernel
 
 
 def kinetic_operator_kernel(grid: PhaseSpaceGrid, params: PhysicsParams) -> OperatorKernel:
     """⟨y|K²/(2M)|y'⟩: diagonal in momentum, circulant in position; grids of
     more than 4096 lattice points are refused."""
     _require_dense_size(grid)
-    return OperatorKernel(_circulant_entries(grid, *_kinetic_multiplier(grid, params)), grid)
+    return OperatorKernel(_symbol_entries(
+        grid, lambda k, y: np.sum(k**2, axis=-1) / (2.0 * params.mass)), grid)
 
 
 def build_hamiltonian_matrix(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceGrid,
                              params: PhysicsParams) -> OperatorKernel:
     """Dense lattice Hamiltonian kernel; guarded to G^N ≤ 4096.
 
-    The kinetic circulant is added into the potential kernel in place, one
-    row block of n²/G entries at a time, so H is the only n×n array.
+    The standard-ordered kernel of h(k, y) = k·k/2M + V(y + θk)
+    (`core.realize_hamiltonian_symbol`), built one row block of n²/G
+    entries at a time, so H is the only n×n array.
     """
+    if theta.dim != grid.dim or V.dim != grid.dim:
+        raise GridMismatchError("potential/theta dimensions do not match the grid")
     _require_dense_size(grid)
-    H = potential_operator_kernel(V, theta, grid)
-    for rows, block in _circulant_blocks(grid, *_kinetic_multiplier(grid, params)):
-        H.entries[rows] += block
-    return H
+    return OperatorKernel(_symbol_entries(grid, realize_hamiltonian_symbol(V, theta, params)),
+                          grid)
 
 
 def _hermitian_part(H: OperatorKernel):

@@ -23,7 +23,7 @@ the quantitative face of ordering independence in the continuum limit.
 
 A slice is built by one of three routes, chosen in this order:
 
-- V = 0: the circulant kernel of the kinetic multiplier (α and θ unused).
+- V = 0: one transform of the kinetic phase, gathered by offset (α, θ unused).
 - V = Σ_b V_b(u_b) a sum of one-axis terms and θ with at most one nonzero
   per row: V_b's argument is x̄_b + θ_{b,σ(b)} k_{σ(b)}, so the integrand,
   its ±K fold and the momentum sum factor over axes.  Each axis needs one
@@ -53,11 +53,11 @@ from .core import (
     ThetaMatrix,
     _anchored_entries,
     _centered_fft,
-    _circulant_entries,
     _gather_block,
     _index_difference_table,
     _pair_axes,
     _require_dense_size,
+    _symbol_entries,
 )
 from .star import ComplexField, OperatorKernel
 
@@ -127,16 +127,16 @@ def short_time_propagator(cfg: SlicingConfig, V: Potential, theta: ThetaMatrix,
 
     Three routes build the same entries; the first that applies is taken.
 
-    - V = 0: the circulant kernel of the kinetic multiplier, which never
-      touches α or θ.
+    - V = 0: the standard-ordered kernel of the kinetic phase
+      (`core._symbol_entries`), which never touches α or θ.
     - V a sum of one-axis terms (`Potential.axis_terms`) and θ pairing the
       axes (`ThetaMatrix.axis_pairing`): the factorized route, one table of
       1-D momentum transforms per axis, at any α.
     - Otherwise the grouped builder: pairs (x_out, x_in) are grouped by
-      their per-axis slice point x̄(α) (exact integer arithmetic for
-      α ∈ {0, ±1/2}), and each leading-axis slice point is one pass of
-      batched momentum-lattice transforms over the other axes' slice
-      points, at most G^N of them per batch.
+      their per-axis slice point x̄(α) (coordinates rounded to 12
+      decimals), and each leading-axis slice point is one pass of batched
+      momentum-lattice transforms over the other axes' slice points, at
+      most G^N of them per batch.
 
     Grids of more than 4096 lattice points are refused before any n×n build.
     """
@@ -158,9 +158,8 @@ def short_time_propagator(cfg: SlicingConfig, V: Potential, theta: ThetaMatrix,
     norm = grid.momentum_cell_volume * (2.0 * np.pi * hbar) ** (-grid.dim)
 
     if V.is_zero:
-        k2 = np.sum(grid.k_points**2, axis=-1)
-        kin = np.exp(-1j * eps * k2 / (2.0 * params.mass * hbar))
-        return PropagatorKernel(_circulant_entries(grid, kin, norm), grid, cfg)
+        return PropagatorKernel(_symbol_entries(grid, lambda k, y: np.exp(
+            -1j * eps * np.sum(k**2, axis=-1) / (2.0 * params.mass * hbar))), grid, cfg)
 
     terms, pairing = V.axis_terms(), theta.axis_pairing()
     if terms is not None and pairing is not None:
@@ -218,24 +217,14 @@ def _slice_points(cfg, grid):
     """(svals, slot): the distinct per-axis slice-point coordinates x̄(α) and,
     for each per-axis pair (n_out, n_in), the position of its x̄ in svals."""
     G = grid.points_per_axis
-    two_alpha = 2.0 * cfg.alpha
     n = grid.index_axis
-    if float(two_alpha).is_integer():
-        # x̄ per axis = (a2·n_out + b2·n_in)·Δx/2 with integer a2, b2 ≥ 0
-        a2 = int(round(1 + two_alpha))
-        b2 = int(round(1 - two_alpha))
-        svals, slot = np.unique(a2 * n[:, None] + b2 * n[None, :], return_inverse=True)
-        svals = svals * grid.dx / 2.0
-    else:
-        wa = 0.5 + cfg.alpha  # weight on x_out
-        wb = 0.5 - cfg.alpha  # weight on x_in
-        mids = ((wa * n[:, None] + wb * n[None, :]) * grid.dx).reshape(-1)
-        # group on rounded coordinates, but evaluate V at a member's unrounded
-        # x̄: the rounding itself would move V's argument by up to 5e-13
-        _, first, slot = np.unique(np.round(mids, 12), return_index=True,
-                                   return_inverse=True)
-        svals = mids[first]
-    return svals, slot.reshape(G, G)
+    wa = 0.5 + cfg.alpha  # weight on x_out
+    wb = 0.5 - cfg.alpha  # weight on x_in
+    mids = ((wa * n[:, None] + wb * n[None, :]) * grid.dx).reshape(-1)
+    # group on rounded coordinates, but evaluate V at a member's unrounded
+    # x̄: the rounding itself would move V's argument by up to 5e-13
+    _, first, slot = np.unique(np.round(mids, 12), return_index=True, return_inverse=True)
+    return mids[first], slot.reshape(G, G)
 
 
 def _grouped_slice(cfg, V, theta, grid):

@@ -36,10 +36,11 @@ from .core import (
     PhaseSpaceGrid,
     Potential,
     ThetaMatrix,
-    _anchored_entries,
     _centered_fft,
     _require_dense_size,
     _row_blocks,
+    _symbol_entries,
+    evaluate_potential_shifted,
 )
 
 if TYPE_CHECKING:
@@ -237,25 +238,17 @@ def potential_operator_kernel(V: Potential, theta: ThetaMatrix,
     """Position-space kernel ⟨y|V(X+θK)|y'⟩ on the lattice.
 
     The shifted potential is evaluated at the row point y, so this is the
-    standard-ordered (x̄ = y) kernel: an entry is χ_y at the offset
-    (n_y - n_y') mod G, with χ_y the centered transform of V(y + θk) over
-    the momentum window.  For real V it is Hermitian when θ = 0 or V has
-    degree ≤ 2; otherwise (quartic V, θ ≠ 0) its deviation from
-    Hermiticity is of first order in θ.  θ = 0 gives diag(V(y))/Δx^N.
-    Grids of more than 4096 lattice points are refused.
+    standard-ordered kernel of f(k, y) = V(y + θk) (`core._symbol_entries`):
+    an entry is χ_y at the offset (n_y - n_y') mod G, with χ_y the centered
+    transform of V(y + θk) over the momentum lattice.  For real V it is
+    Hermitian when θ = 0 or V has degree ≤ 2; otherwise (quartic V, θ ≠ 0)
+    its deviation from Hermiticity is of first order in θ.  θ = 0 gives
+    diag(V(y))/Δx^N.  Grids of more than 4096 lattice points are refused.
     """
     if theta.dim != grid.dim or V.dim != grid.dim:
         raise GridMismatchError("potential/theta dimensions do not match the grid")
     _require_dense_size(grid)
     if theta.is_zero:
         return OperatorKernel(np.diag(V(grid.x_points) / grid.cell_volume).astype(complex), grid)
-    shifts = theta.shift(grid.k_points)
-
-    def chi_of(y):
-        vvals = V(y[:, None, :] + shifts[None, :, :]).reshape((-1,) + grid.shape)
-        return _centered_fft(vvals, +1, range(-grid.dim, 0)).reshape(y.shape[0], grid.size)
-
-    rows = np.indices((grid.points_per_axis,) * 2)[0]  # the anchor of (y, y') is y
-    entries = _anchored_entries(grid, grid.x_axis, rows, chi_of)
-    entries *= grid.momentum_cell_volume * (2.0 * np.pi * grid.hbar) ** (-grid.dim)
-    return OperatorKernel(entries, grid)
+    return OperatorKernel(_symbol_entries(
+        grid, lambda k, y: evaluate_potential_shifted(V, theta, y, k)), grid)

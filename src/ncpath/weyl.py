@@ -35,9 +35,9 @@ from .core import (
     Potential,
     ThetaMatrix,
     _centered_fft,
-    _circulant_entries,
     _pair_table,
     _require_dense_size,
+    _symbol_entries,
     evaluate_potential_shifted,
 )
 from .star import OperatorKernel, potential_operator_kernel
@@ -303,7 +303,6 @@ def symmetrized_position_momentum_kernel(grid: PhaseSpaceGrid,
     """
     if grid.dim != 1:
         raise ValueError("control operator is defined for one-dimensional grids")
-    norm = grid.momentum_cell_volume / (2.0 * np.pi * grid.hbar)
-    momentum = _circulant_entries(grid, grid.k_points[:, 0], norm)
+    momentum = _symbol_entries(grid, lambda k, y: k[..., 0])
     mid = 0.5 * (grid.x_points[:, None, 0] + grid.x_points[None, :, 0])
     return OperatorKernel(momentum * mid, grid)

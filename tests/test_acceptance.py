@@ -152,8 +152,9 @@ def test_criterion_6_kernel_alpha_sweep(sweep_setup):
     t0 = time.perf_counter()
     params, grid, theta, V = sweep_setup
     probe = nc.gaussian_packet(grid)
-    result = nc.alpha_sweep(params, 1.0, [0.5, -0.5], [4, 8, 16, 32], V, theta,
-                            grid, probe)
+    with pytest.warns(UserWarning, match="momentum edge"):  # m = 4 slices coarsely
+        result = nc.alpha_sweep(params, 1.0, [0.5, -0.5], [4, 8, 16, 32], V, theta,
+                                grid, probe)
     elapsed = time.perf_counter() - t0
     slope_ok = -1.2 <= result.slope <= -0.8
     residual_ok = result.residual < 0.1
@@ -182,20 +183,23 @@ def test_criterion_8_free_particle_exactness():
     Vz = nc.Potential.zero(2)
     bitwise = True
     grid32 = nc.PhaseSpaceGrid(32, 7.0, 2)
-    for m in (0, 2, 7):
-        base = nc.short_time_propagator(nc.SlicingConfig(m, 1.0, -0.5, params),
-                                        Vz, theta, grid32)
-        for alpha in (-0.3, 0.0, 0.25, 0.5):
-            other = nc.short_time_propagator(nc.SlicingConfig(m, 1.0, alpha, params),
-                                             Vz, theta, grid32)
-            bitwise = bitwise and np.array_equal(base.entries, other.entries)
+    # these slices are coarse on purpose: each spans T/(m+1) of a long interval
+    with pytest.warns(UserWarning, match="momentum edge"):
+        for m in (0, 2, 7):
+            base = nc.short_time_propagator(nc.SlicingConfig(m, 1.0, -0.5, params),
+                                            Vz, theta, grid32)
+            for alpha in (-0.3, 0.0, 0.25, 0.5):
+                other = nc.short_time_propagator(nc.SlicingConfig(m, 1.0, alpha, params),
+                                                 Vz, theta, grid32)
+                bitwise = bitwise and np.array_equal(base.entries, other.entries)
 
     grid64 = nc.PhaseSpaceGrid(64, 8.0, 2)
     T, sigma = 0.5, 1.0
-    k_a = nc.short_time_propagator(nc.SlicingConfig(0, T, 0.0, params), Vz, theta,
-                                   grid64)
-    k_b = nc.short_time_propagator(nc.SlicingConfig(0, T, 0.5, params), Vz, theta,
-                                   grid64)
+    with pytest.warns(UserWarning, match="momentum edge"):
+        k_a = nc.short_time_propagator(nc.SlicingConfig(0, T, 0.0, params), Vz, theta,
+                                       grid64)
+        k_b = nc.short_time_propagator(nc.SlicingConfig(0, T, 0.5, params), Vz, theta,
+                                       grid64)
     bitwise = bitwise and np.array_equal(k_a.entries, k_b.entries)
     psi = nc.gaussian_packet(grid64, width=sigma)
     action = k_a.apply(psi)

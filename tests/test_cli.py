@@ -481,6 +481,9 @@ def test_failed_formatting_child_exits_non_zero(config_path, tmp_path, capsys, m
     args = ("kernel", "--config", config_path, "--m", "2", "--alpha", "0.3")
     assert _run_in_process(*args, "--out", str(out)) == 2
     assert "worker" in capsys.readouterr().err
+    # the artifact is whole or absent, and its temporary file is gone
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
     assert _run_in_process(*args) == 2
     captured = capsys.readouterr()
     assert "worker" in captured.err
@@ -489,6 +492,27 @@ def test_failed_formatting_child_exits_non_zero(config_path, tmp_path, capsys, m
     for pid in forked_formatting:  # every child was reaped
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
+
+
+def test_artifact_writes_through_a_symlink_and_into_a_pipe(config_path, tmp_path):
+    import threading
+
+    args = ("kernel", "--config", config_path, "--m", "2", "--alpha", "0.3")
+    plain = tmp_path / "plain.txt"
+    assert _run_in_process(*args, "--out", str(plain)) == 0
+    real, link = tmp_path / "real.txt", tmp_path / "link.txt"
+    real.write_text("stale\n")
+    link.symlink_to(real)
+    assert _run_in_process(*args, "--out", str(link)) == 0
+    assert link.is_symlink() and real.read_bytes() == plain.read_bytes()
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert _run_in_process(*args, "--out", str(fifo)) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive() and received == [plain.read_bytes()]
 
 
 @pytest.mark.parametrize("flag, value, key", [("--alphas", "0.5,0.5", "alphas"),

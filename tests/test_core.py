@@ -228,7 +228,7 @@ def _literal_symbol_half(A, grid):
 
 @pytest.mark.parametrize("G, N", [(5, 1), (7, 2), (4, 3)])
 def test_lattice_kernels_on_odd_and_3d_grids_match_literal_sums(G, N):
-    from ncpath.oracle import kinetic_operator_kernel
+    from ncpath.oracle import build_hamiltonian_matrix, kinetic_operator_kernel
     from ncpath.slicer import SlicingConfig, short_time_propagator
     from ncpath.star import OperatorKernel, potential_operator_kernel
     from ncpath.weyl import symbol_of_operator
@@ -242,12 +242,16 @@ def test_lattice_kernels_on_odd_and_3d_grids_match_literal_sums(G, N):
     free = short_time_propagator(cfg, Potential.zero(N), ThetaMatrix.zero(N), grid).entries
     expected = _literal_momentum_sum(grid, np.exp(-1j * cfg.epsilon * k2 / (2.6 * 0.7)))
     assert np.max(np.abs(free - expected)) < 1e-12
-    if N > 1:  # V(Y + θK) with θ pairing the first two axes
-        theta = ThetaMatrix.single_block(N, 0.3)
-        V = Potential.quartic(0.05, dim=N)
-        shifted = V(grid.x_points[:, None, :] + theta.shift(grid.k_points)[None, :, :])
-        potential = potential_operator_kernel(V, theta, grid).entries
-        assert np.max(np.abs(potential - _literal_momentum_sum(grid, shifted))) < 1e-12
+    # V(Y + θK) with θ pairing the first two axes (θ = 0 in one dimension)
+    theta = ThetaMatrix.single_block(N, 0.3 if N > 1 else 0.0)
+    V = Potential.quartic(0.05, dim=N)
+    shifted = V(grid.x_points[:, None, :] + theta.shift(grid.k_points)[None, :, :])
+    potential = potential_operator_kernel(V, theta, grid).entries
+    assert np.max(np.abs(potential - _literal_momentum_sum(grid, shifted))) < 1e-12
+    # H: one transform of k·k/2M + V(y + θk) per row, not the sum of two kernels
+    H = build_hamiltonian_matrix(V, theta, grid, params).entries
+    assert np.max(np.abs(H - _literal_momentum_sum(grid, k2 / 2.6 + shifted))) < 1e-12
+    assert np.max(np.abs(H - (kinetic + potential))) <= 1e-13 * np.max(np.abs(H))
     rng = np.random.default_rng(G + 10 * N)
     A = rng.standard_normal((grid.size,) * 2) + 1j * rng.standard_normal((grid.size,) * 2)
     symbol = symbol_of_operator(OperatorKernel(A, grid), 0.5).values

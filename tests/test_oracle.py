@@ -337,8 +337,8 @@ def _hamiltonian_then_evolve(V, theta, grid, params):
 
 @pytest.mark.parametrize("prepare,bound", [
     (lambda V, theta, grid, params: lambda: kinetic_operator_kernel(grid, params), 1.25),
-    # the potential kernel's own gather sets this peak; the kinetic circulant
-    # is added into it in place
+    # beside the output sit one row block's h(k, y) values and transforms,
+    # then that block's gathered entries
     (lambda V, theta, grid, params: lambda: build_hamiltonian_matrix(V, theta, grid, params),
      1.5),
     (_hamiltonian_then_evolve, 1.25),

@@ -146,8 +146,9 @@ def test_factorized_slice_matches_point_builders(dim, form, alpha):
 def test_zero_potential_kernels_bitwise_alpha_independent(small2d):
     params, grid, theta, _ = small2d
     Vz = Potential.zero(2)
-    kernels = [short_time_propagator(SlicingConfig(m, 1.0, a, params), Vz, theta, grid)
-               for m in (0, 2, 7) for a in (-0.5, -0.3, 0.0, 0.5)]
+    with pytest.warns(UserWarning, match="momentum edge"):  # m = 0 is coarse
+        kernels = [short_time_propagator(SlicingConfig(m, 1.0, a, params), Vz, theta, grid)
+                   for m in (0, 2, 7) for a in (-0.5, -0.3, 0.0, 0.5)]
     for m_idx in range(3):
         base = kernels[4 * m_idx].entries
         for j in range(1, 4):
@@ -169,7 +170,8 @@ def test_free_kernel_probe_action_matches_analytic_gaussian():
     grid = PhaseSpaceGrid(64, 8.0, 2)
     T, sigma = 0.5, 1.0
     cfg = SlicingConfig(0, T, 0.0, params)
-    K = short_time_propagator(cfg, Potential.zero(2), ThetaMatrix.zero(2), grid)
+    with pytest.warns(UserWarning, match="momentum edge"):  # one slice of the whole T
+        K = short_time_propagator(cfg, Potential.zero(2), ThetaMatrix.zero(2), grid)
     psi = gaussian_packet(grid, width=sigma)
     action = K.apply(psi)
     z = 1.0 + 1j * params.hbar * T / (2.0 * params.mass * sigma**2)
@@ -205,8 +207,9 @@ def test_compose_semigroup_free_particle():
     grid = PhaseSpaceGrid(16, 6.0, 2)
     Vz = Potential.zero(2)
     tz = ThetaMatrix.zero(2)
-    K_eps = short_time_propagator(SlicingConfig(0, 0.25, 0.0, params), Vz, tz, grid)
-    K_2eps = short_time_propagator(SlicingConfig(0, 0.5, 0.0, params), Vz, tz, grid)
+    with pytest.warns(UserWarning, match="momentum edge"):  # one slice each
+        K_eps = short_time_propagator(SlicingConfig(0, 0.25, 0.0, params), Vz, tz, grid)
+        K_2eps = short_time_propagator(SlicingConfig(0, 0.5, 0.0, params), Vz, tz, grid)
     composed = compose(K_eps, K_eps)
     assert np.max(np.abs(composed.entries - K_2eps.entries)) < 1e-8
 
@@ -223,8 +226,9 @@ def test_compose_halves_match_direct_build(small2d):
 
 def test_compose_associative(small2d):
     params, grid, theta, V = small2d
-    ks = [short_time_propagator(SlicingConfig(0, t, 0.0, params), V, theta, grid)
-          for t in (0.3, 0.5, 0.7)]
+    with pytest.warns(UserWarning, match="momentum edge"):  # one slice each
+        ks = [short_time_propagator(SlicingConfig(0, t, 0.0, params), V, theta, grid)
+              for t in (0.3, 0.5, 0.7)]
     left = compose(compose(ks[0], ks[1]), ks[2])
     right = compose(ks[0], compose(ks[1], ks[2]))
     assert np.max(np.abs(left.entries - right.entries)) < 1e-10
@@ -233,8 +237,9 @@ def test_compose_associative(small2d):
 def test_full_kernel_m_zero_is_single_slice(small2d):
     params, grid, theta, V = small2d
     cfg = SlicingConfig(0, 0.8, 0.2, params)
-    assert np.array_equal(full_kernel(cfg, V, theta, grid).entries,
-                          short_time_propagator(cfg, V, theta, grid).entries)
+    with pytest.warns(UserWarning, match="momentum edge"):  # one slice of the whole T
+        assert np.array_equal(full_kernel(cfg, V, theta, grid).entries,
+                              short_time_propagator(cfg, V, theta, grid).entries)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.0, 0.3])
@@ -255,8 +260,10 @@ def test_propagate_m_zero_is_slice_action(small2d):
     params, grid, theta, V = small2d
     cfg = SlicingConfig(0, 0.8, 0.3, params)
     probe = gaussian_packet(grid, momentum=(0.2, -0.4))
-    slice_action = short_time_propagator(cfg, V, theta, grid).apply(probe)
-    assert np.array_equal(propagate(cfg, V, theta, grid, probe).values, slice_action.values)
+    with pytest.warns(UserWarning, match="momentum edge"):  # one slice of the whole T
+        slice_action = short_time_propagator(cfg, V, theta, grid).apply(probe)
+        sliced = propagate(cfg, V, theta, grid, probe)
+    assert np.array_equal(sliced.values, slice_action.values)
 
 
 def test_propagate_zero_potential_bitwise_alpha_independent(small2d):
