@@ -61,7 +61,10 @@ def _write_lines(path, lines):
         return
     target = os.path.realpath(path)  # through a symlink, as open() writes
     partial = f"{target}.{os.getpid()}.tmp"
-    fh = open(partial, "x", encoding="utf-8")
+    try:
+        fh = open(partial, "x", encoding="utf-8")
+    except OSError as exc:  # name the --out path, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from exc
     try:
         with fh:
             fh.writelines(lines)

@@ -52,11 +52,17 @@ def build_hamiltonian_matrix(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceG
 
     The standard-ordered kernel of h(k, y) = k·k/2M + V(y + θk)
     (`core.realize_hamiltonian_symbol`), built one row block of n²/G
-    entries at a time, so H is the only n×n array.
+    entries at a time, so H is the only n×n array.  At θ = 0 the potential
+    part is diag(V(y))/Δx^N, added to the kinetic kernel's diagonal, as
+    in `star.potential_operator_kernel`.
     """
     if theta.dim != grid.dim or V.dim != grid.dim:
         raise GridMismatchError("potential/theta dimensions do not match the grid")
     _require_dense_size(grid)
+    if theta.is_zero:
+        H = kinetic_operator_kernel(grid, params)
+        H.entries[np.diag_indices(grid.size)] += V(grid.x_points) / grid.cell_volume
+        return H
     return OperatorKernel(_symbol_entries(grid, realize_hamiltonian_symbol(V, theta, params)),
                           grid)
 

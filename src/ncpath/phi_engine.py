@@ -38,6 +38,7 @@ components i = 0..N-1; μ is labelled a = 1..m; the slice step is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -165,14 +166,16 @@ def d_inverse_entry(m: int, a: int, b: int) -> Fraction:
 
 
 def dense_d_matrix(m: int):
-    """The matrix itself, as exact integers (rows of Fractions)."""
+    """The m×m matrix itself, written out in full as rows of plain ints.
+
+    Every entry is stored, zeros included, so that the dense oracles
+    (`bareiss_determinant`, the audit's product with the closed-form
+    inverse) see a general matrix and not the band.
+    """
     if m < 1:
         raise ValueError("m: need at least one interior slice")
-    return [
-        [Fraction(2) if a == b else (Fraction(-1) if abs(a - b) == 1 else _ZERO)
-         for b in range(m)]
-        for a in range(m)
-    ]
+    return [[2 if a == b else (-1 if abs(a - b) == 1 else 0) for b in range(m)]
+            for a in range(m)]
 
 
 def _d_inverse_padded(m: int, a: int, b: int) -> Fraction:
@@ -607,30 +610,66 @@ class AuditReport:
 
 
 def bareiss_determinant(matrix) -> Fraction:
-    """Exact determinant by fraction-free elimination (audit oracle).
+    """Exact determinant of a square matrix by fraction-free elimination.
 
-    Integer inputs stay integers throughout (every Bareiss division is
-    exact), so the common all-integer case avoids rational overhead.
+    This is the audit's general dense oracle for det D = m + 1: it uses no
+    structure of the matrix.  Entries may be ints, Fractions or anything
+    `Fraction()` takes exactly (floats included).  Each row with a non-int
+    entry is scaled to integers by the lcm of its denominators, and the
+    determinant of the integer matrix is divided by the product of those
+    lcms.  Step k updates each row below the pivot that is nonzero in the
+    pivot column with one sweep over the pivot row's tail,
+    (v·p − f·w) // prev, which Bareiss's identity makes exact.  A row with
+    a 0 there would only be scaled by p/prev; such scalings telescope, so
+    the row is scaled once, when it is next used, and its zero entries are
+    skipped.  A zero pivot is swapped with the first row below it that is
+    nonzero in the pivot column; if there is none the determinant is 0.
+    The 0×0 matrix has determinant 1.
     """
-    rows = [[Fraction(v) for v in row] for row in matrix]
-    integral = all(v.denominator == 1 for row in rows for v in row)
-    a = [[v.numerator for v in row] for row in rows] if integral else rows
+    a = [list(row) for row in matrix]
     n = len(a)
-    sign = 1
-    prev = 1 if integral else Fraction(1)
+    if any(len(row) != n for row in a):
+        raise ValueError(f"matrix: need a square matrix, got {n} rows of lengths "
+                         f"{sorted({len(row) for row in a})}")
+    if not n:
+        return Fraction(1)
+    denominator = 1
+    for r, row in enumerate(a):
+        if not all(type(v) is int for v in row):
+            row = [Fraction(v) for v in row]
+            scale = math.lcm(*(v.denominator for v in row))
+            a[r] = [v.numerator * (scale // v.denominator) for v in row]
+            denominator *= scale
+    # a[r] holds row r as it stood before step seen[r]; divisors[k] is the
+    # divisor of step k (the pivot of step k - 1, and 1 at step 0)
+    sign, divisors, seen = 1, [1], [0] * n
+
+    def catch_up(r, k):
+        s = seen[r]
+        if s < k:
+            a[r][k:] = [v * divisors[k] // divisors[s] if v else 0 for v in a[r][k:]]
+            seen[r] = k
+
     for k in range(n - 1):
-        if a[k][k] == 0:
+        if a[k][k] == 0:  # a row not caught up is a nonzero multiple of its current values
             pivot = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
             if pivot is None:
                 return Fraction(0)
             a[k], a[pivot] = a[pivot], a[k]
+            seen[k], seen[pivot] = seen[pivot], seen[k]
             sign = -sign
+        catch_up(k, k)
+        p, tail, prev = a[k][k], a[k][k + 1:], divisors[k]
         for r in range(k + 1, n):
-            for c in range(k + 1, n):
-                num = a[r][c] * a[k][k] - a[r][k] * a[k][c]
-                a[r][c] = num // prev if integral else num / prev
-        prev = a[k][k]
-    return Fraction(sign * a[n - 1][n - 1])
+            if a[r][k]:
+                catch_up(r, k)
+                row = a[r]
+                f = row[k]
+                row[k + 1:] = [(v * p - f * w) // prev for v, w in zip(row[k + 1:], tail)]
+                seen[r] = k + 1
+        divisors.append(p)
+    catch_up(n - 1, n - 1)
+    return Fraction(sign * a[-1][-1], denominator)
 
 
 def _audit_forms(m: int, sample_alphas, dim: int, theta_value, x_f, x_in,

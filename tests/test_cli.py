@@ -165,6 +165,16 @@ def test_kernel_on_a_grid_too_big_for_a_dense_kernel_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_kernel_into_a_missing_directory_names_the_out_path(config_path, tmp_path, capsys):
+    out = tmp_path / "nodir" / "x.txt"
+    code = _run_in_process("kernel", "--config", config_path, "--m", "1", "--out", str(out))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(out) in err
+    assert ".tmp" not in err
+    assert not out.parent.exists()
+
+
 def test_symbol_on_a_grid_too_big_for_a_dense_table_exits_2(tmp_path, capsys, monkeypatch):
     import ncpath.core
 

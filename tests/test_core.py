@@ -252,6 +252,14 @@ def test_lattice_kernels_on_odd_and_3d_grids_match_literal_sums(G, N):
     H = build_hamiltonian_matrix(V, theta, grid, params).entries
     assert np.max(np.abs(H - _literal_momentum_sum(grid, k2 / 2.6 + shifted))) < 1e-12
     assert np.max(np.abs(H - (kinetic + potential))) <= 1e-13 * np.max(np.abs(H))
+    # θ = 0: diag(V)/Δx^N, alone and added to the kinetic kernel, on a grid with Δx ≠ 1
+    fine = PhaseSpaceGrid(G, 0.3 * G, N, hbar=0.7)
+    unshifted = np.broadcast_to(V(fine.x_points)[:, None], (fine.size,) * 2)
+    V0 = potential_operator_kernel(V, ThetaMatrix.zero(N), fine).entries
+    assert np.max(np.abs(V0 - _literal_momentum_sum(fine, unshifted))) < 1e-12
+    H0 = build_hamiltonian_matrix(V, ThetaMatrix.zero(N), fine, params).entries
+    h0 = np.sum(fine.k_points**2, axis=-1) / 2.6 + unshifted
+    assert np.max(np.abs(H0 - _literal_momentum_sum(fine, h0))) < 1e-12
     rng = np.random.default_rng(G + 10 * N)
     A = rng.standard_normal((grid.size,) * 2) + 1j * rng.standard_normal((grid.size,) * 2)
     symbol = symbol_of_operator(OperatorKernel(A, grid), 0.5).values

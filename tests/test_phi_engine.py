@@ -97,9 +97,11 @@ def test_determinant_closed_form_small():
         d_det(0)
 
 
-@pytest.mark.parametrize("m", range(1, 13))
+@pytest.mark.parametrize("m", [*range(1, 13), 31, 64, 101, 200])
 def test_determinant_matches_dense_expansion(m):
-    assert bareiss_determinant(dense_d_matrix(m)) == d_det(m)
+    dense = dense_d_matrix(m)
+    assert all(type(v) is int for row in dense for v in row)
+    assert bareiss_determinant(dense) == d_det(m)
 
 
 def test_bareiss_handles_rational_singular_and_pivoting():
@@ -107,6 +109,62 @@ def test_bareiss_handles_rational_singular_and_pivoting():
         F(1, 10) - F(1, 12)
     assert bareiss_determinant([[1, 2], [2, 4]]) == 0
     assert bareiss_determinant([[0, 1], [1, 0]]) == -1  # needs a row swap
+    assert bareiss_determinant([]) == 1
+
+
+@pytest.mark.parametrize("matrix", [[[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]],
+                                    [[1, 2], [3]], [[1]] * 2, [[]]])
+def test_bareiss_rejects_non_square_input(matrix):
+    with pytest.raises(ValueError, match="matrix"):
+        bareiss_determinant(matrix)
+
+
+def leibniz_determinant(matrix):
+    """Σ over permutations σ of sign(σ)·Π_r M[r][σ(r)], in Fractions."""
+    n = len(matrix)
+    total = F(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+        term = F(-1) ** inversions
+        for r, c in enumerate(perm):
+            term *= F(matrix[r][c])
+        total += term
+    return total
+
+
+determinant_entries = st.one_of(
+    st.integers(-9, 9),
+    st.builds(F, st.integers(-40, 40), st.integers(1, 12)),
+    st.integers(-64, 64).map(lambda k: k / 16),  # dyadic floats convert exactly
+)
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(0, 5))
+    rows = [draw(st.lists(determinant_entries, min_size=n, max_size=n)) for _ in range(n)]
+    if draw(st.booleans()):
+        # sparse: rows with a 0 in a pivot column fall behind and are caught up later
+        keep = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+        rows = [[v if keep[r * n + c] else 0 for c, v in enumerate(row)]
+                for r, row in enumerate(rows)]
+    if n and draw(st.booleans()):
+        rows[0][0] = 0  # a zero leading pivot: a swap, or a zero first column
+    if n > 1 and draw(st.booleans()):
+        # singular: one row a rational multiple of another
+        src, dst = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        factor = draw(st.builds(F, st.integers(-9, 9), st.integers(1, 4)))
+        rows[dst] = [factor * F(v) for v in rows[src]]
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices())
+def test_bareiss_matches_leibniz_expansion(matrix):
+    expected = leibniz_determinant(matrix)
+    assert bareiss_determinant(matrix) == expected
+    assert bareiss_determinant([row[::-1] for row in matrix]) == \
+        expected * (-1) ** (len(matrix) // 2)  # column reversal: n//2 swaps
 
 
 def test_inverse_entries_closed_form():
