@@ -196,12 +196,20 @@ def _positive_float(text):
     return value
 
 
-def _parse_float_list(text):
-    return [float(v) for v in text.split(",") if v.strip() != ""]
+def _read(text, flag, kind):
+    """kind(text), or a ConfigError that names the flag the text came from."""
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError):  # Fraction("1/0") divides by zero
+        raise ConfigError(f"{flag}: cannot read {text!r} as {kind.__name__}") from None
+
+
+def _parse_alphas(text):
+    return [_read(v, "--alphas", float) for v in text.split(",") if v.strip() != ""]
 
 
 def _parse_m_list(text):
-    values = [int(v) for v in text.split(",") if v.strip() != ""]
+    values = [_read(v, "--m-list", int) for v in text.split(",") if v.strip() != ""]
     if not values:
         raise ConfigError("--m-list: needs at least one slice count")
     return values
@@ -230,7 +238,7 @@ def _symbol_table(report):
 
 def cmd_symbol(args) -> int:
     cfg = load_config(args.config)
-    alphas = _parse_float_list(args.alphas)
+    alphas = _parse_alphas(args.alphas)
     method = args.method.replace("-", "_")
     report = verify_alpha_washout(cfg.potential, cfg.theta, cfg.grid, alphas,
                                   method=method)
@@ -302,7 +310,7 @@ def _edge_phase(cfg, args, m_values, alpha):
 
 def cmd_alpha_sweep(args) -> int:
     cfg = load_config(args.config)
-    alphas = _parse_float_list(args.alphas)
+    alphas = _parse_alphas(args.alphas)
     m_values = _parse_m_list(args.m_list)
     result = alpha_sweep(cfg.params, args.total_time, alphas, m_values,
                          cfg.potential, cfg.theta, cfg.grid, _probe(cfg, args))
@@ -323,10 +331,11 @@ def cmd_alpha_sweep(args) -> int:
 def cmd_phi_audit(args) -> int:
     if args.dim < 2:
         raise ConfigError("--dim: the audit needs at least two dimensions")
-    alphas = [Fraction(v) for v in args.alphas.split(",")]
+    alphas = [_read(v, "--alphas", Fraction) for v in args.alphas.split(",")]
     report = phi_engine.run_phi_audit(args.m, alphas, dim=args.dim,
-                                      theta_value=Fraction(args.theta),
-                                      total_time=Fraction(args.total_time))
+                                      theta_value=_read(args.theta, "--theta", Fraction),
+                                      total_time=_read(args.total_time, "--total-time",
+                                                       Fraction))
     header = ["identity", "status", "detail"]
     rows = [(r.name, "PASS" if r.passed else "FAIL", r.detail) for r in report.rows]
     for r in report.rows:
@@ -341,7 +350,7 @@ def cmd_phi_audit(args) -> int:
 
 def cmd_limit_check(args) -> int:
     m_values = _parse_m_list(args.m_list)
-    T = Fraction(args.total_time)
+    T = _read(args.total_time, "--total-time", Fraction)
     header = ["m", "value", "gap_to_T_squared", "expected_gap", "pass"]
     rows = []
     ok = True

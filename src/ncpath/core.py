@@ -213,20 +213,6 @@ def _index_difference_table(grid: PhaseSpaceGrid):
     return (n[:, None] - n[None, :]) % grid.points_per_axis
 
 
-def _pair_table(table, base: int, axes: int):
-    """Σ_a table[n_out_a, n_in_a]·base^(axes-1-a) over flattened lattice pairs.
-
-    table is a per-axis (G, G) integer table; the result has shape
-    (G^axes, G^axes), indexed by the row-major flat x_out and x_in indices.
-    """
-    G = table.shape[0]
-    flat = np.zeros((1, 1), dtype=np.intp)
-    for _ in range(axes):
-        flat = (flat[:, None, :, None] * base + table[None, :, None, :]).reshape(
-            flat.shape[0] * G, flat.shape[1] * G)
-    return flat
-
-
 def _pair_axes(values, axes, ndim: int):
     """values with its dimensions on the given axes of an ndim-axis view, 1 elsewhere."""
     return values.reshape([values.shape[0] if i in axes else 1 for i in range(ndim)])
@@ -278,43 +264,6 @@ def _symbol_entries(grid: PhaseSpaceGrid, symbol):
         block[...] = _gather_block(chi, offsets if len(chi) == 1 else offsets + row_part,
                                    o).reshape(block.shape)
         block *= norm
-    return entries
-
-
-def _anchored_entries(grid: PhaseSpaceGrid, svals, slot, chi_of):
-    """entries[x_out, x_in] = χ_{x̄}[(n_out - n_in) mod G] with a per-pair anchor x̄.
-
-    svals holds the S per-axis anchor coordinates and slot[n_out, n_in] the
-    position of a per-axis pair's anchor in svals; chi_of maps a batch of
-    anchors (B, N) to their offset-indexed transforms (B, G^N).  Each pass
-    fixes the leading axis's anchor and takes the other axes' S^{N-1}
-    anchors in batches of at most G^N, each scattered into the kernel
-    before the next, so one batch's χ is at most one kernel in size.
-    """
-    G, rest, n = grid.points_per_axis, grid.dim - 1, grid.size
-    size_rest = G**rest
-    diff_mod = _index_difference_table(grid)
-    # the other axes' lattice pairs, flattened and ordered by their anchor
-    batch_rest = _pair_table(slot, svals.size, rest).reshape(-1)
-    pairs = np.argsort(batch_rest, kind="stable")
-    batch_rest = batch_rest[pairs]
-    diff_rest = _pair_table(diff_mod, G, rest).reshape(-1)[pairs]
-    out_rest, in_rest = np.divmod(pairs, size_rest)
-    anchors = np.empty((svals.size**rest, grid.dim))
-    for axis, coords in enumerate(np.meshgrid(*(svals,) * rest, indexing="ij"), start=1):
-        anchors[:, axis] = coords.reshape(-1)
-    starts = np.arange(0, len(anchors), n)
-    bounds = np.searchsorted(batch_rest, np.append(starts, len(anchors)))
-    entries = np.empty((n, n), dtype=complex)
-    for s, lead in enumerate(svals):
-        anchors[:, 0] = lead
-        outs, ins = np.nonzero(slot == s)
-        for start, lo, hi in zip(starts, bounds[:-1], bounds[1:]):
-            chi = chi_of(anchors[start:start + n])
-            rows = outs[:, None] * size_rest + out_rest[None, lo:hi]
-            cols = ins[:, None] * size_rest + in_rest[None, lo:hi]
-            diffs = diff_mod[outs, ins][:, None] * size_rest + diff_rest[None, lo:hi]
-            entries[rows, cols] = chi[batch_rest[None, lo:hi] - start, diffs]
     return entries
 
 

@@ -21,14 +21,15 @@ trapezoid fold), which leaves the V = 0 case untouched.
 for every α, and the α-spread of composed kernels shrinks like 1/(m+1) —
 the quantitative face of ordering independence in the continuum limit.
 
-A slice is built by one of three routes, chosen in this order:
+A slice is built by one of two routes:
 
-- V = 0: one transform of the kinetic phase, gathered by offset (α, θ unused).
-- V = Σ_b V_b(u_b) a sum of one-axis terms and θ with at most one nonzero
-  per row: V_b's argument is x̄_b + θ_{b,σ(b)} k_{σ(b)}, so the integrand,
-  its ±K fold and the momentum sum factor over axes.  Each axis needs one
-  (G, G, G) table of 1-D transforms, and an entry is the product of one
-  table value per axis; the cost does not depend on α.
+- V = Σ_b V_b(u_b) a sum of one-axis terms (V = 0 among them) and θ with at
+  most one nonzero per row: V_b's argument is x̄_b + θ_{b,σ(b)} k_{σ(b)}, so
+  the integrand, its ±K fold and the momentum sum factor over axes.  Each
+  axis needs one (G, G, G) table of 1-D transforms, and an entry is the
+  product of one table value per axis; the cost does not depend on α.
+  θ enters only V's argument, so a V = 0 slice is built with θ = 0 and
+  always takes this route.
 - Any other V (quartic, Gaussian well, mixed polynomials): the grouped
   builder, which groups lattice pairs by their slice point x̄(α) and
   transforms the full N-dimensional integrand once per slice point, at
@@ -40,6 +41,7 @@ type, and a slice's kernel carries its SlicingConfig in `config`.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, replace
 
@@ -51,13 +53,11 @@ from .core import (
     PhysicsParams,
     Potential,
     ThetaMatrix,
-    _anchored_entries,
     _centered_fft,
     _gather_block,
     _index_difference_table,
     _pair_axes,
     _require_dense_size,
-    _symbol_entries,
 )
 from .star import ComplexField, OperatorKernel
 
@@ -125,18 +125,17 @@ def short_time_propagator(cfg: SlicingConfig, V: Potential, theta: ThetaMatrix,
                           grid: PhaseSpaceGrid) -> PropagatorKernel:
     """One slice of duration ε = T/(m+1) at ordering index α.
 
-    Three routes build the same entries; the first that applies is taken.
+    Two routes build the same entries.
 
-    - V = 0: the standard-ordered kernel of the kinetic phase
-      (`core._symbol_entries`), which never touches α or θ.
     - V a sum of one-axis terms (`Potential.axis_terms`) and θ pairing the
       axes (`ThetaMatrix.axis_pairing`): the factorized route, one table of
-      1-D momentum transforms per axis, at any α.
+      1-D momentum transforms per axis, at any α.  V = 0 always takes it:
+      θ enters only V's argument, so it is set to zero there, and the
+      slice is the same for every α and θ.
     - Otherwise the grouped builder: pairs (x_out, x_in) are grouped by
       their per-axis slice point x̄(α) (coordinates rounded to 12
-      decimals), and each leading-axis slice point is one pass of batched
-      momentum-lattice transforms over the other axes' slice points, at
-      most G^N of them per batch.
+      decimals), and each tuple of slice points on axes 0 … N-2 is one
+      pass of momentum-lattice transforms at the last axis's slice points.
 
     Grids of more than 4096 lattice points are refused before any n×n build.
     """
@@ -147,7 +146,6 @@ def short_time_propagator(cfg: SlicingConfig, V: Potential, theta: ThetaMatrix,
         # the phase and norm use params.hbar, the lattice Δk uses grid.hbar
         raise GridMismatchError("hbar: grid and params disagree")
     _require_dense_size(grid)
-    eps = cfg.epsilon
     hbar = params.hbar
     if edge_phase_turns(cfg, grid) > 1.0:
         warnings.warn(
@@ -158,9 +156,7 @@ def short_time_propagator(cfg: SlicingConfig, V: Potential, theta: ThetaMatrix,
     norm = grid.momentum_cell_volume * (2.0 * np.pi * hbar) ** (-grid.dim)
 
     if V.is_zero:
-        return PropagatorKernel(_symbol_entries(grid, lambda k, y: np.exp(
-            -1j * eps * np.sum(k**2, axis=-1) / (2.0 * params.mass * hbar))), grid, cfg)
-
+        theta = ThetaMatrix.zero(grid.dim)
     terms, pairing = V.axis_terms(), theta.axis_pairing()
     if terms is not None and pairing is not None:
         entries = _factorized_slice(cfg, terms, theta, pairing, grid)
@@ -231,12 +227,15 @@ def _grouped_slice(cfg, V, theta, grid):
     """Slice entries, before the momentum measure, grouped by slice point.
 
     χ at a slice point x̄ is the momentum transform of the ±K-folded
-    integrand e^{-iεk²/2Mħ} e^{-iεV(x̄ + θk)/ħ}; `core._anchored_entries`
-    gathers it by offset for every lattice pair with that slice point
-    (`_slice_points`), one leading-axis slice point per pass.
+    integrand e^{-iεk²/2Mħ} e^{-iεV(x̄ + θk)/ħ}, read by offset
+    (n_out - n_in) mod G at every lattice pair with that slice point
+    (`_slice_points`).  Each pass fixes the slice points of axes 0 … N-2,
+    transforms χ at the S slice points of the last axis, and fills every
+    combination of the lead axes' lattice pairs with those slice points —
+    a (G, G) last-axis block each — with one fancy-index assignment.
     """
     eps, hbar = cfg.epsilon, cfg.params.hbar
-    G, N = grid.points_per_axis, grid.dim
+    G, N, n = grid.points_per_axis, grid.dim, grid.size
     window = _momentum_window(grid)
     mesh = np.meshgrid(*(window,) * N, indexing="ij")
     k_ext = np.stack([m.reshape(-1) for m in mesh], axis=-1)
@@ -248,9 +247,26 @@ def _grouped_slice(cfg, V, theta, grid):
         vvals = V(xbar[:, None, :] + shifts_ext[None, :, :])
         integrand = kin_ext * np.exp(-1j * eps * vvals / hbar)
         folded = _fold_nyquist(integrand.reshape((-1,) + ext_shape), G, N)
-        return _centered_fft(folded, +1, range(-N, 0)).reshape(xbar.shape[0], grid.size)
+        return _centered_fft(folded, +1, range(-N, 0)).reshape(-1)  # [s·n + offset]
 
-    return _anchored_entries(grid, *_slice_points(cfg, grid), chi_of)
+    svals, slot = _slice_points(cfg, grid)
+    diff = _index_difference_table(grid)
+    members = [np.argwhere(slot == s) for s in range(svals.size)]  # (n_out, n_in) rows
+    last = slot * n + diff  # where a last-axis pair reads the pass's χ
+    points = np.empty((svals.size, N))
+    points[:, -1] = svals
+    entries = np.empty((n, n), dtype=complex)
+    view = entries.reshape((G,) * (2 * N))
+    for lead in itertools.product(range(svals.size), repeat=N - 1):
+        points[:, :-1] = svals[list(lead)]
+        pairs = [members[s] for s in lead]
+        outs = np.ix_(*(p[:, 0] for p in pairs))
+        ins = np.ix_(*(p[:, 1] for p in pairs))
+        offset = sum(np.ix_(*(diff[p[:, 0], p[:, 1]] * G ** (N - 1 - a)
+                              for a, p in enumerate(pairs))))
+        flat = last + np.expand_dims(offset, (-2, -1))
+        view[(*outs, slice(None), *ins, slice(None))] = chi_of(points)[flat]
+    return entries
 
 
 def compose(Ka: PropagatorKernel, Kb: PropagatorKernel) -> PropagatorKernel:

@@ -35,7 +35,8 @@ from .core import (
     Potential,
     ThetaMatrix,
     _centered_fft,
-    _pair_table,
+    _gather_block,
+    _pair_axes,
     _require_dense_size,
     _symbol_entries,
     evaluate_potential_shifted,
@@ -75,12 +76,18 @@ class PhaseSpaceSymbol:
 
 
 def _diagonal_layout(K: OperatorKernel):
-    """D[i, d] = A[y_i, y_i ⊕ d]: anchor index i, wrapped diagonal offset d."""
+    """D[i, d] = A[y_i, y_i ⊕ d] viewed as (G,)*2N: anchor axes, then wrapped
+    diagonal offset axes; gathered one leading-axis block (n²/G entries) at a time."""
     grid = K.grid
-    G = grid.points_per_axis
+    G, N, n = grid.points_per_axis, grid.dim, grid.size
     pos = np.arange(G)
     ket_pos = (pos[:, None] + pos[None, :] - G // 2) % G  # [i_pos, d_pos]
-    return K.entries[np.arange(grid.size)[:, None], _pair_table(ket_pos, G, grid.dim)]
+    parts = [_pair_axes(pos * (n * G ** (N - 1 - a)), (a,), 2 * N) for a in range(N)] \
+        + [_pair_axes(ket_pos * G ** (N - 1 - a), (a, N + a), 2 * N) for a in range(N)]
+    diag = np.empty((G,) * (2 * N), dtype=complex)
+    for o in range(G):
+        diag[o] = _gather_block(K.entries, parts, o)
+    return diag
 
 
 def _balanced_twist(G: int, beta: float, n) -> np.ndarray:
@@ -113,14 +120,11 @@ def symbol_of_operator(K: OperatorKernel, alpha) -> PhaseSpaceSymbol:
     grid = K.grid
     G, N = grid.points_per_axis, grid.dim
     first, last = range(N), range(N, 2 * N)
-    diag = _diagonal_layout(K).reshape(grid.shape * 2)  # (i axes..., d axes...)
+    diag = _diagonal_layout(K)  # (i axes..., d axes...)
     spectrum = np.fft.fftshift(_centered_fft(diag, -1, first), first) / grid.size  # (w..., d...)
     twist = _balanced_twist(G, beta, grid.index_axis)  # [w, d]
     for axis in range(N):
-        shape = [1] * (2 * N)
-        shape[axis] = G
-        shape[N + axis] = G
-        spectrum = spectrum * twist.reshape(shape)
+        spectrum *= _pair_axes(twist, (axis, N + axis), 2 * N)
     pvals = np.fft.fftshift(_centered_fft(spectrum, +1, last), last) * grid.cell_volume
     out = np.fft.fftshift(_centered_fft(pvals, +1, first), first)  # (x axes..., k axes...)
     flat = out.reshape(grid.size, grid.size).T  # -> [k, x]
@@ -260,6 +264,7 @@ def delta_alpha_matrix_element(alpha, k, x, grid: PhaseSpaceGrid) -> OperatorKer
     n = grid.index_axis
     pref = (2.0 * np.pi * grid.hbar) ** (-grid.dim) / grid.cell_volume
     entries = np.full((grid.size, grid.size), pref, dtype=complex)
+    view = entries.reshape((G,) * (2 * grid.dim))
     # entries[v, u] = pref · Π_axis e^{(i/ħ) k_a d_a} S((x_a - u_a)/Δx - β d_a),
     # with the ±G/2 diagonal class averaged over its two representatives.
     for axis in range(grid.dim):
@@ -271,12 +276,7 @@ def delta_alpha_matrix_element(alpha, k, x, grid: PhaseSpaceGrid) -> OperatorKer
             mirrored = _periodic_sinc(t - beta * (d + G), G)
             sinc = np.where(d == -(G // 2), 0.5 * (sinc + mirrored), sinc)
         factor = (phase * sinc).T  # -> [v, u]
-        shape = [1] * (2 * grid.dim)
-        shape[axis] = G
-        shape[grid.dim + axis] = G
-        full = np.broadcast_to(factor.reshape(shape),
-                               (G,) * (2 * grid.dim)).reshape(grid.size, grid.size)
-        entries = entries * full
+        view *= _pair_axes(factor, (axis, grid.dim + axis), 2 * grid.dim)
     return OperatorKernel(entries, grid)
 
 

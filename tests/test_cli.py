@@ -296,6 +296,25 @@ def test_empty_m_list_is_rejected(config_path, command):
     assert "m-list" in result.stderr
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("alpha-sweep", "--m-list", "4,x"),
+    ("oracle-compare", "--m-list", "4.5"),
+    ("alpha-sweep", "--alphas", "0.5,abc"),
+    ("symbol", "--alphas", "abc"),
+    ("phi-audit", "--alphas", "0,abc"),
+    ("phi-audit", "--theta", "abc"),
+    ("phi-audit", "--total-time", "1/0"),
+    ("limit-check", "--total-time", "abc"),
+])
+def test_unreadable_flag_value_names_the_flag(config_path, capsys, command, flag, value):
+    setup = {"phi-audit": ["--m", "3"], "limit-check": []}.get(command, ["--config", config_path])
+    code = _run_in_process(command, *setup, flag, value)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert f"{flag}: cannot read" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("path, value", [
     (("hbar",), float("nan")),
     (("mass",), float("inf")),

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ncpath import slicer
 from ncpath.core import (
     ConfigError,
     GridMismatchError,
@@ -24,6 +25,7 @@ from ncpath.slicer import (
     short_time_propagator,
 )
 from ncpath.star import gaussian_packet, identity_kernel, potential_operator_kernel
+from ncpath.weyl import _diagonal_layout, delta_alpha_matrix_element
 
 
 def brute_slice(cfg, V, theta, grid):
@@ -155,13 +157,20 @@ def test_zero_potential_kernels_bitwise_alpha_independent(small2d):
             assert np.array_equal(base, kernels[4 * m_idx + j].entries)
 
 
-def test_zero_potential_theta_independent(small2d):
-    params, grid, theta, _ = small2d
-    Vz = Potential.zero(2)
-    cfg = SlicingConfig(3, 1.0, 0.2, params)
-    with_theta = short_time_propagator(cfg, Vz, theta, grid)
-    without = short_time_propagator(cfg, Vz, ThetaMatrix.zero(2), grid)
-    assert np.array_equal(with_theta.entries, without.entries)
+def test_zero_potential_theta_independent(small2d, monkeypatch):
+    def grouped(*args):
+        raise AssertionError("a V = 0 slice took the grouped route")
+
+    monkeypatch.setattr(slicer, "_grouped_slice", grouped)
+    _, grid2, theta2, _ = small2d
+    # rows with two nonzeros couple three axes: with V ≠ 0 this θ is grouped
+    coupling = ThetaMatrix([[0.0, 0.1, 0.2], [-0.1, 0.0, 0.3], [-0.2, -0.3, 0.0]])
+    for grid, theta in ((grid2, theta2), (PhaseSpaceGrid(4, 2.0, 3), coupling)):
+        Vz = Potential.zero(grid.dim)
+        cfg = SlicingConfig(3, 1.0, 0.2, PhysicsParams(dim=grid.dim))
+        with_theta = short_time_propagator(cfg, Vz, theta, grid)
+        without = short_time_propagator(cfg, Vz, ThetaMatrix.zero(grid.dim), grid)
+        assert np.array_equal(with_theta.entries, without.entries)
 
 
 def test_free_kernel_probe_action_matches_analytic_gaussian():
@@ -276,40 +285,60 @@ def test_propagate_zero_potential_bitwise_alpha_independent(small2d):
         assert np.array_equal(base.values, other.values)
 
 
-def _slice_at_generic_alpha(V, theta, grid):
-    cfg = SlicingConfig(4, 1.0, 0.3, PhysicsParams(dim=2))
-    return short_time_propagator(cfg, V, theta, grid)
+def _slice_at_generic_alpha(V, theta, grid, _):
+    cfg = SlicingConfig(4, 1.0, 0.3, PhysicsParams(dim=grid.dim))
+    return short_time_propagator(cfg, V, theta, grid).entries
 
 
-@pytest.mark.parametrize("form,build,bound", [
+def _potential_kernel(V, theta, grid, _):
+    return potential_operator_kernel(V, theta, grid).entries
+
+
+def _layout(V, theta, grid, kernel):
+    return _diagonal_layout(kernel)
+
+
+def _quantizer(V, theta, grid, _):
+    return delta_alpha_matrix_element(0.3, grid.k_points[1], grid.x_points[2], grid).entries
+
+
+GRID_2D, GRID_3D = PhaseSpaceGrid(16, 5.0, 2), PhaseSpaceGrid(6, 3.0, 3)
+
+
+@pytest.mark.parametrize("form,grid,build,bound", [
     # harmonic V takes the factorized route, which multiplies its per-axis
     # factors into the kernel one leading-axis block (n²/G entries) at a time
-    pytest.param("harmonic", _slice_at_generic_alpha, 1.25, id="harmonic-slice"),
+    pytest.param("harmonic", GRID_2D, _slice_at_generic_alpha, 1.25, id="harmonic-slice"),
     # α = 0.3 on G = 16 has 76 slice points per axis, and quartic V takes the
-    # grouped builder, whose batches are scattered one leading-axis slice
-    # point at a time.  Gathering every group's χ first would need
-    # 76²·16²·16 B ≈ 24 kernels.
-    pytest.param("quartic", _slice_at_generic_alpha, 4, id="quartic-slice"),
-    # the same gather with the row point y as anchor: G transforms per pass,
-    # scattered into the one kernel array that is also the result
-    pytest.param("quartic", potential_operator_kernel, 2, id="quartic-potential_kernel"),
+    # grouped builder: one pass transforms χ at the 76 last-axis slice points
+    # and writes its (G, G) blocks into the kernel before the next pass
+    pytest.param("quartic", GRID_2D, _slice_at_generic_alpha, 3, id="quartic-slice"),
+    # in 3-D a pass fixes two slice points and fills up to G·G (G, G) blocks
+    pytest.param("quartic", GRID_3D, _slice_at_generic_alpha, 2.5, id="quartic-slice-3d"),
+    # the standard-ordered builder: one row block's G^{N-1} transforms,
+    # gathered into the one kernel array that is also the result
+    pytest.param("quartic", GRID_2D, _potential_kernel, 2, id="quartic-potential_kernel"),
+    # gathered from the held kernel one leading-axis block at a time
+    pytest.param("quartic", GRID_2D, _layout, 1.25, id="diagonal-layout"),
+    # each axis factor is multiplied into the output in place
+    pytest.param("quartic", GRID_2D, _quantizer, 1.25, id="quantizer"),
 ])
-def test_kernel_build_memory_stays_near_kernel_size(form, build, bound):
+def test_kernel_build_memory_stays_near_kernel_size(form, grid, build, bound):
     import tracemalloc
 
-    grid = PhaseSpaceGrid(16, 5.0, 2)
-    V = Potential.harmonic(1.0, 1.0, dim=2) if form == "harmonic" \
-        else Potential.quartic(0.05, dim=2)
-    theta = ThetaMatrix.single_block(2, 0.1)
+    V = Potential.harmonic(1.0, 1.0, dim=grid.dim) if form == "harmonic" \
+        else Potential.quartic(0.05, dim=grid.dim)
+    theta = ThetaMatrix.single_block(grid.dim, 0.1)
     kernel_bytes = grid.size**2 * 16
-    build(V, theta, grid)  # the first call imports numpy.fft; its allocations are not the build's
+    held = identity_kernel(grid)
+    build(V, theta, grid, held)  # the first call imports numpy.fft; its allocations are not the build's
     tracemalloc.start()
     try:
-        kernel = build(V, theta, grid)
+        entries = build(V, theta, grid, held)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert kernel.entries.nbytes == kernel_bytes
+    assert entries.nbytes == kernel_bytes
     assert peak <= bound * kernel_bytes, f"peak {peak} B for a {kernel_bytes} B kernel"
 
 

@@ -214,7 +214,9 @@ def test_control_operator_symbol_detects_ordering():
     # Δx = 0.75: a lost Δx^N factor in the trace measure shows here only
     PhaseSpaceGrid(8, 3.0, 1),
     PhaseSpaceGrid(4, 1.5, 2),
-], ids=["unit-spacing", "spacing-0.75", "2d"])
+    PhaseSpaceGrid(5, 2.0, 2),
+    PhaseSpaceGrid(3, 1.5, 3),
+], ids=["unit-spacing", "spacing-0.75", "2d", "odd-2d", "3d"])
 def test_quantizer_trace_matches_direct_symbol(grid):
     rng = np.random.default_rng(2)
     n = grid.size
