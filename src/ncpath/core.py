@@ -114,6 +114,11 @@ class ThetaMatrix:
         return f"ThetaMatrix({self.entries.tolist()})"
 
 
+# larger grids are refused before their point tables (3N eight-byte values
+# per point) are allocated; every n×n route already stops at _DENSE_POINTS
+_GRID_POINTS = 1 << 20
+
+
 class PhaseSpaceGrid:
     """Paired position/momentum lattices with Fourier-dual spacing.
 
@@ -129,13 +134,23 @@ class PhaseSpaceGrid:
             raise ConfigError("grid.box_half_width: must be positive")
         if dim < 1:
             raise ConfigError("dim: must be a positive integer")
+        if points_per_axis**dim > _GRID_POINTS:
+            raise ConfigError(f"grid.points_per_axis: {points_per_axis}^{dim} lattice points "
+                              f"exceed the grid limit of {_GRID_POINTS}")
         self.points_per_axis = points_per_axis
         self.box_half_width = float(box_half_width)
         self.dim = dim
         self.hbar = float(hbar)
         G = points_per_axis
-        self.dx = 2.0 * self.box_half_width / G
-        self.dk = 2.0 * np.pi * self.hbar / (G * self.dx)
+        with np.errstate(divide="ignore", over="ignore", under="ignore"):
+            dx = np.float64(2.0) * self.box_half_width / G
+            dk = 2.0 * np.pi * self.hbar / (G * dx)
+            cells = dx**dim, dk**dim
+        if not all(0.0 < c < np.inf for c in cells):
+            raise ConfigError(f"grid.box_half_width: the cells Δx^N = {cells[0]:.3g} and "
+                              f"Δk^N = {cells[1]:.3g} (ħ = {self.hbar}) must be positive "
+                              f"and finite")
+        self.dx, self.dk = float(dx), float(dk)
         self.index_axis = np.arange(G) - G // 2
         self.x_axis = self.index_axis * self.dx
         self.k_axis = self.index_axis * self.dk
@@ -199,12 +214,16 @@ def _centered_fft(tensor, sign: int, axes):
 
     The output is indexed by 0-based offsets d = 0 … G-1 per axis; the phase
     depends on d only mod G, so np.fft.fftshift puts it in centered order.
+    A complex tensor is transformed in its rolled copy, which is returned.
     """
     axes = tuple(axes)
     work = np.roll(tensor, [-(tensor.shape[a] // 2) for a in axes], axis=axes)
+    out = work if work.dtype == complex else None
     if sign < 0:
-        return np.fft.fftn(work, axes=axes)
-    return np.fft.ifftn(work, axes=axes) * prod(tensor.shape[a] for a in axes)
+        return np.fft.fftn(work, axes=axes, out=out)
+    work = np.fft.ifftn(work, axes=axes, out=out)
+    work *= prod(tensor.shape[a] for a in axes)
+    return work
 
 
 def _index_difference_table(grid: PhaseSpaceGrid):
@@ -329,9 +348,10 @@ class Potential:
         frozen = []
         key = "potential.coefficients.terms.powers"
         for powers, c in terms:
-            powers = tuple(_integer(p, key) for p in powers)
-            if len(powers) != dim or any(p < 0 for p in powers):
-                raise ConfigError(f"{key}: must be nonnegative, one per axis")
+            powers = _finite(powers, key, (dim,))
+            if not all(p.is_integer() and p >= 0 for p in powers):
+                raise ConfigError(f"{key}: must be nonnegative integers, one per axis")
+            powers = tuple(int(p) for p in powers)
             if sum(powers) > _MAX_POLY_DEGREE:
                 raise ConfigError(f"{key}: total degree capped at {_MAX_POLY_DEGREE}")
             frozen.append((powers, float(c)))
@@ -341,7 +361,7 @@ class Potential:
     def gaussian_well(cls, depth: float, width: float, dim: int = 2) -> "Potential":
         """V(u) = -depth · exp(-u·u / (2 width²))."""
         if width <= 0:
-            raise ConfigError("potential.width: must be positive")
+            raise ConfigError("potential.coefficients.width: must be positive")
         return cls("gaussian_well", dim, depth=float(depth), width=float(width))
 
     # -- evaluation ---------------------------------------------------------
@@ -468,12 +488,23 @@ def _require(mapping: dict, key: str, context: str = ""):
     return mapping[key]
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def _finite(value, name: str, shape=()):
-    """A finite float config value, or a finite array of the given shape."""
+    """A finite float config value, or a finite array of the given shape.
+
+    Only numbers are read: a bool, a string or null is refused, not converted.
+    """
     try:
+        if not all(_is_number(v) for v in np.asarray(value, dtype=object).flat):
+            raise ValueError
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ConfigError(f"{name}: must be numeric") from None
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(f"{name}: must be finite") from None
     if arr.shape != shape:
         raise ConfigError(f"{name}: must be " + (f"of shape {shape}" if shape else "a number"))
     if not np.isfinite(arr).all():
@@ -488,6 +519,12 @@ def _integer(value, name: str) -> int:
     return int(number)
 
 
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name}: must be an object")
+    return value
+
+
 def _coefficient(coeffs: dict, key: str, shape=()):
     return _finite(_require(coeffs, key, "potential.coefficients"),
                    f"potential.coefficients.{key}", shape)
@@ -495,7 +532,7 @@ def _coefficient(coeffs: dict, key: str, shape=()):
 
 def _potential_from_config(pot: dict, dim: int, mass: float) -> Potential:
     form = _require(pot, "form", "potential")
-    coeffs = pot.get("coefficients", {})
+    coeffs = _object(pot.get("coefficients", {}), "potential.coefficients")
     if form == "zero":
         return Potential.zero(dim)
     if form == "linear":
@@ -505,11 +542,14 @@ def _potential_from_config(pot: dict, dim: int, mass: float) -> Potential:
     if form == "quartic":
         return Potential.quartic(_coefficient(coeffs, "lambda"), dim=dim)
     if form == "polynomial":
+        key = "potential.coefficients.terms"
         terms = _require(coeffs, "terms", "potential.coefficients")
+        if not isinstance(terms, list):
+            raise ConfigError(f"{key}: must be a list")
+        terms = [_object(t, key) for t in terms]
         return Potential.polynomial(
-            [( _require(t, "powers", "potential.coefficients.terms"),
-               _finite(_require(t, "c", "potential.coefficients.terms"),
-                       "potential.coefficients.terms.c")) for t in terms],
+            [(_require(t, "powers", key), _finite(_require(t, "c", key), f"{key}.c"))
+             for t in terms],
             dim,
         )
     if form == "gaussian_well":
@@ -547,7 +587,7 @@ def load_config(source) -> RunConfig:
     params = PhysicsParams(hbar=hbar, mass=mass, dim=dim)
     theta = ThetaMatrix(_finite(_require(data, "theta"), "theta", (dim, dim)))
 
-    grid_cfg = _require(data, "grid")
+    grid_cfg = _object(_require(data, "grid"), "grid")
     grid = PhaseSpaceGrid(
         _integer(_require(grid_cfg, "points_per_axis", "grid"), "grid.points_per_axis"),
         _finite(_require(grid_cfg, "box_half_width", "grid"), "grid.box_half_width"),
@@ -555,9 +595,10 @@ def load_config(source) -> RunConfig:
         hbar=hbar,
     )
 
-    potential = _potential_from_config(_require(data, "potential"), dim, mass)
+    potential = _potential_from_config(_object(_require(data, "potential"), "potential"),
+                                       dim, mass)
 
-    probe_cfg = data.get("probe", {})
+    probe_cfg = _object(data.get("probe", {}), "probe")
     center = _finite(probe_cfg.get("center", (0.0,) * dim), "probe.center", (dim,))
     momentum = _finite(probe_cfg.get("momentum", (0.0,) * dim), "probe.momentum", (dim,))
     width = probe_cfg.get("width")

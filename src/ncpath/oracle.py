@@ -9,8 +9,10 @@ Hamiltonian exactly (to rounding) in two independent ways: by dense
 diagonalization (`spectral_propagator`, the whole n×n propagator) and by a
 Chebyshev series in H with Bessel coefficients (`chebyshev_evolve`, one
 state from matrix-vector products; Tal-Ezer & Kosloff, J. Chem. Phys. 81,
-3967 (1984)).  `oracle_compare` uses the series; the tests hold it to the
-diagonalization.  The split-step route alternates exact kinetic steps in
+3967 (1984)).  Both expand in the Hermitian part of H, formed in one strip
+pass; `oracle_compare` uses the series and forms that part in H's own
+array, so its reference holds one n×n array.  The tests hold the series to
+the diagonalization.  The split-step route alternates exact kinetic steps in
 momentum space with mixed-domain phase steps e^{-(i/ħ) δt V(x + θk)}.
 Because the x- and k-dependence of the shifted potential do not commute,
 the split-step scheme is first order in the coupling θ and second order
@@ -67,19 +69,19 @@ def build_hamiltonian_matrix(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceG
                           grid)
 
 
-def _hermitian_part(H: OperatorKernel):
-    """(Hermitian part of H·Δx^N, deviation max|A − A†|) for A = H·Δx^N.
+def _hermitian_part(H: OperatorKernel, out: np.ndarray) -> float:
+    """Write the Hermitian part of A = H·Δx^N into `out`; return max|A − A†|.
 
-    Raises ValueError when the deviation exceeds 1e-8 of the largest entry
-    or is NaN (a non-finite entry).  The output is the one n×n array; A and
-    A† are formed one row block of n²/G entries at a time
-    (`OperatorKernel.adjoint_deviation`).
+    One strip pass (`OperatorKernel.adjoint_deviation`) reads each
+    off-diagonal pair once, so `out` may be H.entries itself: then H is
+    overwritten and the Hermitian part is the only n×n array.  Raises
+    ValueError when the deviation exceeds 1e-8 of the largest entry or is
+    NaN (a non-finite entry).
     """
-    herm = np.empty_like(H.entries)
-    dev, scale = H.adjoint_deviation(H.grid.cell_volume, out=herm)
+    dev, scale = H.adjoint_deviation(H.grid.cell_volume, out=out)
     if not dev <= 1e-8 * (scale or 1.0):  # a NaN entry fails too
         raise ValueError(f"Hamiltonian not Hermitian (deviation {dev:.3e})")
-    return herm, dev
+    return dev
 
 
 def spectral_propagator(H: OperatorKernel, T: float) -> PropagatorKernel:
@@ -89,7 +91,8 @@ def spectral_propagator(H: OperatorKernel, T: float) -> PropagatorKernel:
     diagonalized, so the result is unitary to rounding.
     """
     grid = H.grid
-    herm, _ = _hermitian_part(H)
+    herm = np.empty_like(H.entries)
+    _hermitian_part(H, herm)
     evals, evecs = np.linalg.eigh(herm)
     phases = np.exp(-1j * evals * T / grid.hbar)
     entries = (evecs * phases[None, :]) @ evecs.conj().T / grid.cell_volume
@@ -133,19 +136,31 @@ def chebyshev_evolve(H: OperatorKernel, T: float, psi: ComplexField,
     """e^{-(i/ħ) T H} ψ by a Chebyshev series in H; no diagonalization.
 
     Runs the Hermiticity check of `spectral_propagator` and expands in its
-    Hermitian part A.  Gershgorin discs bound the spectrum of A by
-    [lo, hi]; with c = (hi + lo)/2, r = (hi − lo)/2 and z = rT/ħ,
+    Hermitian part A (`_chebyshev_series`).  H is left as it was: A goes
+    into a new n×n array, so the call holds two.  `oracle_compare`, which
+    has no further use for H, forms A in H's own array instead.
+    """
+    herm = np.empty_like(H.entries)
+    dev = _hermitian_part(H, herm)
+    return _chebyshev_series(herm, dev, H.grid, T, psi, stats)
+
+
+def _chebyshev_series(herm: np.ndarray, dev: float, grid: PhaseSpaceGrid, T: float,
+                      psi: ComplexField, stats: dict | None) -> ComplexField:
+    """e^{-(i/ħ) T A} ψ for the Hermitian part A = `herm` of H·Δx^N.
+
+    Gershgorin discs bound the spectrum of A by [lo, hi]; with
+    c = (hi + lo)/2, r = (hi − lo)/2 and z = rT/ħ,
 
         e^{-(i/ħ) T A} = e^{-(i/ħ) cT} Σ_k (2 − δ_k0) (-i)^k J_k(z) T_k((A − c)/r),
 
     evaluated by the three-term recurrence, one matrix-vector product per
-    term.  The series stops where the Bessel coefficients fall below
-    rounding, after about z + 10·z^{1/3} terms.  A `stats` dict receives "terms",
-    "spectral_bounds" (lo, hi) and "hermiticity_deviation".
+    term; `herm` is overwritten by 2(A − c)/r.  The series stops where the
+    Bessel coefficients fall below rounding, after about z + 10·z^{1/3}
+    terms.  A `stats` dict receives "terms", "spectral_bounds" (lo, hi) and
+    "hermiticity_deviation" (`dev`).
     """
-    grid = H.grid
     grid.require_same(psi.grid)
-    herm, dev = _hermitian_part(H)
     diag = herm.diagonal().real
     radius = np.concatenate([np.sum(np.abs(herm[rows]), axis=1) for rows in _row_blocks(grid)])
     radius -= np.abs(diag)
@@ -225,16 +240,20 @@ def oracle_compare(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceGrid,
     coincides with the outgoing argument, matching the construction of the
     reference Hamiltonian's potential kernel, so the comparison converges
     without an ordering-mismatch floor.  The reference e^{-(i/ħ) T H} probe
-    is evaluated once for all m, by `chebyshev_evolve` on the dense H.  A
-    `timings` dict receives the seconds of that one-off evaluation (H build
-    included) under "reference", each m's propagation seconds under m, and
-    the series' "terms", "spectral_bounds" and "hermiticity_deviation".
+    is evaluated once for all m, by the Chebyshev series of
+    `chebyshev_evolve` on the dense H, with H's Hermitian part formed in H's
+    own array: the reference holds one n×n array, freed before the slices
+    are built.  A `timings` dict receives the seconds of that one-off
+    evaluation (H build included) under "reference", each m's propagation
+    seconds under m, and the series' "terms", "spectral_bounds" and
+    "hermiticity_deviation".
     """
     timings = {} if timings is None else timings
     t0 = time.perf_counter()
     H = build_hamiltonian_matrix(V, theta, grid, params)
-    reference = chebyshev_evolve(H, total_time, probe, stats=timings)
-    del H  # free the n×n H before the slices are built
+    dev = _hermitian_part(H, H.entries)  # H's array now holds its Hermitian part
+    reference = _chebyshev_series(H.entries, dev, grid, total_time, probe, timings)
+    del H  # free the n×n array before the slices are built
     ref_norm = reference.norm() or 1.0
     timings["reference"] = time.perf_counter() - t0
     rows = []

@@ -95,24 +95,33 @@ class OperatorKernel:
 
     def adjoint_deviation(self, scale: float | None = None, out=None):
         """(max|S − S†|, max|S|) for S = scale·entries (the entries if scale
-        is None), reduced one `core._row_blocks` slice of n²/G entries at a
-        time; given an n×n `out`, the Hermitian part (S + S†)/2 is written
-        into it block by block."""
+        is None), reduced strip by strip; a NaN entry gives NaN for both.
+
+        For each `core._row_blocks` slice `rows` starting at row s, the upper
+        strip S[rows, s:] is held against a C-ordered copy of the column
+        strip S[s:, rows]†, so each off-diagonal pair is read once.  Given an
+        n×n `out`, the Hermitian part (S + S†)/2 is written into out[rows, s:]
+        and its conjugate transpose into the rows below the block.  `out` may be the
+        entries themselves: the strips of block o lie in rows and columns
+        ≥ s, which no earlier block writes.
+        """
         devs, tops = [], []  # reduced with np.max, which keeps a NaN
         for rows in _row_blocks(self.grid):
-            block = self.entries[rows]
+            start = rows.start
+            upper = self.entries[rows, start:]
             # a C-ordered copy: ufuncs on the strided column view buffer a second one
-            adjoint = np.array(self.entries[:, rows].T, order="C")
+            adjoint = np.array(self.entries[start:, rows].T, order="C")
             if scale is not None:
-                block = block * scale
+                upper = upper * scale
                 adjoint *= scale
             np.conjugate(adjoint, out=adjoint)
-            devs.append(np.max(np.abs(block - adjoint)))
-            tops.append(np.max(np.abs(block)))
+            devs.append(np.max(np.abs(upper - adjoint)))
+            tops += [np.max(np.abs(upper)), np.max(np.abs(adjoint))]
             if out is not None:
-                half = out[rows]
-                np.add(block, adjoint, out=half)
+                half = out[rows, start:]  # holds the diagonal block rows × rows whole
+                np.add(upper, adjoint, out=half)
                 half *= 0.5
+                np.conjugate(half[:, rows.stop - start:].T, out=out[rows.stop:, rows])
         return float(np.max(devs)), float(np.max(tops))
 
     def hermiticity_deviation(self) -> float:

@@ -120,14 +120,20 @@ def symbol_of_operator(K: OperatorKernel, alpha) -> PhaseSpaceSymbol:
     grid = K.grid
     G, N = grid.points_per_axis, grid.dim
     first, last = range(N), range(N, 2 * N)
-    diag = _diagonal_layout(K)  # (i axes..., d axes...)
-    spectrum = np.fft.fftshift(_centered_fft(diag, -1, first), first) / grid.size  # (w..., d...)
+    # each step rebinds `table`, which frees the step's input: at most two
+    # n×n arrays are alive at a time
+    table = _centered_fft(_diagonal_layout(K), -1, first)  # from (i axes..., d axes...)
+    table = np.fft.fftshift(table, first)  # the anchor spectrum, (w..., d...)
+    table /= grid.size
     twist = _balanced_twist(G, beta, grid.index_axis)  # [w, d]
     for axis in range(N):
-        spectrum *= _pair_axes(twist, (axis, N + axis), 2 * N)
-    pvals = np.fft.fftshift(_centered_fft(spectrum, +1, last), last) * grid.cell_volume
-    out = np.fft.fftshift(_centered_fft(pvals, +1, first), first)  # (x axes..., k axes...)
-    flat = out.reshape(grid.size, grid.size).T  # -> [k, x]
+        table *= _pair_axes(twist, (axis, N + axis), 2 * N)
+    table = _centered_fft(table, +1, last)
+    table = np.fft.fftshift(table, last)  # the profiles P_w
+    table *= grid.cell_volume
+    table = _centered_fft(table, +1, first)
+    table = np.fft.fftshift(table, first)  # (x axes..., k axes...)
+    flat = table.reshape(grid.size, grid.size).T  # -> [k, x]
     return PhaseSpaceSymbol(flat, grid)
 
 

@@ -64,6 +64,20 @@ def test_star_check_flags_unresolved_grid(config_path):
     assert "false" in result.stdout
 
 
+@pytest.mark.parametrize("key, value", [("probe", []), ("probe", 3), ("grid", None),
+                                        ("hbar", "1"), ("dim", True)])
+def test_malformed_config_section_names_it_and_exits_2(tmp_path, key, value):
+    # a section of the wrong type, or a string or bool for a number, is a
+    # configuration error (exit 2), not a crash (exit 1 is a failed check)
+    broken = dict(CONFIG, **{key: value})
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(broken))
+    result = run_cli("star-check", "--config", str(path))
+    assert result.returncode == 2
+    assert f"configuration error: {key}:" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_missing_config_key_names_it_and_exits_2(tmp_path):
     broken = dict(CONFIG)
     del broken["theta"]
@@ -219,13 +233,13 @@ def test_oracle_compare_builds_one_spectral_reference(config_path, tmp_path, mon
     import ncpath.oracle
 
     calls = []
-    original = ncpath.oracle.chebyshev_evolve
+    original = ncpath.oracle._chebyshev_series
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(ncpath.oracle, "chebyshev_evolve", counted)
+    monkeypatch.setattr(ncpath.oracle, "_chebyshev_series", counted)
     summary = tmp_path / "oracle.json"
     code = _run_in_process("oracle-compare", "--config", config_path, "--m-list", "2,4,8",
                            "--out", str(tmp_path / "oracle.csv"), "--summary", str(summary))

@@ -2,12 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncpath.core import (
     ConfigError,
     PhaseSpaceGrid,
     PhysicsParams,
     Potential,
+    RunConfig,
     ThetaMatrix,
     evaluate_potential_shifted,
     load_config,
@@ -202,6 +205,83 @@ def test_load_config_rejects_bad_theta_shape():
     with pytest.raises(ConfigError) as err:
         load_config(data)
     assert "theta" in str(err.value)
+
+
+_FUZZ_BASES = [
+    _valid_config(),
+    {"dim": 2, "hbar": 0.7, "mass": 1.3, "theta": [[0.0, -0.2], [0.2, 0.0]],
+     "grid": {"points_per_axis": 6, "box_half_width": 3.0},
+     "potential": {"form": "polynomial", "coefficients": {
+         "terms": [{"powers": [2, 0], "c": 0.5}, {"powers": [1, 1], "c": -0.1}]}},
+     "probe": {"center": [0.1, 0.0], "momentum": [0.0, 0.3], "width": 0.8}},
+    {"dim": 1, "theta": [[0.0]], "grid": {"points_per_axis": 5, "box_half_width": 2.0},
+     "potential": {"form": "linear", "coefficients": {"c": [0.4]}}},
+    {"dim": 2, "theta": [[0.0, 0.1], [-0.1, 0.0]],
+     "grid": {"points_per_axis": 4, "box_half_width": 2.0},
+     "potential": {"form": "gaussian_well", "coefficients": {"depth": 2.0, "width": 0.5}}},
+]
+
+# a key whose value decides how another key is read
+_FUZZ_COUPLED = {"dim": ("theta", "grid", "probe", "potential.coefficients"),
+                 "hbar": ("grid.box_half_width",),
+                 "potential.form": ("potential.coefficients",)}
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+def _paths(node, path=()):
+    """Every (path, value) below a config node; list items by index."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, path + (key,))
+
+
+def _key_name(path):
+    return ".".join(str(p) for p in path if isinstance(p, str))
+
+
+def _related(changed: str, named: str) -> bool:
+    def within(a, b):
+        return a == b or a.startswith(b + ".")
+    return (within(changed, named) or within(named, changed)
+            or any(within(named, k) for k in _FUZZ_COUPLED.get(changed, ())))
+
+
+@settings(max_examples=400, deadline=None)
+@given(base=st.sampled_from(_FUZZ_BASES), data=st.data(),
+       value=_JSON_VALUES | st.integers(-3, 12) | st.floats(-1e3, 1e3), delete=st.booleans(),
+       as_text=st.booleans())
+def test_load_config_gives_a_run_config_or_names_the_key(base, data, value, delete, as_text):
+    # replace or delete one key or list item of a valid config: loading gives
+    # a RunConfig, or a ConfigError that starts with a key related to the change
+    config = json.loads(json.dumps(base))
+    path, old = data.draw(st.sampled_from(list(_paths(config))))
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    if delete:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    changed = _key_name(path)
+    try:
+        loaded = load_config(json.dumps(config) if as_text else config)
+    except ConfigError as exc:
+        named = str(exc).split(":")[0]
+        assert _related(changed, named), (changed, str(exc))
+        return
+    assert isinstance(loaded, RunConfig)
+    # a number is never read from a bool, a string, a list or an object
+    def is_number(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+    if not delete and is_number(old) and not is_number(value):
+        assert changed == "probe.width" and value is None  # null: the default width
 
 
 def _literal_momentum_sum(grid, multiplier):

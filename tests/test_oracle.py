@@ -13,7 +13,8 @@ from ncpath.oracle import (
     split_step_evolve,
 )
 from ncpath.slicer import SlicingConfig, full_kernel
-from ncpath.star import OperatorKernel, gaussian_packet
+from ncpath.star import OperatorKernel, gaussian_packet, potential_operator_kernel
+from ncpath.weyl import symbol_of_operator
 
 
 def test_oscillator_ground_state_energy():
@@ -86,6 +87,43 @@ def test_spectral_propagator_rejects_a_non_finite_hamiltonian():
     H.entries[5, 2] = np.nan
     with pytest.raises(ValueError, match="not Hermitian"):
         spectral_propagator(H, 1.0)
+
+
+# the strip pass reads (2, 9) in block 0's upper strip and (9, 2) in its
+# column strip: a NaN on either side of the diagonal must reach every check
+@pytest.mark.parametrize("where", [(9, 2), (2, 9)], ids=["below", "above"])
+def test_a_nan_on_one_side_of_the_diagonal_fails_every_spectral_route(where, monkeypatch):
+    params = PhysicsParams(dim=2)
+    grid = PhaseSpaceGrid(4, 2.0, 2)
+    V, theta = Potential.harmonic(1.0, 1.0, dim=2), ThetaMatrix.single_block(2, 0.1)
+
+    def poisoned(*args):
+        H = kinetic_operator_kernel(grid, params)
+        H.entries[where] = np.nan
+        return H
+
+    assert np.isnan(poisoned().hermiticity_deviation())
+    psi = gaussian_packet(grid)
+    with pytest.raises(ValueError, match="Hamiltonian not Hermitian"):
+        chebyshev_evolve(poisoned(), 1.0, psi)
+    with pytest.raises(ValueError, match="Hamiltonian not Hermitian"):
+        spectral_propagator(poisoned(), 1.0)
+    monkeypatch.setattr(ncpath.oracle, "build_hamiltonian_matrix", poisoned)
+    with pytest.raises(ValueError, match="Hamiltonian not Hermitian"):
+        oracle_compare(V, theta, grid, params, 1.0, [2], psi)
+
+
+def test_spectral_routes_leave_the_hamiltonian_unchanged():
+    # only oracle_compare, which drops H, forms the Hermitian part in H's array
+    params = PhysicsParams(dim=2)
+    grid = PhaseSpaceGrid(12, 5.0, 2)
+    H = build_hamiltonian_matrix(Potential.harmonic(1.0, 1.0, dim=2),
+                                 ThetaMatrix.single_block(2, 0.1), grid, params)
+    before = H.entries.copy()
+    chebyshev_evolve(H, 1.0, gaussian_packet(grid))
+    assert np.array_equal(H.entries, before)
+    spectral_propagator(H, 1.0)
+    assert np.array_equal(H.entries, before)
 
 
 # The lattice kernel of a non-separable V(X + θK) is Hermitian only at θ = 0.
@@ -335,6 +373,19 @@ def _hamiltonian_then_evolve(V, theta, grid, params):
     return lambda: chebyshev_evolve(H, 1.0, probe)
 
 
+def _oracle_compare(V, theta, grid, params):
+    # H, its Hermitian part and each slice share one n×n array at a time
+    probe = gaussian_packet(grid)
+    return lambda: oracle_compare(V, theta, grid, params, 1.0, [4, 8], probe)
+
+
+def _kernel_then_symbol(V, theta, grid, params):
+    # the kernel is built before tracing starts; the layout and each
+    # transform stage hold at most two n×n arrays
+    kernel = potential_operator_kernel(V, theta, grid)
+    return lambda: symbol_of_operator(kernel, 0.3)
+
+
 @pytest.mark.parametrize("prepare,bound", [
     (lambda V, theta, grid, params: lambda: kinetic_operator_kernel(grid, params), 1.25),
     # beside the output sit one row block's h(k, y) values and transforms,
@@ -344,8 +395,10 @@ def _hamiltonian_then_evolve(V, theta, grid, params):
     (_hamiltonian_then_evolve, 1.25),
     (lambda V, theta, grid, params: lambda: split_step_evolve(
         gaussian_packet(grid), V, theta, params, 1.0, 2), 1.25),
+    (_oracle_compare, 1.5),
+    (_kernel_then_symbol, 2.5),
 ], ids=["kinetic_operator_kernel", "build_hamiltonian_matrix", "chebyshev_evolve",
-        "split_step_evolve"])
+        "split_step_evolve", "oracle_compare", "symbol_of_operator"])
 def test_dense_builds_allocate_one_n_by_n_array(prepare, bound):
     # each builder allocates its n×n output once and fills it in row blocks
     # of n²/G entries, so the traced peak stays near one kernel

@@ -220,15 +220,39 @@ def test_potential_kernel_hermitian_harmonic():
 
 
 def test_hermiticity_deviation_matches_literal_and_keeps_nan():
-    # reduced one row block at a time: the same max as the whole-array
-    # formula, and a NaN in any block is not dropped by the reduction
+    # reduced strip by strip: the same max as the whole-array formula, and a
+    # NaN on either side of the diagonal is not dropped by the reduction;
+    # (9, 2) lies in block 0's column strip, (2, 9) in its upper strip
     grid = PhaseSpaceGrid(4, 2.0, 2)
     rng = np.random.default_rng(5)
     entries = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     literal = float(np.max(np.abs(entries - entries.conj().T)))
     assert OperatorKernel(entries, grid).hermiticity_deviation() == literal
-    entries[9, 2] = np.nan
-    assert np.isnan(OperatorKernel(entries, grid).hermiticity_deviation())
+    for where in [(9, 2), (2, 9)]:
+        poisoned = entries.copy()
+        poisoned[where] = np.nan
+        assert np.isnan(OperatorKernel(poisoned, grid).hermiticity_deviation())
+        assert np.isnan(OperatorKernel(poisoned, grid).adjoint_deviation()[1])
+
+
+@pytest.mark.parametrize("G, N", [(4, 2), (3, 3), (5, 1)])
+def test_strip_pass_writes_the_hermitian_part_in_place(G, N):
+    # each strip pair is read before any block writes it, so out = entries
+    # gives the same bits as a fresh array, and both match the literal formula
+    grid = PhaseSpaceGrid(G, 2.0, N)
+    rng = np.random.default_rng(G + N)
+    n = grid.size
+    entries = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    scaled = entries * 0.3
+    literal = (scaled + scaled.conj().T) * 0.5
+    fresh = np.empty_like(entries)
+    kern = OperatorKernel(entries.copy(), grid)
+    dev, top = kern.adjoint_deviation(0.3, out=fresh)
+    assert (dev, top) == (float(np.max(np.abs(scaled - scaled.conj().T))),
+                          float(np.max(np.abs(scaled))))
+    assert np.array_equal(fresh, literal)
+    assert kern.adjoint_deviation(0.3, out=kern.entries) == (dev, top)
+    assert np.array_equal(kern.entries, literal)
 
 
 def test_kernel_application_matches_star_apply():
