@@ -101,27 +101,36 @@ class OperatorKernel:
         strip S[rows, s:] is held against a C-ordered copy of the column
         strip S[s:, rows]†, so each off-diagonal pair is read once.  Given an
         n×n `out`, the Hermitian part (S + S†)/2 is written into out[rows, s:]
-        and its conjugate transpose into the rows below the block.  `out` may be the
-        entries themselves: the strips of block o lie in rows and columns
-        ≥ s, which no earlier block writes.
+        and into the column strip below the block, entry (a, b) summed as
+        S_ab + conj(S_ba), so every bit (signed zeros too) is that of the
+        whole-array formula.  `out` may be the entries themselves: the strips
+        of block o lie in rows and columns ≥ s, which no earlier block writes.
         """
         devs, tops = [], []  # reduced with np.max, which keeps a NaN
         for rows in _row_blocks(self.grid):
-            start = rows.start
+            start, below = rows.start, rows.stop - rows.start
             upper = self.entries[rows, start:]
             # a C-ordered copy: ufuncs on the strided column view buffer a second one
             adjoint = np.array(self.entries[start:, rows].T, order="C")
             if scale is not None:
                 upper = upper * scale
                 adjoint *= scale
+            # both sums go through one C-ordered strip: a ufunc writing a
+            # strided view of `out` buffers its operands, an assignment does not
+            work = np.empty_like(upper)
+            if out is not None:  # the rows below the block, entry (a, b) as S_ab + conj(S_ba)
+                np.conjugate(upper, out=work)
+                work += adjoint
+                work *= 0.5
+                out[rows.stop:, rows] = work[:, below:].T
             np.conjugate(adjoint, out=adjoint)
-            devs.append(np.max(np.abs(upper - adjoint)))
+            devs.append(np.max(np.abs(np.subtract(upper, adjoint, out=work))))
             tops += [np.max(np.abs(upper)), np.max(np.abs(adjoint))]
-            if out is not None:
-                half = out[rows, start:]  # holds the diagonal block rows × rows whole
-                np.add(upper, adjoint, out=half)
-                half *= 0.5
-                np.conjugate(half[:, rows.stop - start:].T, out=out[rows.stop:, rows])
+            if out is not None:  # out[rows, s:] holds the diagonal block rows × rows whole
+                np.add(upper, adjoint, out=work)
+                work *= 0.5
+                out[rows, start:] = work
+            del upper, adjoint, work  # before the next block allocates its strips
         return float(np.max(devs)), float(np.max(tops))
 
     def hermiticity_deviation(self) -> float:

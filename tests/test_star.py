@@ -238,21 +238,24 @@ def test_hermiticity_deviation_matches_literal_and_keeps_nan():
 @pytest.mark.parametrize("G, N", [(4, 2), (3, 3), (5, 1)])
 def test_strip_pass_writes_the_hermitian_part_in_place(G, N):
     # each strip pair is read before any block writes it, so out = entries
-    # gives the same bits as a fresh array, and both match the literal formula
+    # gives the same bits as a fresh array, and both are the bytes of the
+    # literal formula; a complex-symmetric and a real matrix make imaginary
+    # parts cancel to signed zeros on both sides of the diagonal
     grid = PhaseSpaceGrid(G, 2.0, N)
     rng = np.random.default_rng(G + N)
     n = grid.size
-    entries = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    scaled = entries * 0.3
-    literal = (scaled + scaled.conj().T) * 0.5
-    fresh = np.empty_like(entries)
-    kern = OperatorKernel(entries.copy(), grid)
-    dev, top = kern.adjoint_deviation(0.3, out=fresh)
-    assert (dev, top) == (float(np.max(np.abs(scaled - scaled.conj().T))),
-                          float(np.max(np.abs(scaled))))
-    assert np.array_equal(fresh, literal)
-    assert kern.adjoint_deviation(0.3, out=kern.entries) == (dev, top)
-    assert np.array_equal(kern.entries, literal)
+    general = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    for entries in [general, general + general.T, np.conjugate(general.real + 0j)]:
+        scaled = entries * 0.3
+        literal = (scaled + scaled.conj().T) * 0.5
+        fresh = np.empty_like(entries)
+        kern = OperatorKernel(entries.copy(), grid)
+        dev, top = kern.adjoint_deviation(0.3, out=fresh)
+        assert (dev, top) == (float(np.max(np.abs(scaled - scaled.conj().T))),
+                              float(np.max(np.abs(scaled))))
+        assert fresh.tobytes() == literal.tobytes()
+        assert kern.adjoint_deviation(0.3, out=kern.entries) == (dev, top)
+        assert kern.entries.tobytes() == literal.tobytes()
 
 
 def test_kernel_application_matches_star_apply():
