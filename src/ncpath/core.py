@@ -519,9 +519,14 @@ def _integer(value, name: str) -> int:
     return int(number)
 
 
-def _object(value, name: str) -> dict:
+def _object(value, name: str, keys) -> dict:
+    """value as a config object whose keys are all among keys."""
     if not isinstance(value, dict):
         raise ConfigError(f"{name}: must be an object")
+    unknown = sorted(str(k) for k in value if k not in keys)
+    if unknown:
+        path = f"{name}.{unknown[0]}" if name else unknown[0]
+        raise ConfigError(f"{path}: unknown key (known keys: {', '.join(sorted(keys)) or 'none'})")
     return value
 
 
@@ -530,9 +535,18 @@ def _coefficient(coeffs: dict, key: str, shape=()):
                    f"potential.coefficients.{key}", shape)
 
 
+# the coefficient keys each potential form reads
+_FORM_COEFFICIENTS = {"zero": (), "linear": ("c",), "harmonic": ("omega",),
+                      "quartic": ("lambda",), "polynomial": ("terms",),
+                      "gaussian_well": ("depth", "width")}
+
+
 def _potential_from_config(pot: dict, dim: int, mass: float) -> Potential:
     form = _require(pot, "form", "potential")
-    coeffs = _object(pot.get("coefficients", {}), "potential.coefficients")
+    if not isinstance(form, str) or form not in _FORM_COEFFICIENTS:
+        raise ConfigError(f"potential.form: unknown form {form!r}")
+    coeffs = _object(pot.get("coefficients", {}), "potential.coefficients",
+                     _FORM_COEFFICIENTS[form])
     if form == "zero":
         return Potential.zero(dim)
     if form == "linear":
@@ -546,16 +560,14 @@ def _potential_from_config(pot: dict, dim: int, mass: float) -> Potential:
         terms = _require(coeffs, "terms", "potential.coefficients")
         if not isinstance(terms, list):
             raise ConfigError(f"{key}: must be a list")
-        terms = [_object(t, key) for t in terms]
+        terms = [_object(t, key, ("powers", "c")) for t in terms]
         return Potential.polynomial(
             [(_require(t, "powers", key), _finite(_require(t, "c", key), f"{key}.c"))
              for t in terms],
             dim,
         )
-    if form == "gaussian_well":
-        return Potential.gaussian_well(_coefficient(coeffs, "depth"),
-                                       _coefficient(coeffs, "width"), dim=dim)
-    raise ConfigError(f"potential.form: unknown form {form!r}")
+    return Potential.gaussian_well(_coefficient(coeffs, "depth"),
+                                   _coefficient(coeffs, "width"), dim=dim)
 
 
 def load_config(source) -> RunConfig:
@@ -580,6 +592,7 @@ def load_config(source) -> RunConfig:
             raise ConfigError(f"config: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ConfigError("config: top level must be an object")
+    _object(data, "", ("dim", "hbar", "mass", "theta", "grid", "potential", "probe"))
 
     dim = _integer(_require(data, "dim"), "dim")
     hbar = _finite(data.get("hbar", 1.0), "hbar")
@@ -587,7 +600,7 @@ def load_config(source) -> RunConfig:
     params = PhysicsParams(hbar=hbar, mass=mass, dim=dim)
     theta = ThetaMatrix(_finite(_require(data, "theta"), "theta", (dim, dim)))
 
-    grid_cfg = _object(_require(data, "grid"), "grid")
+    grid_cfg = _object(_require(data, "grid"), "grid", ("points_per_axis", "box_half_width"))
     grid = PhaseSpaceGrid(
         _integer(_require(grid_cfg, "points_per_axis", "grid"), "grid.points_per_axis"),
         _finite(_require(grid_cfg, "box_half_width", "grid"), "grid.box_half_width"),
@@ -595,10 +608,10 @@ def load_config(source) -> RunConfig:
         hbar=hbar,
     )
 
-    potential = _potential_from_config(_object(_require(data, "potential"), "potential"),
-                                       dim, mass)
+    potential = _potential_from_config(
+        _object(_require(data, "potential"), "potential", ("form", "coefficients")), dim, mass)
 
-    probe_cfg = _object(data.get("probe", {}), "probe")
+    probe_cfg = _object(data.get("probe", {}), "probe", ("center", "momentum", "width"))
     center = _finite(probe_cfg.get("center", (0.0,) * dim), "probe.center", (dim,))
     momentum = _finite(probe_cfg.get("momentum", (0.0,) * dim), "probe.momentum", (dim,))
     width = probe_cfg.get("width")

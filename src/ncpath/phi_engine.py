@@ -53,13 +53,10 @@ class GaussianRational:
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-
-    @classmethod
-    def i_times(cls, value) -> "GaussianRational":
-        return cls(0, Fraction(value))
+    def __init__(self, re=_ZERO, im=_ZERO):
+        # a part that is already a Fraction is kept as it is
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     def __add__(self, other):
         other = _as_gr(other)
@@ -122,27 +119,6 @@ def _as_gr(value) -> GaussianRational:
     return GaussianRational(value)
 
 
-def _complex(re: Fraction, im: Fraction) -> GaussianRational:
-    # parts already exact: skip the Fraction() round trip of __init__
-    out = object.__new__(GaussianRational)
-    out.re = re if type(re) is Fraction else Fraction(re)
-    out.im = im if type(im) is Fraction else Fraction(im)
-    return out
-
-
-def _real(value: Fraction) -> GaussianRational:
-    return _complex(value, _ZERO)
-
-
-def _imag(value: Fraction) -> GaussianRational:
-    return _complex(_ZERO, value)
-
-
-def _i_times(weight: Fraction, value: Fraction) -> GaussianRational:
-    # i·weight·value, skipping the product when the weight vanishes
-    return _complex(_ZERO, weight * value if weight else _ZERO)
-
-
 GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
 
@@ -178,11 +154,17 @@ def dense_d_matrix(m: int):
             for a in range(m)]
 
 
-def _d_inverse_padded(m: int, a: int, b: int) -> Fraction:
-    """D⁻¹ with out-of-range indices mapped to zero (boundary convention)."""
-    if a < 1 or a > m or b < 1 or b > m:
-        return _ZERO
-    return d_inverse_entry(m, a, b)
+def _padded_d_numerators(m: int):
+    """The engine's D⁻¹: (m+1)·D⁻¹ as integers on labels 0..m+1, zero outside 1..m.
+
+    `build_phi` and the coordinate-coordinate case table read it, and
+    `run_phi_audit` certifies it against the dense matrix.
+    """
+    table = [[0] * (m + 2) for _ in range(m + 2)]
+    for a in range(1, m + 1):
+        for b in range(a, m + 1):
+            table[a][b] = table[b][a] = a * (m - b + 1)
+    return table
 
 
 # -- source polynomials -------------------------------------------------------
@@ -331,7 +313,7 @@ class PhiForm:
 
     @property
     def constant(self) -> GaussianRational:
-        return _imag(self.scale * self.q0)
+        return GaussianRational(_ZERO, self.scale * self.q0)
 
     @cached_property
     def polynomial(self) -> SourcePolynomial:
@@ -341,7 +323,7 @@ class PhiForm:
 
         def put(key, value):
             if value:
-                terms[key] = _imag(s * value)
+                terms[key] = GaussianRational(_ZERO, s * value)
 
         put((), self.q0)
         n = self.ctx.slices_m + 1
@@ -367,15 +349,6 @@ def _rational_theta(theta, dim: int):
             if rows[r][c] != -rows[c][r]:
                 raise ValueError("theta: must be exactly antisymmetric")
     return rows
-
-
-def _padded_d_numerators(m: int):
-    """(m+1)·D⁻¹ as integers on labels 0..m+1, zero outside 1..m."""
-    table = [[0] * (m + 2) for _ in range(m + 2)]
-    for a in range(1, m + 1):
-        for b in range(a, m + 1):
-            table[a][b] = table[b][a] = a * (m - b + 1)
-    return table
 
 
 def build_phi(ctx: PhiContext, theta, x_f, x_in) -> PhiForm:
@@ -455,7 +428,7 @@ def build_phi(ctx: PhiContext, theta, x_f, x_in) -> PhiForm:
 
 def _l_prefactor(ctx: PhiContext) -> GaussianRational:
     # ħ/(iε) = -i ħ/ε
-    return GaussianRational.i_times(-ctx.hbar / ctx.epsilon)
+    return GaussianRational(_ZERO, -ctx.hbar / ctx.epsilon)
 
 
 def _apply_l_once(poly: SourcePolynomial, phi: PhiForm, a: int, i: int) -> SourcePolynomial:
@@ -530,7 +503,7 @@ def first_derivative_report(phi: PhiForm, a: int, i: int) -> FirstDerivativeRepo
     _check_labels(phi, (a,), (i,))
     lin_z = phi.lin_z[a]
     mom = sum((t * lin_z[l] for l, t in enumerate(phi.theta[i]) if t), _ZERO)
-    return FirstDerivativeReport(a, i, _real(phi.lin_j[a][i]), _real(mom))
+    return FirstDerivativeReport(a, i, GaussianRational(phi.lin_j[a][i]), GaussianRational(mom))
 
 
 @dataclass
@@ -563,10 +536,13 @@ def second_derivative_report(phi: PhiForm, a: int, b: int, i: int, j: int) -> Se
     # block-diagonal in the component, so each piece is one block entry
     _check_labels(phi, (a, b), (i, j))
     c, c_theta, c_theta_sq = phi._weights
-    return SecondDerivativeReport(_i_times(c if i == j else _ZERO, phi.jj[a][b]),
-                                  _i_times(c_theta_sq[i][j], phi.zz[a][b]),
-                                  _i_times(c_theta[j][i], phi.jz[a][b]),
-                                  _i_times(c_theta[i][j], phi.jz[b][a]))
+    w_zz, w_jz, w_zj = c_theta_sq[i][j], c_theta[j][i], c_theta[i][j]
+    # a vanishing weight (θ is sparse) skips its Fraction product
+    return SecondDerivativeReport(
+        GaussianRational(_ZERO, c * phi.jj[a][b] if i == j else _ZERO),
+        GaussianRational(_ZERO, w_zz * phi.zz[a][b] if w_zz else _ZERO),
+        GaussianRational(_ZERO, w_jz * phi.jz[a][b] if w_jz else _ZERO),
+        GaussianRational(_ZERO, w_zj * phi.jz[b][a] if w_zj else _ZERO))
 
 
 # -- limit and audit ----------------------------------------------------------
@@ -672,111 +648,12 @@ def bareiss_determinant(matrix) -> Fraction:
     return Fraction(sign * a[-1][-1], denominator)
 
 
-def _audit_forms(m: int, sample_alphas, dim: int, theta_value, x_f, x_in,
-                 total_time) -> dict:
-    """One Φ per distinct sampled α, on the audit's θ and boundary points."""
-    if dim < 2:
-        raise ValueError("dim: the audit needs at least two dimensions (θ vanishes in one)")
-    alphas = [Fraction(a) for a in sample_alphas]
-    if len(set(alphas)) < 3:
-        raise ValueError("sample_alphas: need at least three distinct values")
-    if x_f is None:
-        x_f = [Fraction(3, 2)] * dim
-    if x_in is None:
-        x_in = [Fraction(-2, 3)] * dim
-    theta = [[_ZERO] * dim for _ in range(dim)]
-    theta[0][1] = Fraction(theta_value)
-    theta[1][0] = -Fraction(theta_value)
-    T = Fraction(total_time)
-    return {al: build_phi(PhiContext(m, T, al), theta, x_f, x_in) for al in alphas}
-
-
-def _alpha_cancellation_rows(forms: dict) -> list:
-    """The α-cancellation rows over forms that differ only in α."""
-    alphas = list(forms)
-    base = alphas[0]
-    ref = forms[base]
-    ctx, theta, x_f, x_in, dim = ref.ctx, ref.theta, ref.x_f, ref.x_in, ref.dim
-    m, T, M, hbar = ctx.slices_m, ctx.total_time, ctx.mass, ctx.hbar
-    rows = []
-
-    # first derivatives
-    mom_ok = True
-    coord_ok = True
-    for i in range(dim):
-        expected_mom = _real(M * sum((theta[i][l] / T * (x_f[l] - x_in[l])
-                                      for l in range(dim)), _ZERO))
-        for a in range(m + 1):
-            reports = {al: first_derivative_report(forms[al], a, i) for al in alphas}
-            for al in alphas:
-                if reports[al].momentum_route != expected_mom:
-                    mom_ok = False
-                delta = reports[al].coordinate_route - reports[base].coordinate_route
-                expected_delta = _real((al - base) * (x_f[i] - x_in[i]) / (m + 1))
-                if delta != expected_delta:
-                    coord_ok = False
-    rows.append(AuditRow("first-derivative momentum route", mom_ok,
-                         "equals (M/T)·θ·(x_f - x_in) for every slice and α"))
-    rows.append(AuditRow("first-derivative coordinate route", coord_ok,
-                         "α-variation is exactly (Δα/(m+1))·(x_f - x_in)"))
-
-    # second derivatives
-    zz_ok = True
-    sum_ok = True
-    jz_varies = False
-    for (i, j) in ((0, 0), (0, 1)):
-        theta_sq = sum((theta[i][k] * theta[j][k] for k in range(dim)), _ZERO)
-        expected_zz = _imag(-M * hbar * theta_sq / T)
-        for a in range(m + 1):
-            for b in range(m + 1):
-                vals = [second_derivative_report(forms[al], a, b, i, j) for al in alphas]
-                expected_sum = GR_ZERO
-                if a != b:
-                    sign = 1 if a < b else -1
-                    expected_sum = _imag(sign * hbar * theta[i][j]
-                                         * Fraction(m + 1 + min(a, b) - max(a, b), m + 1))
-                for rep in vals:
-                    if rep.zz != expected_zz:
-                        zz_ok = False
-                    if rep.jz_plus_zj != expected_sum:
-                        sum_ok = False
-                if any(vals[0].jz != r.jz for r in vals[1:]):
-                    jz_varies = True
-    rows.append(AuditRow("momentum-momentum second derivative", zz_ok,
-                         "equals θθᵀ·Mħ/(iT) for every (a, b) and α"))
-    rows.append(AuditRow("mixed second-derivative cancellation", sum_ok,
-                         "jz+zj is α-free: 0 on the diagonal, "
-                         "±iħθ·(m+1-|a-b|)/(m+1) off it"))
-    rows.append(AuditRow("mixed parts individually α-dependent", jz_varies,
-                         "the unsummed jz piece varies with α"))
-    return rows
-
-
-def alpha_cancellation_audit(m: int, sample_alphas, dim: int = 2,
-                             theta_value=Fraction(1, 10),
-                             x_f=None, x_in=None,
-                             total_time=_ONE) -> AuditReport:
-    """Certify, in exact arithmetic, what depends on α and what does not.
-
-    Checks across all sampled α and every slice-label pair (a, b):
-      - the momentum route of L_aΦ|₀ is α-independent and equals (M/T)θΔx;
-      - the coordinate route's α-variation is exactly (Δα/(m+1))(x_f - x_in),
-        a contribution that dies with the slicing;
-      - zz parts and the jz+zj totals are exactly α-independent, with
-        jz+zj = 0 on the diagonal a = b;
-      - the unsummed jz part genuinely varies with α for some (a, b):
-        the cancellation is between terms, not an absence of terms.
-    """
-    forms = _audit_forms(m, sample_alphas, dim, theta_value, x_f, x_in, total_time)
-    return AuditReport(_alpha_cancellation_rows(forms))
-
-
-def _coordinate_coordinate_case(m: int, a: int, b: int, alpha: Fraction) -> Fraction:
+def _coordinate_coordinate_case(d, m: int, a: int, b: int, alpha: Fraction) -> Fraction:
     """Closed-form bracket of the coordinate-coordinate second derivative.
 
-    Derived from the direct double sum over the inverse coupling matrix;
-    the off-diagonal cases carry an α²-term (-α²/(m+1)) on top of the
-    printed endpoint/diagonal structure.
+    Derived from the direct double sum over the inverse coupling matrix,
+    read from the padded table d = (m+1)·D⁻¹; the off-diagonal cases carry
+    an α²-term (-α²/(m+1)) on top of the printed endpoint/diagonal structure.
     """
     half = _HALF
     if a > b:
@@ -789,36 +666,52 @@ def _coordinate_coordinate_case(m: int, a: int, b: int, alpha: Fraction) -> Frac
         return Fraction(1, m + 1) * (
             Fraction(4 * a * (m - a) + m, 4) + alpha * (m - 2 * a) + m * alpha * alpha)
     wa, wb = half + alpha, half - alpha
-    return (wa * wa * _d_inverse_padded(m, a + 1, b + 1)
-            + wa * wb * (_d_inverse_padded(m, a + 1, b) + _d_inverse_padded(m, a, b + 1))
-            + wb * wb * _d_inverse_padded(m, a, b))
+    return (wa * wa * d[a + 1][b + 1] + wa * wb * (d[a + 1][b] + d[a][b + 1])
+            + wb * wb * d[a][b]) / (m + 1)
 
 
 def run_phi_audit(m: int, sample_alphas, dim: int = 2,
                   theta_value=Fraction(1, 10), total_time=_ONE) -> AuditReport:
     """Full identity audit for one slice count: the CLI's pass/fail table.
 
-    Covers the coupling-matrix closed forms (against exact dense oracles),
-    the first/second derivative structure, the surviving midslice limit,
-    and the α-cancellation certification.  One Φ per α serves both the
-    cancellation rows and the coordinate-coordinate table.
+    Checks the coupling-matrix closed forms against exact dense oracles
+    (det D by Bareiss elimination; the padded table (m+1)·D⁻¹ that
+    `build_phi` reads, by its integer product with the dense D) and the
+    surviving midslice limit.  Then one Φ per sampled α, on θ^{01} =
+    theta_value and fixed rational boundary points, certifies in exact
+    arithmetic what depends on α and what does not, across every slice-label
+    pair (a, b):
+      - the momentum route of L_aΦ|₀ is α-independent and equals (M/T)θΔx;
+      - the coordinate route's α-variation is exactly (Δα/(m+1))(x_f - x_in),
+        a contribution that dies with the slicing;
+      - zz parts and the jz+zj totals are exactly α-independent, with
+        jz+zj = 0 on the diagonal a = b;
+      - the unsummed jz part genuinely varies with α for some (a, b):
+        the cancellation is between terms, not an absence of terms;
+      - the coordinate-coordinate part matches its closed-form case table.
     """
+    if dim < 2:
+        raise ValueError("dim: the audit needs at least two dimensions (θ vanishes in one)")
+    alphas = list(dict.fromkeys(Fraction(a) for a in sample_alphas))
+    if len(alphas) < 3:
+        raise ValueError("sample_alphas: need at least three distinct values")
     rows = []
     T = Fraction(total_time)
+    n = m + 1
 
     dmat = dense_d_matrix(m)
     det_ok = d_det(m) == bareiss_determinant(dmat)
     rows.append(AuditRow("determinant closed form", det_ok,
                          f"det = {d_det(m)} (= m + 1)"))
 
-    # the dense rows are banded: sum D·D⁻¹ over each row's nonzero entries only
+    # D times the table is (m+1)·I in ints; the dense rows are banded, so
+    # each sum runs over a row's nonzero entries only
+    d = _padded_d_numerators(m)
     inv_ok = True
-    for a in range(1, m + 1):
-        band = [(c, v) for c, v in enumerate(dmat[a - 1], start=1) if v]
-        for b in range(1, m + 1):
-            s = sum(v * d_inverse_entry(m, c, b) for c, v in band)
-            if s != (1 if a == b else 0):
-                inv_ok = False
+    for a, row in enumerate(dmat, start=1):
+        band = [(c, v) for c, v in enumerate(row, start=1) if v]
+        inv_ok = inv_ok and all(sum(v * d[c][b] for c, v in band) == (n if a == b else 0)
+                                for b in range(1, n))
     rows.append(AuditRow("inverse closed form", inv_ok,
                          "product with the dense matrix is the identity, exactly"))
 
@@ -832,20 +725,59 @@ def run_phi_audit(m: int, sample_alphas, dim: int = 2,
         detail = f"checked at even slice count {m + 1}: value {value}"
     rows.append(AuditRow("surviving midslice coefficient", limit_ok, detail))
 
-    forms = _audit_forms(m, sample_alphas, dim, theta_value, None, None, T)
-    rows.extend(_alpha_cancellation_rows(forms))
+    x_f, x_in = [Fraction(3, 2)] * dim, [Fraction(-2, 3)] * dim
+    theta = [[_ZERO] * dim for _ in range(dim)]
+    theta[0][1] = Fraction(theta_value)
+    theta[1][0] = -theta[0][1]
+    forms = {al: build_phi(PhiContext(m, T, al), theta, x_f, x_in) for al in alphas}
+    base = alphas[0]
+    ctx = forms[base].ctx
+    M, hbar = ctx.mass, ctx.hbar
 
-    # coordinate-coordinate case structure
-    jj_ok = True
-    for al, phi in forms.items():
-        ctx = phi.ctx
-        scale = ctx.hbar * ctx.epsilon / ctx.mass
-        for a in range(m + 1):
-            for b in range(m + 1):
-                rep = second_derivative_report(phi, a, b, 0, 0)
-                expected = _imag(scale * _coordinate_coordinate_case(m, a, b, al))
-                if rep.jj != expected:
-                    jj_ok = False
+    mom_ok = coord_ok = True
+    for i in range(dim):
+        expected_mom = GaussianRational(
+            M * sum((theta[i][l] / T * (x_f[l] - x_in[l]) for l in range(dim)), _ZERO))
+        for a in range(n):
+            reports = {al: first_derivative_report(phi, a, i) for al, phi in forms.items()}
+            for al, rep in reports.items():
+                expected_delta = GaussianRational((al - base) * (x_f[i] - x_in[i]) / n)
+                mom_ok = mom_ok and rep.momentum_route == expected_mom
+                coord_ok = coord_ok and (rep.coordinate_route - reports[base].coordinate_route
+                                         == expected_delta)
+    rows.append(AuditRow("first-derivative momentum route", mom_ok,
+                         "equals (M/T)·θ·(x_f - x_in) for every slice and α"))
+    rows.append(AuditRow("first-derivative coordinate route", coord_ok,
+                         "α-variation is exactly (Δα/(m+1))·(x_f - x_in)"))
+
+    # each (0,0) and (0,1) report is built once and read by every row below
+    expected_zz = {(i, j): GaussianRational(
+        _ZERO, -M * hbar * sum((theta[i][k] * theta[j][k] for k in range(dim)), _ZERO) / T)
+        for i, j in ((0, 0), (0, 1))}
+    jj_scale = hbar * ctx.epsilon / M
+    zz_ok = sum_ok = jj_ok = True
+    jz_varies = False
+    for a in range(n):
+        for b in range(n):
+            for (i, j), zz in expected_zz.items():
+                expected_sum = GR_ZERO if a == b else GaussianRational(
+                    _ZERO, (1 if a < b else -1) * hbar * theta[i][j] * Fraction(n - abs(a - b), n))
+                reps = [second_derivative_report(phi, a, b, i, j) for phi in forms.values()]
+                zz_ok = zz_ok and all(r.zz == zz for r in reps)
+                sum_ok = sum_ok and all(r.jz_plus_zj == expected_sum for r in reps)
+                jz_varies = jz_varies or any(reps[0].jz != r.jz for r in reps[1:])
+                if i == j:
+                    jj_ok = jj_ok and all(
+                        r.jj == GaussianRational(
+                            _ZERO, jj_scale * _coordinate_coordinate_case(d, m, a, b, al))
+                        for al, r in zip(alphas, reps))
+    rows.append(AuditRow("momentum-momentum second derivative", zz_ok,
+                         "equals θθᵀ·Mħ/(iT) for every (a, b) and α"))
+    rows.append(AuditRow("mixed second-derivative cancellation", sum_ok,
+                         "jz+zj is α-free: 0 on the diagonal, "
+                         "±iħθ·(m+1-|a-b|)/(m+1) off it"))
+    rows.append(AuditRow("mixed parts individually α-dependent", jz_varies,
+                         "the unsummed jz piece varies with α"))
     rows.append(AuditRow("coordinate-coordinate case table", jj_ok,
                          "matches the closed-form case structure "
                          "(off-diagonal entries include the -α²/(m+1) term)"))

@@ -166,7 +166,7 @@ def shifted_potential_symbol(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceG
     if shifted is None:
         shifted = V(grid.x_points[None, :, :] + shifts[:, None, :])
     values = shifted * factor[:, None]
-    return PhaseSpaceSymbol(values.astype(complex), grid)
+    return PhaseSpaceSymbol(values, grid)
 
 
 @dataclass

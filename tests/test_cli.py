@@ -573,3 +573,80 @@ def test_limit_check_rejects_non_positive_total_time(total_time):
     assert result.returncode == 2
     assert "total_time: must be positive" in result.stderr
     assert result.stdout == ""
+
+
+def test_unknown_config_key_exits_2_and_names_it(tmp_path, capsys):
+    config = json.loads(json.dumps(CONFIG))
+    config["hBar"] = 0.5  # a typo of hbar would otherwise run at ħ = 1
+    config_file = tmp_path / "typo.json"
+    config_file.write_text(json.dumps(config))
+    out = tmp_path / "star.csv"
+    assert _run_in_process("star-check", "--config", str(config_file), "--out", str(out)) == 2
+    assert "hBar: unknown key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_summary_rename_keeps_the_old_summary(tmp_path, capsys, monkeypatch):
+    import ncpath.cli
+
+    summary = tmp_path / "summary.json"
+    summary.write_text("old\n")
+    replace = os.replace
+
+    def failing_replace(src, dst):
+        if os.path.basename(dst) == summary.name:
+            raise OSError(28, "No space left on device", dst)
+        replace(src, dst)
+
+    monkeypatch.setattr(ncpath.cli.os, "replace", failing_replace)
+    code = _run_in_process("limit-check", "--out", str(tmp_path / "limit.csv"),
+                           "--summary", str(summary))
+    assert code == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert summary.read_text() == "old\n"
+    assert (tmp_path / "limit.csv").exists()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_star_check_reports_kernel_checks_it_skipped(tmp_path, monkeypatch):
+    import ncpath.core
+
+    monkeypatch.setattr(ncpath.core, "_DENSE_POINTS", 64)  # G = 9, N = 2 has 81 points
+    config = json.loads(json.dumps(CONFIG))
+    config["grid"]["points_per_axis"] = 9
+    config_file = tmp_path / "nine.json"
+    config_file.write_text(json.dumps(config))
+    out, summary = tmp_path / "star.csv", tmp_path / "star.json"
+    code = _run_in_process("star-check", "--config", str(config_file), "--out", str(out),
+                           "--summary", str(summary))
+    assert code == 0  # the one check that ran passed
+    lines = out.read_text().splitlines()
+    assert lines[0] == "check,value,threshold,pass"
+    assert lines[1].startswith("integral_identity,") and lines[1].endswith(",true")
+    assert lines[2:] == ["kernel_vs_star,,,skipped", "kernel_hermiticity,,,skipped"]
+    rows = json.loads(summary.read_text())["rows"]
+    assert [row[0] for row in rows] == ["integral_identity", "kernel_vs_star",
+                                        "kernel_hermiticity"]
+    assert [row[3] for row in rows] == ["true", "skipped", "skipped"]
+
+
+QUARTIC = os.path.join(os.path.dirname(__file__), "..", "configs", "quartic_washout.json")
+
+
+def test_known_quartic_failure_star_check_kernel_is_not_hermitian(tmp_path):
+    # the lattice kernel of the quartic potential operator is far from Hermitian
+    # (deviation about 51 against a threshold of about 0.0093)
+    out = tmp_path / "star.csv"
+    assert _run_in_process("star-check", "--config", QUARTIC, "--out", str(out)) == 1
+    rows = {line.split(",")[0]: line.split(",")[1:]
+            for line in out.read_text().splitlines()[1:]}
+    value, threshold, passed = rows["kernel_hermiticity"]
+    assert passed == "false" and float(value) > 50 and float(threshold) < 0.01
+    assert rows["integral_identity"][2] == rows["kernel_vs_star"][2] == "true"
+
+
+def test_known_quartic_failure_oracle_compare_exits_2(capsys):
+    # the dense Hamiltonian of the shipped quartic config is not Hermitian, so
+    # the spectral reference refuses it
+    assert _run_in_process("oracle-compare", "--config", QUARTIC) == 2
+    assert "Hamiltonian not Hermitian (deviation 2.895e+01)" in capsys.readouterr().err

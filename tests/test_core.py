@@ -253,11 +253,29 @@ def _related(changed: str, named: str) -> bool:
             or any(within(named, k) for k in _FUZZ_COUPLED.get(changed, ())))
 
 
+# every key that some config object reads
+_KNOWN_KEYS = {"dim", "hbar", "mass", "theta", "grid", "potential", "probe",
+               "points_per_axis", "box_half_width", "form", "coefficients", "c", "omega",
+               "lambda", "terms", "depth", "width", "powers", "center", "momentum"}
+
+
 @settings(max_examples=400, deadline=None)
 @given(base=st.sampled_from(_FUZZ_BASES), data=st.data(),
        value=_JSON_VALUES | st.integers(-3, 12) | st.floats(-1e3, 1e3), delete=st.booleans(),
-       as_text=st.booleans())
-def test_load_config_gives_a_run_config_or_names_the_key(base, data, value, delete, as_text):
+       as_text=st.booleans(),
+       unknown=st.text(min_size=1, max_size=6).filter(lambda k: k not in _KNOWN_KEYS))
+def test_load_config_gives_a_run_config_or_names_the_key(base, data, value, delete, as_text,
+                                                         unknown):
+    # one unknown key inserted into any object of a valid config is refused
+    # by its dotted path
+    config = json.loads(json.dumps(base))
+    objects = [((), config)] + [(p, v) for p, v in _paths(config) if isinstance(v, dict)]
+    path, node = data.draw(st.sampled_from(objects))
+    node[unknown] = value
+    with pytest.raises(ConfigError) as err:
+        load_config(json.dumps(config) if as_text else config)
+    assert str(err.value).startswith(_key_name(path + (unknown,)) + ": unknown key")
+
     # replace or delete one key or list item of a valid config: loading gives
     # a RunConfig, or a ConfigError that starts with a key related to the change
     config = json.loads(json.dumps(base))

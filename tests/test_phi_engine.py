@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncpath import phi_engine
 from ncpath.phi_engine import (
     AuditReport,
     GaussianRational,
     PhiContext,
     SourcePolynomial,
-    alpha_cancellation_audit,
     apply_L,
     apply_L_to_exp,
     bareiss_determinant,
@@ -85,6 +85,17 @@ def test_gaussian_rational_arithmetic():
     assert bool(gr()) is False
     with pytest.raises(ZeroDivisionError):
         a / gr()
+
+
+_PARTS = (st.integers(-50, 50) | st.fractions(max_denominator=20)
+          | st.fractions(max_denominator=20).map(lambda q: f"{q.numerator}/{q.denominator}"))
+
+
+@given(_PARTS, _PARTS)
+def test_gaussian_rational_parts_are_exact_fractions(re, im):
+    z = GaussianRational(re, im)
+    assert type(z.re) is F and type(z.im) is F
+    assert (z.re, z.im) == (F(re), F(im))
 
 
 # -- the coupling matrix ------------------------------------------------------
@@ -183,6 +194,17 @@ def test_inverse_times_matrix_is_identity(m):
             s = sum(dense[a - 1][c - 1] * d_inverse_entry(m, c, b)
                     for c in range(1, m + 1))
             assert s == (1 if a == b else 0)
+
+
+@pytest.mark.parametrize("m", [*range(1, 13), 64])
+def test_padded_table_is_m_plus_one_times_the_inverse(m):
+    table = phi_engine._padded_d_numerators(m)
+    assert len(table) == m + 2 and all(len(row) == m + 2 for row in table)
+    for a, row in enumerate(table):
+        for b, value in enumerate(row):
+            assert type(value) is int
+            inside = 1 <= a <= m and 1 <= b <= m
+            assert value == (d_inverse_entry(m, a, b) * (m + 1) if inside else 0)
 
 
 # -- the exponent -------------------------------------------------------------
@@ -502,22 +524,52 @@ def test_midslice_limit_scales_with_duration():
     assert error == F(9, 5)
 
 
-def test_alpha_cancellation_audit_passes():
-    report = alpha_cancellation_audit(3, [F(-1, 2), F(0), F(1, 2)])
+AUDIT_ROWS = [
+    "determinant closed form",
+    "inverse closed form",
+    "surviving midslice coefficient",
+    "first-derivative momentum route",
+    "first-derivative coordinate route",
+    "momentum-momentum second derivative",
+    "mixed second-derivative cancellation",
+    "mixed parts individually α-dependent",
+    "coordinate-coordinate case table",
+]
+
+
+def test_full_identity_audit_passes_at_m_3():
+    report = run_phi_audit(3, [F(-1, 2), F(0), F(1, 2)])
     assert isinstance(report, AuditReport)
     assert report.ok
+    assert [row.name for row in report.rows] == AUDIT_ROWS
+
+
+def test_audit_certifies_the_table_build_phi_reads(monkeypatch):
+    padded = phi_engine._padded_d_numerators
+
+    def corrupted(m):
+        table = padded(m)
+        table[1][1] += 1
+        return table
+
+    monkeypatch.setattr(phi_engine, "_padded_d_numerators", corrupted)
+    report = run_phi_audit(3, [F(-1, 2), F(0), F(1, 2)])
+    failed = [row.name for row in report.rows if not row.passed]
+    assert "inverse closed form" in failed  # the dense check sees the bad entry
+    assert "mixed second-derivative cancellation" in failed  # and so do Φ's blocks
 
 
 def test_full_identity_audit_passes_at_m_64():
     assert run_phi_audit(64, [F(-1, 2), F(0), F(1, 2)]).ok
 
 
-def test_alpha_cancellation_audit_needs_three_values():
-    with pytest.raises(ValueError):
-        alpha_cancellation_audit(3, [F(0), F(1, 2)])
+@pytest.mark.parametrize("alphas", [[F(0), F(1, 2)], [F(0), F(0), F(1, 2)]])
+def test_full_identity_audit_needs_three_values(alphas):
+    with pytest.raises(ValueError, match="sample_alphas"):
+        run_phi_audit(3, alphas)
 
 
-@pytest.mark.parametrize("audit", [alpha_cancellation_audit, run_phi_audit])
+@pytest.mark.parametrize("audit", [run_phi_audit])
 @pytest.mark.parametrize("dim", [1, 0])
 def test_audits_reject_dimension_below_two(audit, dim):
     # θ vanishes in one dimension, so the α-dependence rows would check nothing
