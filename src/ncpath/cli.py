@@ -40,8 +40,6 @@ EXIT_USAGE = 2
 def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.17g}"
-    if isinstance(value, complex):
-        return f"{value.real:.17g}{value.imag:+.17g}j"
     return str(value)
 
 
@@ -178,12 +176,14 @@ def _write_summary(path, command, cfg, header=(), rows=(), extra=None):
     _write_lines(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
-def _probe(cfg, args=None):
-    width = cfg.probe.width
-    if args is not None and getattr(args, "probe_width", None) is not None:
-        width = args.probe_width  # flag wins over the config key
+def _probe_width(cfg, args):
+    """--probe-width if given, else probe.width (None: the packet's default)."""
+    return cfg.probe.width if args.probe_width is None else args.probe_width
+
+
+def _probe(cfg, args):
     return gaussian_packet(cfg.grid, center=cfg.probe.center,
-                           width=width, momentum=cfg.probe.momentum)
+                           width=_probe_width(cfg, args), momentum=cfg.probe.momentum)
 
 
 def _positive_float(text):
@@ -202,14 +202,12 @@ def _read(text, flag, kind):
         raise ConfigError(f"{flag}: cannot read {text!r} as {kind.__name__}") from None
 
 
-def _parse_alphas(text):
-    return [_read(v, "--alphas", float) for v in text.split(",") if v.strip() != ""]
-
-
-def _parse_m_list(text):
-    values = [_read(v, "--m-list", int) for v in text.split(",") if v.strip() != ""]
+def _read_list(text, flag, kind):
+    """The comma-separated values of a list flag, each read as kind; blank
+    entries are skipped, and a list with no value left names the flag."""
+    values = [_read(v, flag, kind) for v in text.split(",") if v.strip()]
     if not values:
-        raise ConfigError("--m-list: needs at least one slice count")
+        raise ConfigError(f"{flag}: needs at least one value")
     return values
 
 
@@ -236,7 +234,7 @@ def _symbol_table(report):
 
 def cmd_symbol(args) -> int:
     cfg = load_config(args.config)
-    alphas = _parse_alphas(args.alphas)
+    alphas = _read_list(args.alphas, "--alphas", float)
     method = args.method.replace("-", "_")
     report = verify_alpha_washout(cfg.potential, cfg.theta, cfg.grid, alphas,
                                   method=method)
@@ -260,9 +258,9 @@ def cmd_symbol(args) -> int:
 def cmd_star_check(args) -> int:
     cfg = load_config(args.config)
     grid, theta, V = cfg.grid, cfg.theta, cfg.potential
-    phi = _probe(cfg)
-    psi = gaussian_packet(grid, width=None if cfg.probe.width is None
-                          else 0.9 * cfg.probe.width)
+    width = _probe_width(cfg, args)
+    phi = _probe(cfg, args)
+    psi = gaussian_packet(grid, width=None if width is None else 0.9 * width)
     checks = []
     dev = star_integral_identity_check(phi, psi, theta)
     checks.append(("integral_identity", dev, 1e-8))
@@ -273,8 +271,8 @@ def cmd_star_check(args) -> int:
         via_kernel = kern.apply(psi)
         checks.append(("kernel_vs_star", float(np.max(np.abs(
             via_kernel.values - applied.values))), 1e-8))
-        checks.append(("kernel_hermiticity", kern.hermiticity_deviation(),
-                       1e-6 * max(1.0, float(np.max(np.abs(kern.entries))))))
+        deviation, top = kern.adjoint_deviation()  # max|K − K†| and max|K|, one pass
+        checks.append(("kernel_hermiticity", deviation, 1e-6 * max(1.0, top)))
     header = ["check", "value", "threshold", "pass"]
     rows = [(name, value, thr, str(value <= thr).lower()) for name, value, thr in checks]
     if not dense:  # no n×n kernel past the limit: name the checks that did not run
@@ -311,8 +309,8 @@ def _edge_phase(cfg, args, m_values, alpha):
 
 def cmd_alpha_sweep(args) -> int:
     cfg = load_config(args.config)
-    alphas = _parse_alphas(args.alphas)
-    m_values = _parse_m_list(args.m_list)
+    alphas = _read_list(args.alphas, "--alphas", float)
+    m_values = _read_list(args.m_list, "--m-list", int)
     result = alpha_sweep(cfg.params, args.total_time, alphas, m_values,
                          cfg.potential, cfg.theta, cfg.grid, _probe(cfg, args))
     header = ["m", "alpha_pair", "spread"]
@@ -332,7 +330,7 @@ def cmd_alpha_sweep(args) -> int:
 def cmd_phi_audit(args) -> int:
     if args.dim < 2:
         raise ConfigError("--dim: the audit needs at least two dimensions")
-    alphas = [_read(v, "--alphas", Fraction) for v in args.alphas.split(",")]
+    alphas = _read_list(args.alphas, "--alphas", Fraction)
     report = phi_engine.run_phi_audit(args.m, alphas, dim=args.dim,
                                       theta_value=_read(args.theta, "--theta", Fraction),
                                       total_time=_read(args.total_time, "--total-time",
@@ -343,14 +341,13 @@ def cmd_phi_audit(args) -> int:
         print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}")
     if args.out:
         _write_artifact(args.out, header, rows)
-    if args.summary:
-        _write_summary(args.summary, "phi-audit", None, header, rows,
-                       {"m": args.m, "ok": report.ok})
+    _write_summary(args.summary, "phi-audit", None, header, rows,
+                   {"m": args.m, "ok": report.ok})
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
 def cmd_limit_check(args) -> int:
-    m_values = _parse_m_list(args.m_list)
+    m_values = _read_list(args.m_list, "--m-list", int)
     T = _read(args.total_time, "--total-time", Fraction)
     header = ["m", "value", "gap_to_T_squared", "expected_gap", "pass"]
     rows = []
@@ -362,14 +359,13 @@ def cmd_limit_check(args) -> int:
         ok = ok and good
         rows.append((m, str(value), str(error), str(expected), str(good).lower()))
     _write_artifact(args.out, header, rows)
-    if args.summary:
-        _write_summary(args.summary, "limit-check", None, header, rows, {"ok": ok})
+    _write_summary(args.summary, "limit-check", None, header, rows, {"ok": ok})
     return EXIT_OK if ok else EXIT_FAIL
 
 
 def cmd_oracle_compare(args) -> int:
     cfg = load_config(args.config)
-    m_values = _parse_m_list(args.m_list)
+    m_values = _read_list(args.m_list, "--m-list", int)
     timings = {}
     result = oracle_compare(cfg.potential, cfg.theta, cfg.grid, cfg.params,
                             args.total_time, m_values, _probe(cfg, args), alpha=args.alpha,
@@ -388,7 +384,7 @@ def cmd_oracle_compare(args) -> int:
 
 def cmd_unitarity(args) -> int:
     cfg = load_config(args.config)
-    m_values = _parse_m_list(args.m_list)
+    m_values = _read_list(args.m_list, "--m-list", int)
     probe = _probe(cfg, args)
     header = ["m", "norm_ratio"]
     rows = []
@@ -409,26 +405,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="JSON configuration file")
-            p.add_argument("--probe-width", type=_positive_float, default=None,
-                           help="probe packet width; overrides the config key")
-        p.add_argument("--out", default=None, help="CSV artifact path (default stdout)")
-        p.add_argument("--summary", default=None, help="JSON summary path")
+    # flags shared by several subcommands, declared once as parent parsers
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default=None, help="CSV artifact path (default stdout)")
+    output.add_argument("--summary", default=None, help="JSON summary path")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True, help="JSON configuration file")
+    probe = argparse.ArgumentParser(add_help=False)
+    probe.add_argument("--probe-width", type=_positive_float, default=None,
+                       help="probe packet width; overrides the config key")
+    slices = argparse.ArgumentParser(add_help=False)  # oracle-compare and unitarity
+    slices.add_argument("--m-list", default="16,32,64")
+    slices.add_argument("--total-time", type=_positive_float, default=1.0)
+    slices.add_argument("--alpha", type=float, default=0.5)
 
-    p = sub.add_parser("symbol", help="ordering-index symbols and washout deviations")
-    add_common(p)
+    p = sub.add_parser("symbol", parents=[config, output],
+                       help="ordering-index symbols and washout deviations")
     p.add_argument("--alphas", default="-0.4,0,0.4")
     p.add_argument("--method", default="closed-form", choices=["closed-form", "direct"])
     p.set_defaults(func=cmd_symbol)
 
-    p = sub.add_parser("star-check", help="star-product identity checks")
-    add_common(p)
+    p = sub.add_parser("star-check", parents=[config, probe, output],
+                       help="star-product identity checks")
     p.set_defaults(func=cmd_star_check)
 
-    p = sub.add_parser("kernel", help="emit one propagator kernel")
-    add_common(p)
+    p = sub.add_parser("kernel", parents=[config, output], help="emit one propagator kernel")
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--total-time", type=_positive_float, default=1.0)
@@ -436,15 +437,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit the composed kernel instead of a single slice")
     p.set_defaults(func=cmd_kernel)
 
-    p = sub.add_parser("alpha-sweep", help="ordering spread vs slice count")
-    add_common(p)
+    p = sub.add_parser("alpha-sweep", parents=[config, probe, output],
+                       help="ordering spread vs slice count")
     p.add_argument("--alphas", default="0.5,-0.5")
     p.add_argument("--m-list", default="4,8,16,32")
     p.add_argument("--total-time", type=_positive_float, default=1.0)
     p.set_defaults(func=cmd_alpha_sweep)
 
-    p = sub.add_parser("phi-audit", help="exact source-functional identities")
-    add_common(p, needs_config=False)
+    p = sub.add_parser("phi-audit", parents=[output], help="exact source-functional identities")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--alphas", default="-0.5,0,0.5")
     p.add_argument("--dim", type=int, default=2)
@@ -452,24 +452,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--total-time", default="1")
     p.set_defaults(func=cmd_phi_audit)
 
-    p = sub.add_parser("limit-check", help="surviving midslice coefficient vs T²")
-    add_common(p, needs_config=False)
+    p = sub.add_parser("limit-check", parents=[output],
+                       help="surviving midslice coefficient vs T²")
     p.add_argument("--m-list", default="2,10,100,1000")
     p.add_argument("--total-time", default="1")
     p.set_defaults(func=cmd_limit_check)
 
-    p = sub.add_parser("oracle-compare", help="sliced kernel vs spectral propagator")
-    add_common(p)
-    p.add_argument("--m-list", default="16,32,64")
-    p.add_argument("--total-time", type=_positive_float, default=1.0)
-    p.add_argument("--alpha", type=float, default=0.5)
+    p = sub.add_parser("oracle-compare", parents=[config, probe, slices, output],
+                       help="sliced kernel vs spectral propagator")
     p.set_defaults(func=cmd_oracle_compare)
 
-    p = sub.add_parser("unitarity", help="probe norm conservation vs slice count")
-    add_common(p)
-    p.add_argument("--m-list", default="16,32,64")
-    p.add_argument("--total-time", type=_positive_float, default=1.0)
-    p.add_argument("--alpha", type=float, default=0.5)
+    p = sub.add_parser("unitarity", parents=[config, probe, slices, output],
+                       help="probe norm conservation vs slice count")
     p.set_defaults(func=cmd_unitarity)
 
     return parser

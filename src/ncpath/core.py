@@ -302,7 +302,10 @@ def _power_sum(terms, u):
     return out
 
 
-_POTENTIAL_FORMS = ("zero", "linear", "harmonic", "quartic", "polynomial", "gaussian_well")
+# the coefficient keys each potential form reads
+_FORM_COEFFICIENTS = {"zero": (), "linear": ("c",), "harmonic": ("omega",),
+                      "quartic": ("lambda",), "polynomial": ("terms",),
+                      "gaussian_well": ("depth", "width")}
 _MAX_POLY_DEGREE = 12
 
 
@@ -315,7 +318,7 @@ class Potential:
     """
 
     def __init__(self, form: str, dim: int, **coeffs):
-        if form not in _POTENTIAL_FORMS:
+        if form not in _FORM_COEFFICIENTS:
             raise ConfigError(f"potential.form: unknown form {form!r}")
         self.form = form
         self.dim = dim
@@ -533,12 +536,6 @@ def _object(value, name: str, keys) -> dict:
 def _coefficient(coeffs: dict, key: str, shape=()):
     return _finite(_require(coeffs, key, "potential.coefficients"),
                    f"potential.coefficients.{key}", shape)
-
-
-# the coefficient keys each potential form reads
-_FORM_COEFFICIENTS = {"zero": (), "linear": ("c",), "harmonic": ("omega",),
-                      "quartic": ("lambda",), "polynomial": ("terms",),
-                      "gaussian_well": ("depth", "width")}
 
 
 def _potential_from_config(pot: dict, dim: int, mass: float) -> Potential:

@@ -215,12 +215,26 @@ def test_symbol_csv_columns(config_path, tmp_path):
     assert len(lines) == 1 + 2 * 64 * 64 + 2
 
 
-def test_probe_width_flag_overrides_config(config_path):
-    base = run_cli("unitarity", "--config", config_path, "--m-list", "2")
-    overridden = run_cli("unitarity", "--config", config_path, "--m-list", "2",
-                         "--probe-width", "0.6")
-    assert base.returncode == 0 and overridden.returncode == 0
+_PROBE_COMMANDS = {"star-check": [], "alpha-sweep": ["--m-list", "2,4,8"],
+                   "oracle-compare": ["--m-list", "2"], "unitarity": ["--m-list", "2"]}
+
+
+@pytest.mark.parametrize("command", list(_PROBE_COMMANDS))
+def test_probe_width_flag_overrides_config(config_path, command):
+    args = _PROBE_COMMANDS[command]
+    base = run_cli(command, "--config", config_path, *args)
+    overridden = run_cli(command, "--config", config_path, *args, "--probe-width", "0.6")
+    expected = 1 if command == "star-check" else 0  # star-check fails on this coarse grid
+    assert base.returncode == overridden.returncode == expected
     assert base.stdout != overridden.stdout
+
+
+@pytest.mark.parametrize("command", ["kernel", "symbol"])
+def test_probe_width_is_refused_where_no_probe_is_built(config_path, command):
+    result = run_cli(command, "--config", config_path, "--probe-width", "0.6")
+    assert result.returncode == 2
+    assert "unrecognized arguments: --probe-width" in result.stderr
+    assert result.stdout == ""
 
 
 def _run_in_process(*args):
@@ -301,13 +315,29 @@ def test_summary_reports_edge_phase_at_smallest_m(config_path, tmp_path, command
     assert float(payload["edge_phase_turns"]) == pytest.approx(expected, rel=1e-12)
 
 
-@pytest.mark.parametrize("command", ["limit-check", "alpha-sweep", "oracle-compare",
-                                     "unitarity"])
-def test_empty_m_list_is_rejected(config_path, command):
-    config = [] if command == "limit-check" else ["--config", config_path]
-    result = run_cli(command, *config, "--m-list", "")
+@pytest.mark.parametrize("command, flag", [
+    *(pytest.param(c, "--m-list", id=c)
+      for c in ["limit-check", "alpha-sweep", "oracle-compare", "unitarity"]),
+    *(pytest.param(c, "--alphas", id=f"{c}---alphas")
+      for c in ["symbol", "alpha-sweep", "phi-audit"]),
+])
+def test_empty_m_list_is_rejected(config_path, command, flag):
+    setup = {"phi-audit": ["--m", "3"], "limit-check": []}.get(command, ["--config", config_path])
+    result = run_cli(command, *setup, flag, " , ")
     assert result.returncode == 2
-    assert "m-list" in result.stderr
+    assert f"{flag}: needs at least one value" in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("command, values", [("phi-audit", "-1/2,0,1/2"),
+                                             ("alpha-sweep", "0.5,-0.5")])
+def test_blank_alphas_entries_are_skipped(config_path, command, values):
+    setup = ["--m", "3"] if command == "phi-audit" else ["--config", config_path,
+                                                         "--m-list", "2,4,8"]
+    plain = run_cli(command, *setup, "--alphas", values)
+    blank = run_cli(command, *setup, "--alphas", values.replace(",", ",,", 1))
+    assert plain.returncode == blank.returncode == 0, blank.stderr
+    assert blank.stdout == plain.stdout
 
 
 @pytest.mark.parametrize("command, flag, value", [
