@@ -16,7 +16,11 @@ the diagonalization.  The split-step route alternates exact kinetic steps in
 momentum space with mixed-domain phase steps e^{-(i/ħ) δt V(x + θk)}.
 Because the x- and k-dependence of the shifted potential do not commute,
 the split-step scheme is first order in the coupling θ and second order
-when θ = 0; step counts in the tests are chosen accordingly.
+when θ = 0; step counts in the tests are chosen accordingly.  For
+V = Σ_b V_b(u_b) with θ pairing the axes, each row of that phase step is a
+product of one length-G factor per momentum axis, so a half-step, its
+forward transform folded in, is N tables of n×G and no n×n array; any
+other V at θ ≠ 0 builds the n×n half-step matrix.
 """
 
 from __future__ import annotations
@@ -189,13 +193,31 @@ def split_step_evolve(psi: ComplexField, V: Potential, theta: ThetaMatrix,
 
     The potential half-step applies the shifted-symbol phase in mixed
     domain:  ψ(x) ← (2πħ)^{-N/2} Σ_k Δk^N e^{(i/ħ)k·x} e^{-(i/ħ)(δt/2)V(x+θk)} ψ̂(k).
-    V = 0 evolution is exact for any step count.  At θ ≠ 0 the half-step
-    is an n×n matrix, built row block by row block (n²/G entries each) with
-    no other n×n array; grids of more than 4096 lattice points are refused.
+    A step is one half-step on ψ̂, then one on e^{-iδt k²/2Mħ} ψ̂ of the
+    result; no two half-steps are merged.  V = 0 evolution is exact for any
+    step count, and θ = 0 alternates phases with centred FFTs.  At θ ≠ 0
+    there are two routes, both refused on grids of more than 4096 lattice
+    points:
+
+    - V = Σ_b V_b(u_b) (`Potential.axis_terms`) and θ pairing the axes
+      (`ThetaMatrix.axis_pairing`): a half-step row is a product of one
+      length-G factor per momentum axis, so each half-step, its forward
+      transform included, is N tables of n×G (`_axis_step_tables`).
+    - Any other V: the half-step is an n×n matrix, built row block by row
+      block (n²/G entries each) with no other n×n array.
+
+    The grid, θ, V and params must share dim and ħ, T must be finite and
+    steps an integer of at least 1; all are checked before anything is built.
     """
-    if steps < 1:
-        raise ValueError("steps: must be at least 1")
     grid = psi.grid
+    if grid.dim != params.dim or theta.dim != params.dim or V.dim != params.dim:
+        raise GridMismatchError("dim: grid/theta/potential/params disagree")
+    if grid.hbar != params.hbar:
+        raise GridMismatchError("hbar: grid and params disagree")
+    if not np.isfinite(T):
+        raise ValueError(f"T: evolution time must be finite (got {T})")
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise ValueError(f"steps: must be an integer of at least 1 (got {steps!r})")
     dt = T / steps
     hbar = grid.hbar
     k2 = np.sum(grid.k_points**2, axis=-1)
@@ -213,8 +235,16 @@ def split_step_evolve(psi: ComplexField, V: Potential, theta: ThetaMatrix,
             values = grid.momentum_to_wave(hat * kin_phase)
             values *= half
         return ComplexField(values, grid)
-    # mixed-domain half-step matrix: momentum rep -> position rep
     _require_dense_size(grid)
+    terms, pairing = V.axis_terms(), theta.axis_pairing()
+    if terms is not None and pairing is not None:
+        first = _axis_step_tables(grid, terms, theta, pairing, dt, None)
+        second = _axis_step_tables(grid, terms, theta, pairing, dt, params.mass)
+        for _ in range(steps):
+            values = _apply_axis_tables(first, values, grid)
+            values = _apply_axis_tables(second, values, grid)
+        return ComplexField(values, grid)
+    # mixed-domain half-step matrix: momentum rep -> position rep
     shifts = theta.shift(grid.k_points)
     pref = grid.momentum_cell_volume * (2.0 * np.pi * hbar) ** (-grid.dim / 2.0)
     half_v = np.empty((grid.size, grid.size), dtype=complex)
@@ -229,6 +259,51 @@ def split_step_evolve(psi: ComplexField, V: Potential, theta: ThetaMatrix,
         hat = grid.wave_to_momentum(values)
         values = half_v @ (hat * kin_phase)
     return ComplexField(values, grid)
+
+
+def _axis_step_tables(grid: PhaseSpaceGrid, terms, theta: ThetaMatrix, pairing, dt: float,
+                      mass: float | None):
+    """One split-step half-step as N tables h_c of shape (n, G), position to position.
+
+    With b = σ(c) the position axis that θ pairs with momentum axis c,
+    V(x + θk) = Σ_c V_b(x_b + θ_{bc} k_c), so the mixed-domain half-step
+    after the forward transform is a product over axes of
+
+        h_c[x, x'_c] = (1/G) Σ_{k_c} e^{(i/ħ)(x_c − x'_c)k_c} e^{-iφ_c(x, k_c)},
+        φ_c = (δt/2) V_b(x_b + θ_{bc}k_c)/ħ  [+ δt k_c²/2Mħ],
+
+    the kinetic phase included when `mass` is given (ΔxΔk/2πħ = 1/G per
+    axis).  The sum is taken as δ(x_c, x'_c) plus the transform of
+    e^{-iφ_c} − 1, so a near-identity table carries no rounding from the
+    identity part.  The plane-wave phases come from integer index products
+    mod G, as in the lattice DFT.
+    """
+    G, n, hbar = grid.points_per_axis, grid.size, grid.hbar
+    idx, k = grid.index_axis, grid.k_axis
+    plane = np.exp(2j * np.pi * np.arange(G) / G)[np.outer(idx, idx) % G]  # e^{(i/ħ)xk}
+    forward = plane.conj() / G  # (k_c, x'_c)
+    rows = np.indices(grid.shape).reshape(grid.dim, -1)  # 0-based axis indices of each x
+    tables = []
+    for c, b in enumerate(pairing):
+        phase = (0.5 * dt / hbar) * terms[b](grid.x_points[:, b, None] + theta.entries[b, c] * k)
+        if mass is not None:
+            phase += dt * k * k / (2.0 * mass * hbar)
+        factor = np.expm1(-1j * phase)
+        factor *= plane[rows[c]]
+        table = factor @ forward
+        table[np.arange(n), rows[c]] += 1.0
+        tables.append(table)
+    return tables
+
+
+def _apply_axis_tables(tables, values, grid: PhaseSpaceGrid):
+    """ψ(x) ← Σ_{x'} Π_c h_c[x, x'_c] ψ(x'): one (n×G)·(G×G^{N-1}) product,
+    then a row-wise contraction with each further axis's table."""
+    n, G = grid.size, grid.points_per_axis
+    out = tables[0] @ values.reshape(G, -1)  # (x, x'_1 … x'_{N-1})
+    for h in tables[1:]:
+        out = (h[:, None, :] @ out.reshape(n, G, -1))[:, 0]
+    return out.reshape(n)
 
 
 def oracle_compare(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceGrid,

@@ -398,6 +398,8 @@ def test_every_dense_builder_checks_the_size_first(monkeypatch):
         lambda: free_kernel_closed_form(grid, params, 1.0),
         lambda: kinetic_operator_kernel(grid, params),
         lambda: split_step_evolve(psi, V, theta, params, 0.1, 2),
+        # harmonic V at θ ≠ 0 takes the factorized route: n×G tables only
+        lambda: split_step_evolve(psi, Potential.harmonic(1.0, dim=2), theta, params, 0.1, 2),
         lambda: shifted_potential_symbol(V, theta, grid, 0.0),
         lambda: verify_alpha_washout(V, theta, grid, [-0.4, 0.4]),
         lambda: verify_alpha_washout(V, theta, grid, [-0.4, 0.4], method="direct"),

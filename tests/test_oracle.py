@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ncpath.oracle
-from ncpath.core import PhaseSpaceGrid, PhysicsParams, Potential, ThetaMatrix
+from ncpath.core import GridMismatchError, PhaseSpaceGrid, PhysicsParams, Potential, ThetaMatrix
 from ncpath.oracle import (
     _bessel_coefficients,
     build_hamiltonian_matrix,
@@ -317,6 +317,92 @@ def test_oracle_paths_agree_with_coupling():
     assert err < 1e-4
 
 
+def _with_a_zero_mixed_term(terms, dim):
+    """The polynomial Σ terms plus 0·u_0·u_1: the same values as the
+    one-axis terms, but no longer split by axis."""
+    mixed = (1, 1) + (0,) * (dim - 2)
+    return Potential.polynomial(list(terms) + [(mixed, 0.0)], dim)
+
+
+def _one_axis_terms(dim, power, coeffs):
+    return [(tuple(power if a == b else 0 for a in range(dim)), c)
+            for b, c in enumerate(coeffs)]
+
+
+# the factorized route (V split by axis, θ pairing the axes) against the
+# n×n half-step matrix, forced by a zero-coefficient mixed term
+@pytest.mark.parametrize("G, dim, V, dense", [
+    (16, 2, Potential.harmonic(1.0, 1.0, dim=2),
+     _with_a_zero_mixed_term(_one_axis_terms(2, 2, (0.5, 0.5)), 2)),
+    (9, 2, Potential.harmonic(1.0, 1.0, dim=2),
+     _with_a_zero_mixed_term(_one_axis_terms(2, 2, (0.5, 0.5)), 2)),
+    (8, 3, Potential.harmonic(1.0, 1.0, dim=3),
+     _with_a_zero_mixed_term(_one_axis_terms(3, 2, (0.5, 0.5, 0.5)), 3)),
+    (16, 2, Potential.linear([0.4, -0.7]),
+     _with_a_zero_mixed_term(_one_axis_terms(2, 1, (0.4, -0.7)), 2)),
+], ids=["harmonic-even-G", "harmonic-odd-G", "harmonic-3d-fixed-axis", "linear"])
+def test_split_step_factorized_route_matches_the_dense_half_step(G, dim, V, dense):
+    assert V.axis_terms() is not None and dense.axis_terms() is None
+    params = PhysicsParams(dim=dim)
+    grid = PhaseSpaceGrid(G, 5.0, dim)
+    theta = ThetaMatrix.single_block(dim, 0.1)  # at dim 3, axis 2 pairs with itself
+    psi = gaussian_packet(grid, center=(0.5, -0.3, 0.2)[:dim], width=0.8,
+                          momentum=(0.4, 0.2, -0.1)[:dim])
+    out = split_step_evolve(psi, V, theta, params, 1.0, 64)
+    ref = split_step_evolve(psi, dense, theta, params, 1.0, 64)
+    assert np.max(np.abs(out.values - ref.values)) <= 1e-13 * np.max(np.abs(ref.values))
+
+
+@pytest.fixture
+def nothing_built(monkeypatch):
+    """Fail any split-step route that gets as far as building its tables."""
+    def refuse(*args):
+        raise AssertionError("a split-step route was built")
+
+    monkeypatch.setattr(ncpath.oracle, "_require_dense_size", refuse)
+    monkeypatch.setattr(ncpath.oracle, "_axis_step_tables", refuse)
+
+
+def _split_step_inputs():
+    grid = PhaseSpaceGrid(8, 4.0, 2)
+    return (gaussian_packet(grid), Potential.harmonic(1.0, 1.0, dim=2),
+            ThetaMatrix.single_block(2, 0.1))
+
+
+@pytest.mark.parametrize("T", [float("nan"), float("inf")])
+def test_split_step_rejects_a_non_finite_time(T, nothing_built):
+    psi, V, theta = _split_step_inputs()
+    with pytest.raises(ValueError, match="time must be finite"):
+        split_step_evolve(psi, V, theta, PhysicsParams(dim=2), T, 4)
+
+
+def test_split_step_rejects_params_hbar_unlike_the_grid(nothing_built):
+    psi, V, theta = _split_step_inputs()
+    with pytest.raises(GridMismatchError, match="hbar"):
+        split_step_evolve(psi, V, theta, PhysicsParams(hbar=0.5, dim=2), 1.0, 4)
+
+
+def test_split_step_rejects_params_dim_unlike_the_grid(nothing_built):
+    psi, _, theta = _split_step_inputs()
+    with pytest.raises(GridMismatchError, match="dim"):
+        split_step_evolve(psi, Potential.harmonic(1.0, 1.0, dim=3),
+                          ThetaMatrix.single_block(3, 0.1), PhysicsParams(dim=3), 1.0, 4)
+
+
+def test_split_step_rejects_a_theta_of_another_dimension(nothing_built):
+    psi, V, _ = _split_step_inputs()
+    with pytest.raises(GridMismatchError, match="dim"):
+        split_step_evolve(psi, V, ThetaMatrix.single_block(3, 0.1), PhysicsParams(dim=2),
+                          1.0, 4)
+
+
+@pytest.mark.parametrize("steps", [True, 0, 2.0], ids=["bool", "zero", "float"])
+def test_split_step_rejects_steps_that_are_not_a_positive_integer(steps, nothing_built):
+    psi, V, theta = _split_step_inputs()
+    with pytest.raises(ValueError, match="steps: must be an integer of at least 1"):
+        split_step_evolve(psi, V, theta, PhysicsParams(dim=2), 1.0, steps)
+
+
 def test_sliced_kernel_approaches_spectral_oracle():
     params = PhysicsParams(dim=2)
     grid = PhaseSpaceGrid(16, 6.0, 2)
@@ -393,12 +479,17 @@ def _kernel_then_symbol(V, theta, grid, params):
     (lambda V, theta, grid, params: lambda: build_hamiltonian_matrix(V, theta, grid, params),
      1.5),
     (_hamiltonian_then_evolve, 1.25),
+    # quartic V does not split by axis: the n×n half-step matrix
     (lambda V, theta, grid, params: lambda: split_step_evolve(
-        gaussian_packet(grid), V, theta, params, 1.0, 2), 1.25),
+        gaussian_packet(grid), Potential.quartic(0.1), theta, params, 1.0, 2), 1.25),
+    # harmonic V: 2N tables of n×G and an (n, G^{N-1}) product, no n×n array
+    (lambda V, theta, grid, params: lambda: split_step_evolve(
+        gaussian_packet(grid), V, theta, params, 1.0, 2), 0.5),
     (_oracle_compare, 1.5),
     (_kernel_then_symbol, 2.5),
 ], ids=["kinetic_operator_kernel", "build_hamiltonian_matrix", "chebyshev_evolve",
-        "split_step_evolve", "oracle_compare", "symbol_of_operator"])
+        "split_step_evolve", "split_step_evolve_factorized", "oracle_compare",
+        "symbol_of_operator"])
 def test_dense_builds_allocate_one_n_by_n_array(prepare, bound):
     # each builder allocates its n×n output once and fills it in row blocks
     # of n²/G entries, so the traced peak stays near one kernel
