@@ -323,6 +323,9 @@ def cmd_alpha_sweep(args) -> int:
     _write_summary(args.summary, "alpha-sweep", cfg, header, rows,
                    {"slope": _fmt(result.slope), "intercept": _fmt(result.intercept),
                     "residual": _fmt(result.residual),
+                    "norm_ratios": [[_fmt(m), _fmt(a), _fmt(ratio)]
+                                    for m in result.m_values
+                                    for a, ratio in zip(result.alphas, result.norm_ratios[m])],
                     **_edge_phase(cfg, args, m_values, alphas[0])})
     return EXIT_OK
 

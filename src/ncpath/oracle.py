@@ -244,15 +244,22 @@ def split_step_evolve(psi: ComplexField, V: Potential, theta: ThetaMatrix,
             values = _apply_axis_tables(first, values, grid)
             values = _apply_axis_tables(second, values, grid)
         return ComplexField(values, grid)
-    # mixed-domain half-step matrix: momentum rep -> position rep
+    # mixed-domain half-step matrix: momentum rep -> position rep.  Its
+    # plane-wave phases e^{(i/ħ)x·k} = e^{2πi r/G}, r = n·n' mod G, are read
+    # from a G-entry table taken at the residues nearest zero, so that ±r
+    # give exact conjugates
     shifts = theta.shift(grid.k_points)
     pref = grid.momentum_cell_volume * (2.0 * np.pi * hbar) ** (-grid.dim / 2.0)
+    G = grid.points_per_axis
+    residue = np.arange(G)
+    unit = pref * np.exp(2j * np.pi * (residue - G * (residue > G // 2)) / G)
+    idx = np.indices(grid.shape).reshape(grid.dim, -1).T - G // 2  # centered indices
     half_v = np.empty((grid.size, grid.size), dtype=complex)
     for rows in _row_blocks(grid):
         x = grid.x_points[rows]
         block = half_v[rows]  # (x, k)
         np.exp(-0.5j * dt * V(x[:, None, :] + shifts[None, :, :]) / hbar, out=block)
-        np.multiply(pref * np.exp(1j * (x @ grid.k_points.T) / hbar), block, out=block)
+        block *= unit[(idx[rows] @ idx.T) % G]
     for _ in range(steps):
         hat = grid.wave_to_momentum(values)
         values = half_v @ hat

@@ -35,6 +35,14 @@ A slice is built by one of two routes:
   transforms the full N-dimensional integrand once per slice point, at
   any α.
 
+`propagate` needs no slice kernel where the first route meets α = ±1/2, the
+standard and anti-standard orderings.  There x̄(α) is x_out or x_in, a
+lattice point, so each axis's table is needed at the G lattice points only,
+and a slice acts as N tables of shape (n, G): one (n×G)·(G×G^{N-1})
+product and one row-wise contraction per further axis at α = +1/2, the
+transposed contraction at α = -1/2.  V = 0 takes that route at every α.
+Any other α or V is propagated by the dense slice.
+
 Kernels are star.OperatorKernel; PropagatorKernel is an alias of that one
 type, and a slice's kernel carries its SlicingConfig in `config`.
 """
@@ -139,22 +147,8 @@ def short_time_propagator(cfg: SlicingConfig, V: Potential, theta: ThetaMatrix,
 
     Grids of more than 4096 lattice points are refused before any n×n build.
     """
-    params = cfg.params
-    if grid.dim != params.dim or theta.dim != params.dim or V.dim != params.dim:
-        raise GridMismatchError("dim: grid/theta/potential/params disagree")
-    if grid.hbar != params.hbar:
-        # the phase and norm use params.hbar, the lattice Δk uses grid.hbar
-        raise GridMismatchError("hbar: grid and params disagree")
-    _require_dense_size(grid)
-    hbar = params.hbar
-    if edge_phase_turns(cfg, grid) > 1.0:
-        warnings.warn(
-            "slice phase at the momentum edge exceeds one full turn; "
-            "refine the grid or increase the slice count for continuum fidelity",
-            stacklevel=2,
-        )
-    norm = grid.momentum_cell_volume * (2.0 * np.pi * hbar) ** (-grid.dim)
-
+    _check_slice(cfg, V, theta, grid)
+    norm = grid.momentum_cell_volume * (2.0 * np.pi * cfg.params.hbar) ** (-grid.dim)
     if V.is_zero:
         theta = ThetaMatrix.zero(grid.dim)
     terms, pairing = V.axis_terms(), theta.axis_pairing()
@@ -164,6 +158,41 @@ def short_time_propagator(cfg: SlicingConfig, V: Potential, theta: ThetaMatrix,
         entries = _grouped_slice(cfg, V, theta, grid)
     entries *= norm
     return PropagatorKernel(entries, grid, cfg)
+
+
+def _check_slice(cfg, V, theta, grid):
+    """The checks every slice route runs before it builds anything: dim and ħ
+    agree, the grid is within the dense-kernel limit, and the edge phase
+    warning (raised at the caller of the slice route)."""
+    params = cfg.params
+    if grid.dim != params.dim or theta.dim != params.dim or V.dim != params.dim:
+        raise GridMismatchError("dim: grid/theta/potential/params disagree")
+    if grid.hbar != params.hbar:
+        # the phase and norm use params.hbar, the lattice Δk uses grid.hbar
+        raise GridMismatchError("hbar: grid and params disagree")
+    _require_dense_size(grid)
+    if edge_phase_turns(cfg, grid) > 1.0:
+        warnings.warn(
+            "slice phase at the momentum edge exceeds one full turn; "
+            "refine the grid or increase the slice count for continuum fidelity",
+            stacklevel=3,
+        )
+
+
+def _axis_transforms(cfg, terms, theta, pairing, grid, xbar):
+    """Per momentum axis a, with b = σ(a): A_a[..., d], the 1-D momentum
+    transform of the ±K-folded f_a = e^{-iεk_a²/2Mħ} e^{-iεV_b(x̄ + θ_{ba}k_a)/ħ}
+    at every slice point of the array xbar, read at offset d = 0 … G-1."""
+    G = grid.points_per_axis
+    eps, hbar = cfg.epsilon, cfg.params.hbar
+    k = _momentum_window(grid)
+    kin = np.exp(-1j * eps * k * k / (2.0 * cfg.params.mass * hbar))
+    tables = []
+    for a, b in enumerate(pairing):
+        u = xbar[..., None] + theta.entries[b, a] * k
+        integrand = kin * np.exp(-1j * eps * terms[b](u) / hbar)
+        tables.append(_centered_fft(_fold_nyquist(integrand, G, 1), +1, (-1,)))
+    return tables
 
 
 def _factorized_slice(cfg, terms, theta, pairing, grid):
@@ -181,23 +210,15 @@ def _factorized_slice(cfg, terms, theta, pairing, grid):
     (n²/G entries) at a time, factor by factor in axis order.
     """
     G, N = grid.points_per_axis, grid.dim
-    eps, hbar = cfg.epsilon, cfg.params.hbar
-    k = _momentum_window(grid)
-    kin = np.exp(-1j * eps * k * k / (2.0 * cfg.params.mass * hbar))
     xbar = (0.5 + cfg.alpha) * grid.x_axis[:, None] + (0.5 - cfg.alpha) * grid.x_axis[None, :]
+    tables = _axis_transforms(cfg, terms, theta, pairing, grid, xbar)  # (G, G, G) each
     diff = _index_difference_table(grid)
     pos = np.arange(G)
-
-    def axis_table(a, b):
-        u = xbar[:, :, None] + theta.entries[b, a] * k
-        integrand = kin * np.exp(-1j * eps * terms[b](u) / hbar)
-        return _centered_fft(_fold_nyquist(integrand, G, 1), +1, (-1,))  # (G, G, G)
-
     # per momentum axis: its table and the flat offsets of A_a[n_out_b, n_in_b, d]
-    factors = [(axis_table(a, b), (_pair_axes(pos * G * G, (b,), 2 * N),
-                                   _pair_axes(pos * G, (N + b,), 2 * N),
-                                   _pair_axes(diff, (a, N + a), 2 * N)))
-               for a, b in enumerate(pairing)]
+    factors = [(table, (_pair_axes(pos * G * G, (b,), 2 * N),
+                        _pair_axes(pos * G, (N + b,), 2 * N),
+                        _pair_axes(diff, (a, N + a), 2 * N)))
+               for table, (a, b) in zip(tables, enumerate(pairing))]
     entries = np.empty((grid.size, grid.size), dtype=complex)
     view = entries.reshape((G,) * (2 * N))
     for o in range(G):
@@ -302,13 +323,79 @@ def propagate(cfg: SlicingConfig, V: Potential, theta: ThetaMatrix,
     """K^{m+1}·ψ: one short-time slice applied m + 1 times to the probe.
 
     Equal to full_kernel(cfg, ...).apply(probe) up to rounding, at
-    O((m+1)·n²) instead of O(n³ log m); at m = 0 it is the slice's action.
+    O((m+1)·n²) instead of O(n³ log m).  Two routes:
+
+    - α = ±1/2 with V split by axis (`Potential.axis_terms`) and θ pairing
+      the axes (`ThetaMatrix.axis_pairing`), and V = 0 at every α: the slice
+      is applied through N per-axis tables of shape (n, G)
+      (`_half_slice_tables`), with no n×n array.
+    - Otherwise the dense slice of `short_time_propagator`, applied as a
+      matrix; at m = 0 the result is then that slice's action bitwise.
+
+    The probe's grid is checked first, then the slice checks (dim, ħ, the
+    dense-kernel limit, the edge-phase warning) on either route.
     """
+    grid.require_same(probe.grid)
+    terms, pairing = V.axis_terms(), theta.axis_pairing()
+    if V.is_zero or (abs(cfg.alpha) == 0.5 and terms is not None and pairing is not None):
+        _check_slice(cfg, V, theta, grid)
+        if V.is_zero:  # θ and α enter only V's argument: one table set for every α
+            theta, cfg = ThetaMatrix.zero(grid.dim), replace(cfg, alpha=0.5)
+            pairing = theta.axis_pairing()
+        tables = _half_slice_tables(cfg, terms, theta, pairing, grid)
+        contract = _contract_outgoing if cfg.alpha > 0 else _contract_incoming
+        values = probe.values
+        for _ in range(cfg.slices_m + 1):
+            values = contract(tables, values, grid)
+        return ComplexField(values, grid)
     kernel = short_time_propagator(cfg, V, theta, grid)
     field = probe
     for _ in range(cfg.slices_m + 1):
         field = kernel.apply(field)
     return field
+
+
+def _half_slice_tables(cfg, terms, theta, pairing, grid):
+    """The α = ±1/2 slice as N tables of shape (n, G), measures included.
+
+    There x̄(α) is x_out (α = +1/2) or x_in (α = -1/2), a lattice point, so
+    the table A_a of `_axis_transforms` is needed at the G lattice points
+    only, and with σ = pairing a slice entry times Δx^N is
+
+        K[o, i]·Δx^N = Π_a (ΔxΔk/2πħ) A_a[x̄_σ(a), (o_a - i_a) mod G].
+
+    Row r of table a is the lattice point x̄ sits on (o at +1/2, i at
+    -1/2) and column j the other end's index on axis a.
+    """
+    G = grid.points_per_axis
+    rows = np.indices(grid.shape).reshape(grid.dim, -1)  # 0-based axis indices of each point
+    diff = _index_difference_table(grid)  # [o_a, i_a]
+    offset = diff if cfg.alpha > 0 else diff.T  # [r_a, j]
+    measure = grid.dx * grid.dk / (2.0 * np.pi * cfg.params.hbar)
+    tables = _axis_transforms(cfg, terms, theta, pairing, grid, grid.x_axis)  # (G, G) each
+    return [(measure * table).reshape(-1)[rows[b][:, None] * G + offset[rows[a]]]
+            for table, (a, b) in zip(tables, enumerate(pairing))]
+
+
+def _contract_outgoing(tables, values, grid):
+    """α = +1/2: out[o] = Σ_i ψ[i] Π_a h_a[o, i_a], as one (n×G)·(G×G^{N-1})
+    product, then one row-wise contraction per further axis."""
+    n, G = grid.size, grid.points_per_axis
+    out = tables[0] @ values.reshape(G, -1)  # (o, i_1 … i_{N-1})
+    for h in tables[1:]:
+        out = (h[:, None, :] @ out.reshape(n, G, -1))[:, 0]
+    return out.reshape(n)
+
+
+def _contract_incoming(tables, values, grid):
+    """α = -1/2: out[o] = Σ_i ψ[i] Π_a g_a[i, o_a], the transpose of the
+    outgoing contraction: row-wise outer products over axes N-1 … 1, then one
+    (G×n)·(n×G^{N-1}) product over the input point."""
+    n = grid.size
+    acc = values[:, None]  # (i, o_{a+1} … o_{N-1})
+    for g in reversed(tables[1:]):
+        acc = (g[:, :, None] * acc[:, None, :]).reshape(n, -1)
+    return (tables[0].T @ acc).reshape(n)
 
 
 def free_kernel_closed_form(grid: PhaseSpaceGrid, params: PhysicsParams,
@@ -335,6 +422,7 @@ class SweepResult:
     slope: float
     intercept: float
     residual: float        # rms residual of the log-log fit
+    norm_ratios: dict      # m -> [||K^{m+1}ψ|| / ||ψ|| for each α]
 
 
 def _loglog_fit(m_values, d_values):
@@ -350,7 +438,7 @@ def alpha_sweep(params: PhysicsParams, total_time: float, alphas, m_values,
                 V: Potential, theta: ThetaMatrix, grid: PhaseSpaceGrid,
                 probe: ComplexField) -> SweepResult:
     """Measure D(m) = max α-pair spread of K^{m+1}·ψ, relative to ||K^{m+1}·ψ||
-    at the first α.
+    at the first α, and the norm ratio ||K^{m+1}·ψ|| / ||ψ|| at every α.
 
     Expected: D(m) ∝ 1/(m+1) (log-log slope ≈ -1), since each slice's
     α-sensitivity enters at order ε and the kernels stay near unitary.
@@ -370,9 +458,11 @@ def alpha_sweep(params: PhysicsParams, total_time: float, alphas, m_values,
 
     spreads: dict = {}
     d_values: dict = {}
+    norm_ratios: dict = {}
     for m in m_values:
         actions = [propagate(SlicingConfig(m, total_time, a, params), V, theta, grid, probe)
                    for a in alphas]
+        norm_ratios[m] = [action.norm() / probe.norm() for action in actions]
         ref = actions[0].norm()
         pair_spread = {}
         for i in range(len(alphas)):
@@ -388,4 +478,4 @@ def alpha_sweep(params: PhysicsParams, total_time: float, alphas, m_values,
         slope, intercept, residual = 0.0, 0.0, 0.0
     return SweepResult(m_values=m_values, alphas=alphas, spreads=spreads,
                        d_values=d_values, slope=slope, intercept=intercept,
-                       residual=residual)
+                       residual=residual, norm_ratios=norm_ratios)

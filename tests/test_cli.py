@@ -107,6 +107,24 @@ def test_alpha_sweep_csv_shape_and_determinism(config_path, tmp_path):
     assert lines[-1].startswith("# slope,")
 
 
+def test_alpha_sweep_summary_reports_norm_ratios(config_path, tmp_path):
+    # one row per (m, α); at α = 1/2 each ratio is the one `unitarity` reports
+    sweep, unitarity = tmp_path / "sweep.json", tmp_path / "unitarity.json"
+    assert _run_in_process("alpha-sweep", "--config", config_path, "--m-list", "2,4,8",
+                           "--alphas", "0.5,-0.5", "--out", str(tmp_path / "s.csv"),
+                           "--summary", str(sweep)) == 0
+    assert _run_in_process("unitarity", "--config", config_path, "--m-list", "2,4,8",
+                           "--alpha", "0.5", "--out", str(tmp_path / "u.csv"),
+                           "--summary", str(unitarity)) == 0
+    payload = json.loads(sweep.read_text())
+    assert [row[:2] for row in payload["norm_ratios"]] == [
+        [m, a] for m in ("2", "4", "8") for a in ("0.5", "-0.5")]
+    assert all(abs(float(row[2]) - 1.0) < 0.05 for row in payload["norm_ratios"])
+    half = [[m, ratio] for m, a, ratio in payload["norm_ratios"] if a == "0.5"]
+    assert half == json.loads(unitarity.read_text())["rows"]
+    assert set(payload) >= {"rows", "slope", "residual"}
+
+
 def test_alpha_sweep_zero_potential_spreads_are_zero(config_path, tmp_path):
     cfg = dict(CONFIG)
     cfg["potential"] = {"form": "zero"}

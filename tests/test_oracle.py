@@ -353,6 +353,54 @@ def test_split_step_factorized_route_matches_the_dense_half_step(G, dim, V, dens
     assert np.max(np.abs(out.values - ref.values)) <= 1e-13 * np.max(np.abs(ref.values))
 
 
+def _long_double_split_step(psi, V, theta, params, T, steps):
+    """The Strang split-step of `split_step_evolve` in long double.
+
+    Dense transforms with plane-wave phases 2π(n·n' mod G)/G and the exact
+    lattice round-trip scale G^{-N} (ΔxΔk·G = 2πħ per axis); V(x + θk) for
+    quartic or harmonic V; every product and sum in long double.
+    """
+    grid = psi.grid
+    G, N, ld = grid.points_per_axis, grid.dim, np.longdouble
+    pi = 4 * np.arctan(ld(1))
+    idx = np.indices(grid.shape).reshape(N, -1).T - G // 2
+    plane = np.exp(2j * pi * ((idx @ idx.T) % G) / G)  # e^{(i/ħ)x·k} at [x, k]
+    x, k = idx * ld(grid.dx), idx * ld(grid.dk)
+    u = x[:, None, :] + np.einsum("jl,kl->kj", theta.entries.astype(ld), k)[None, :, :]
+    r2 = np.sum(u * u, axis=-1)
+    if V.form == "quartic":
+        vals = ld(V.coeffs["lam"]) * r2 * r2
+    else:
+        vals = ld(0.5) * ld(V.coeffs["mass"]) * ld(V.coeffs["omega"]) ** 2 * r2
+    hbar, dt = ld(grid.hbar), ld(T) / steps
+    half = plane * np.exp(-0.5j * dt * vals / hbar) / ld(G) ** N  # ψ̂ -> ψ
+    forward = plane.conj().T  # ψ -> ψ̂, unscaled
+    kin = np.exp(-1j * dt * np.sum(k * k, axis=-1) / (2 * ld(params.mass) * hbar))
+    values = psi.values.astype(np.clongdouble)
+    for _ in range(steps):
+        values = half @ (forward @ values)
+        values = half @ (kin * (forward @ values))
+    return values
+
+
+# quartic V takes the n×n half-step matrix and harmonic V the factorized
+# route; each bound is about twice the error measured on this input
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than double on this platform")
+@pytest.mark.parametrize("V, bound", [(Potential.quartic(0.05), 5e-14),
+                                      (Potential.harmonic(1.0, 1.0, dim=2), 1.5e-14)],
+                         ids=["dense", "factorized"])
+def test_split_step_matches_a_long_double_reference(V, bound):
+    params = PhysicsParams(dim=2)
+    grid = PhaseSpaceGrid(9, 4.0, 2)
+    theta = ThetaMatrix.single_block(2, 0.3)
+    psi = gaussian_packet(grid, center=(0.5, -0.3), width=0.9, momentum=(0.4, 0.2))
+    ref = _long_double_split_step(psi, V, theta, params, 1.0, 64)
+    out = split_step_evolve(psi, V, theta, params, 1.0, 64)
+    err = np.max(np.abs(out.values - ref)) / np.max(np.abs(ref))
+    assert err <= bound
+
+
 @pytest.fixture
 def nothing_built(monkeypatch):
     """Fail any split-step route that gets as far as building its tables."""

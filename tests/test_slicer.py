@@ -285,6 +285,122 @@ def test_propagate_zero_potential_bitwise_alpha_independent(small2d):
         assert np.array_equal(base.values, other.values)
 
 
+HALF_SLICE_CASES = {
+    # N, G and θ: even and odd grids; θ zero, one pair, and at N = 3 one pair
+    # plus an axis that pairs with itself
+    "1d-even": (1, 8, ThetaMatrix.zero(1)),
+    "1d-odd": (1, 7, ThetaMatrix.zero(1)),
+    "2d-even": (2, 6, ThetaMatrix.single_block(2, 0.1)),
+    "2d-odd": (2, 7, ThetaMatrix.single_block(2, 0.1)),
+    "2d-theta0": (2, 6, ThetaMatrix.zero(2)),
+    "3d-even": (3, 4, ThetaMatrix.single_block(3, 0.15)),
+    "3d-odd": (3, 5, ThetaMatrix.single_block(3, 0.15)),
+}
+
+
+def _counting_half_slice_tables(monkeypatch):
+    """Count the calls of the per-axis table route of `propagate`."""
+    calls = []
+    build = slicer._half_slice_tables
+
+    def counted(*args):
+        calls.append(args[0].alpha)
+        return build(*args)
+
+    monkeypatch.setattr(slicer, "_half_slice_tables", counted)
+    return calls
+
+
+@pytest.mark.parametrize("form", ["harmonic", "linear", "polynomial", "zero"])
+@pytest.mark.parametrize("case", list(HALF_SLICE_CASES))
+def test_half_slice_route_matches_dense_slice_powering(case, form, monkeypatch):
+    dim, G, theta = HALF_SLICE_CASES[case]
+    grid = PhaseSpaceGrid(G, 2.5, dim)
+    params = PhysicsParams(dim=dim)
+    V = Potential.zero(dim) if form == "zero" else separable_potential(form, dim)
+    probe = gaussian_packet(grid, center=(0.3, -0.2, 0.1)[:dim],
+                            momentum=(0.4, 0.1, -0.3)[:dim])
+    calls = _counting_half_slice_tables(monkeypatch)
+    for alpha in (0.5, -0.5):
+        for m in (0, 3):
+            cfg = SlicingConfig(m, 1.0, alpha, params)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                kernel = short_time_propagator(cfg, V, theta, grid)
+                powered = probe
+                for _ in range(m + 1):
+                    powered = kernel.apply(powered)
+                stepped = propagate(cfg, V, theta, grid, probe)
+            scale = np.max(np.abs(powered.values))
+            assert np.max(np.abs(stepped.values - powered.values)) <= 1e-13 * scale
+    assert len(calls) == 4  # every case took the table route
+
+
+def test_half_slice_route_is_taken_only_where_it_applies(small2d, monkeypatch):
+    params, grid, theta, V = small2d
+    calls = _counting_half_slice_tables(monkeypatch)
+    probe = gaussian_packet(grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for alpha in (0.5, -0.5, 0.3, 0.0):
+            propagate(SlicingConfig(2, 1.0, alpha, params), V, theta, grid, probe)
+            propagate(SlicingConfig(2, 1.0, alpha, params), Potential.zero(2), theta, grid,
+                      probe)
+            propagate(SlicingConfig(2, 1.0, alpha, params), NON_SEPARABLE["quartic"], theta,
+                      grid, probe)
+    # harmonic V at α = ±1/2, and V = 0 (built at +1/2) at every α
+    assert calls == [0.5, 0.5, -0.5, 0.5, 0.5, 0.5]
+
+
+@pytest.mark.parametrize("alpha", [0.5, -0.5, 0.3])
+@pytest.mark.parametrize("form", ["harmonic", "zero"])
+def test_propagate_checks_the_probe_grid_before_any_build(small2d, form, alpha,
+                                                          monkeypatch):
+    params, grid, theta, V = small2d
+
+    def refuse(*args):
+        raise AssertionError("a slice was built for a probe on another grid")
+
+    monkeypatch.setattr(slicer, "short_time_propagator", refuse)
+    monkeypatch.setattr(slicer, "_half_slice_tables", refuse)
+    V = Potential.zero(2) if form == "zero" else V
+    probe = gaussian_packet(PhaseSpaceGrid(8, 3.0, 2))
+    with pytest.raises(GridMismatchError, match="different grids"):
+        propagate(SlicingConfig(2, 1.0, alpha, params), V, theta, grid, probe)
+
+
+def test_half_slice_route_keeps_the_slice_checks(small2d):
+    params, _, theta, V = small2d
+    big = PhaseSpaceGrid(128, 8.0, 2)
+    with pytest.raises(ConfigError, match="grid.points_per_axis"):
+        propagate(SlicingConfig(4, 1.0, 0.5, params), V, theta, big, gaussian_packet(big))
+    grid = PhaseSpaceGrid(6, 3.0, 2)
+    with pytest.warns(UserWarning, match="momentum edge"):  # one slice of the whole T
+        propagate(SlicingConfig(0, 0.8, -0.5, params), V, theta, grid, gaussian_packet(grid))
+
+
+@pytest.mark.parametrize("alpha", [0.5, -0.5])
+def test_half_slice_route_allocates_no_n_by_n_array(alpha):
+    # N tables of n×G and one (n, G^{N-1}) product beside the fields;
+    # the dense route at α = 0.3 traces 1.23× a kernel here
+    import tracemalloc
+
+    params = PhysicsParams(dim=2)
+    grid = PhaseSpaceGrid(16, 5.0, 2)
+    probe = gaussian_packet(grid)
+    cfg = SlicingConfig(4, 1.0, alpha, params)
+    V, theta = Potential.harmonic(1.0, 1.0, dim=2), ThetaMatrix.single_block(2, 0.1)
+    kernel_bytes = grid.size**2 * 16
+    propagate(cfg, V, theta, grid, probe)  # the first call imports numpy.fft
+    tracemalloc.start()
+    try:
+        propagate(cfg, V, theta, grid, probe)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.3 * kernel_bytes, f"peak {peak} B for a {kernel_bytes} B kernel"
+
+
 def _slice_at_generic_alpha(V, theta, grid, _):
     cfg = SlicingConfig(4, 1.0, 0.3, PhysicsParams(dim=grid.dim))
     return short_time_propagator(cfg, V, theta, grid).entries
