@@ -200,6 +200,18 @@ class PhaseSpaceGrid:
 _DENSE_POINTS = 4096
 
 
+def _require_model(grid: PhaseSpaceGrid, params=None, V=None, theta=None, field=None):
+    """Refuse inputs outside the one model before anything is built: params,
+    V and θ share the grid's N, params its ħ, and a field lives on the grid."""
+    if any(obj is not None and obj.dim != grid.dim for obj in (params, V, theta)):
+        raise GridMismatchError("dim: grid/params/potential/theta disagree")
+    if params is not None and params.hbar != grid.hbar:
+        # phases and norms use params.hbar, the lattice Δk uses grid.hbar
+        raise GridMismatchError("hbar: grid and params disagree")
+    if field is not None:
+        grid.require_same(field.grid)
+
+
 def _require_dense_size(grid: PhaseSpaceGrid):
     """Refuse an n×n kernel build on more than _DENSE_POINTS lattice points."""
     if grid.size > _DENSE_POINTS:
@@ -224,6 +236,19 @@ def _centered_fft(tensor, sign: int, axes):
     work = np.fft.ifftn(work, axes=axes, out=out)
     work *= prod(tensor.shape[a] for a in axes)
     return work
+
+
+def _plane_waves(G: int, n_x, n_k):
+    """e^{2πi n_x·n_k/G} for rows of integer indices n_x (a, N) and n_k (b, N).
+
+    The products are taken mod G and read from one G-entry table whose
+    residues r sit at their representative nearest zero, so ±r give exact
+    conjugates (r = G/2 on even G excepted).  On lattice points this is the
+    plane wave e^{(i/ħ)x·k}.
+    """
+    r = np.arange(G)
+    table = np.exp(2j * np.pi * (r - G * (r > G // 2)) / G)
+    return table[(n_x @ n_k.T) % G]
 
 
 def _index_difference_table(grid: PhaseSpaceGrid):
@@ -261,8 +286,9 @@ def _symbol_entries(grid: PhaseSpaceGrid, symbol):
     symbol(k, y) is called with k of shape (1, n, N) and one `_row_blocks`
     slice of row points y, shape (G^{N-1}, 1, N).  Each row's χ_y, the
     centered transform of f(·, y), is gathered by per-axis offset
-    (n_y - n_y') mod G into its row.  For N ≥ 2 a symbol that returns one
-    row for a block of several is free of y: its one χ serves every block.
+    (n_y - n_y') mod G into its row; a symbol free of y returns one row,
+    whose χ is gathered into every row of the block.  Every block makes its
+    own transforms.
     """
     G, N, n = grid.points_per_axis, grid.dim, grid.size
     diff, pos = _index_difference_table(grid), np.arange(G)
@@ -271,14 +297,10 @@ def _symbol_entries(grid: PhaseSpaceGrid, symbol):
     row_part = [_pair_axes(pos * (n * G ** (N - 1 - a)), (a,), 2 * N) for a in range(1, N)]
     norm = grid.momentum_cell_volume * (2.0 * np.pi * grid.hbar) ** (-N)
     entries = np.empty((n, n), dtype=complex)
-    shared = None
     for o, rows in enumerate(_row_blocks(grid)):
-        chi = shared
-        if chi is None:
-            chi = _centered_fft(np.reshape(symbol(grid.k_points[None], grid.x_points[rows, None]),
-                                           (-1,) + grid.shape), +1, range(1, N + 1))
-            if N > 1 and len(chi) == 1:
-                shared = chi
+        # rebinding chi to the symbol values frees the last block's χ before the transform
+        chi = np.reshape(symbol(grid.k_points[None], grid.x_points[rows, None]), (-1,) + grid.shape)
+        chi = _centered_fft(chi, +1, range(1, N + 1))
         block = entries[rows]
         block[...] = _gather_block(chi, offsets if len(chi) == 1 else offsets + row_part,
                                    o).reshape(block.shape)

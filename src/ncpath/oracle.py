@@ -30,12 +30,13 @@ import time
 import numpy as np
 
 from .core import (
-    GridMismatchError,
     PhaseSpaceGrid,
     PhysicsParams,
     Potential,
     ThetaMatrix,
+    _plane_waves,
     _require_dense_size,
+    _require_model,
     _row_blocks,
     _symbol_entries,
     realize_hamiltonian_symbol,
@@ -47,6 +48,7 @@ from .star import ComplexField, OperatorKernel
 def kinetic_operator_kernel(grid: PhaseSpaceGrid, params: PhysicsParams) -> OperatorKernel:
     """⟨y|K²/(2M)|y'⟩: diagonal in momentum, circulant in position; grids of
     more than 4096 lattice points are refused."""
+    _require_model(grid, params)
     _require_dense_size(grid)
     return OperatorKernel(_symbol_entries(
         grid, lambda k, y: np.sum(k**2, axis=-1) / (2.0 * params.mass)), grid)
@@ -60,10 +62,10 @@ def build_hamiltonian_matrix(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceG
     (`core.realize_hamiltonian_symbol`), built one row block of n²/G
     entries at a time, so H is the only n×n array.  At θ = 0 the potential
     part is diag(V(y))/Δx^N, added to the kinetic kernel's diagonal, as
-    in `star.potential_operator_kernel`.
+    in `star.potential_operator_kernel`.  Grid, V, θ and params must share
+    dim and ħ (`core._require_model`).
     """
-    if theta.dim != grid.dim or V.dim != grid.dim:
-        raise GridMismatchError("potential/theta dimensions do not match the grid")
+    _require_model(grid, params, V, theta)
     _require_dense_size(grid)
     if theta.is_zero:
         H = kinetic_operator_kernel(grid, params)
@@ -210,10 +212,7 @@ def split_step_evolve(psi: ComplexField, V: Potential, theta: ThetaMatrix,
     steps an integer of at least 1; all are checked before anything is built.
     """
     grid = psi.grid
-    if grid.dim != params.dim or theta.dim != params.dim or V.dim != params.dim:
-        raise GridMismatchError("dim: grid/theta/potential/params disagree")
-    if grid.hbar != params.hbar:
-        raise GridMismatchError("hbar: grid and params disagree")
+    _require_model(grid, params, V, theta)
     if not np.isfinite(T):
         raise ValueError(f"T: evolution time must be finite (got {T})")
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
@@ -244,22 +243,17 @@ def split_step_evolve(psi: ComplexField, V: Potential, theta: ThetaMatrix,
             values = _apply_axis_tables(first, values, grid)
             values = _apply_axis_tables(second, values, grid)
         return ComplexField(values, grid)
-    # mixed-domain half-step matrix: momentum rep -> position rep.  Its
-    # plane-wave phases e^{(i/ħ)x·k} = e^{2πi r/G}, r = n·n' mod G, are read
-    # from a G-entry table taken at the residues nearest zero, so that ±r
-    # give exact conjugates
+    # mixed-domain half-step matrix: momentum rep -> position rep, its plane
+    # waves e^{(i/ħ)x·k} from `core._plane_waves`
     shifts = theta.shift(grid.k_points)
     pref = grid.momentum_cell_volume * (2.0 * np.pi * hbar) ** (-grid.dim / 2.0)
-    G = grid.points_per_axis
-    residue = np.arange(G)
-    unit = pref * np.exp(2j * np.pi * (residue - G * (residue > G // 2)) / G)
-    idx = np.indices(grid.shape).reshape(grid.dim, -1).T - G // 2  # centered indices
+    idx = grid._index_points
     half_v = np.empty((grid.size, grid.size), dtype=complex)
     for rows in _row_blocks(grid):
         x = grid.x_points[rows]
         block = half_v[rows]  # (x, k)
         np.exp(-0.5j * dt * V(x[:, None, :] + shifts[None, :, :]) / hbar, out=block)
-        block *= unit[(idx[rows] @ idx.T) % G]
+        block *= pref * _plane_waves(grid.points_per_axis, idx[rows], idx)
     for _ in range(steps):
         hat = grid.wave_to_momentum(values)
         values = half_v @ hat
@@ -282,12 +276,11 @@ def _axis_step_tables(grid: PhaseSpaceGrid, terms, theta: ThetaMatrix, pairing, 
     the kinetic phase included when `mass` is given (ΔxΔk/2πħ = 1/G per
     axis).  The sum is taken as δ(x_c, x'_c) plus the transform of
     e^{-iφ_c} − 1, so a near-identity table carries no rounding from the
-    identity part.  The plane-wave phases come from integer index products
-    mod G, as in the lattice DFT.
+    identity part.  The plane-wave phases come from `core._plane_waves`.
     """
     G, n, hbar = grid.points_per_axis, grid.size, grid.hbar
-    idx, k = grid.index_axis, grid.k_axis
-    plane = np.exp(2j * np.pi * np.arange(G) / G)[np.outer(idx, idx) % G]  # e^{(i/ħ)xk}
+    idx, k = grid.index_axis[:, None], grid.k_axis
+    plane = _plane_waves(G, idx, idx)  # e^{(i/ħ)xk}
     forward = plane.conj() / G  # (k_c, x'_c)
     rows = np.indices(grid.shape).reshape(grid.dim, -1)  # 0-based axis indices of each x
     tables = []
@@ -328,8 +321,11 @@ def oracle_compare(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceGrid,
     are built.  A `timings` dict receives the seconds of that one-off
     evaluation (H build included) under "reference", each m's propagation
     seconds under m, and the series' "terms", "spectral_bounds" and
-    "hermiticity_deviation".
+    "hermiticity_deviation".  The model check (`core._require_model`) and
+    every m's SlicingConfig run before H is built.
     """
+    _require_model(grid, params, V, theta, probe)
+    configs = [SlicingConfig(int(m), total_time, alpha, params) for m in m_values]
     timings = {} if timings is None else timings
     t0 = time.perf_counter()
     H = build_hamiltonian_matrix(V, theta, grid, params)
@@ -339,11 +335,10 @@ def oracle_compare(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceGrid,
     ref_norm = reference.norm() or 1.0
     timings["reference"] = time.perf_counter() - t0
     rows = []
-    for m in m_values:
+    for cfg in configs:
         t0 = time.perf_counter()
-        cfg = SlicingConfig(int(m), total_time, alpha, params)
         sliced = propagate(cfg, V, theta, grid, probe)
         err = ComplexField(sliced.values - reference.values, grid).norm() / ref_norm
-        timings[int(m)] = time.perf_counter() - t0
-        rows.append((int(m), err))
+        timings[cfg.slices_m] = time.perf_counter() - t0
+        rows.append((cfg.slices_m, err))
     return rows

@@ -56,7 +56,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
-    GridMismatchError,
     PhaseSpaceGrid,
     PhysicsParams,
     Potential,
@@ -66,6 +65,7 @@ from .core import (
     _index_difference_table,
     _pair_axes,
     _require_dense_size,
+    _require_model,
 )
 from .star import ComplexField, OperatorKernel
 
@@ -161,15 +161,10 @@ def short_time_propagator(cfg: SlicingConfig, V: Potential, theta: ThetaMatrix,
 
 
 def _check_slice(cfg, V, theta, grid):
-    """The checks every slice route runs before it builds anything: dim and ħ
-    agree, the grid is within the dense-kernel limit, and the edge phase
+    """The checks every slice route runs before it builds anything: the model
+    check (`core._require_model`), the dense-kernel limit, and the edge phase
     warning (raised at the caller of the slice route)."""
-    params = cfg.params
-    if grid.dim != params.dim or theta.dim != params.dim or V.dim != params.dim:
-        raise GridMismatchError("dim: grid/theta/potential/params disagree")
-    if grid.hbar != params.hbar:
-        # the phase and norm use params.hbar, the lattice Δk uses grid.hbar
-        raise GridMismatchError("hbar: grid and params disagree")
+    _require_model(grid, cfg.params, V, theta)
     _require_dense_size(grid)
     if edge_phase_turns(cfg, grid) > 1.0:
         warnings.warn(
@@ -332,10 +327,11 @@ def propagate(cfg: SlicingConfig, V: Potential, theta: ThetaMatrix,
     - Otherwise the dense slice of `short_time_propagator`, applied as a
       matrix; at m = 0 the result is then that slice's action bitwise.
 
-    The probe's grid is checked first, then the slice checks (dim, ħ, the
-    dense-kernel limit, the edge-phase warning) on either route.
+    The model check (`core._require_model`: dim, ħ and the probe's grid)
+    runs first, then the slice checks (the dense-kernel limit, the
+    edge-phase warning) on either route.
     """
-    grid.require_same(probe.grid)
+    _require_model(grid, cfg.params, V, theta, probe)
     terms, pairing = V.axis_terms(), theta.axis_pairing()
     if V.is_zero or (abs(cfg.alpha) == 0.5 and terms is not None and pairing is not None):
         _check_slice(cfg, V, theta, grid)
@@ -402,6 +398,7 @@ def free_kernel_closed_form(grid: PhaseSpaceGrid, params: PhysicsParams,
                             T: float) -> PropagatorKernel:
     """Closed-form free kernel (M/(2πiħT))^{N/2} e^{iM|Δx|²/(2ħT)} on lattice pairs;
     grids of more than 4096 lattice points are refused."""
+    _require_model(grid, params)
     _require_dense_size(grid)
     d = grid.x_points[:, None, :] - grid.x_points[None, :, :]
     r2 = np.sum(d * d, axis=-1)

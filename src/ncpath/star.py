@@ -37,7 +37,9 @@ from .core import (
     Potential,
     ThetaMatrix,
     _centered_fft,
+    _plane_waves,
     _require_dense_size,
+    _require_model,
     _row_blocks,
     _symbol_entries,
     evaluate_potential_shifted,
@@ -170,21 +172,22 @@ def star_apply(V: Potential, theta: ThetaMatrix, psi: ComplexField) -> ComplexFi
 
     Reduces to plain pointwise multiplication when θ = 0 (the derivative
     series truncates at order zero, and the code takes that path exactly).
+    Otherwise the sum runs one `core._row_blocks` block of G^{N-1} rows at a
+    time, its plane waves e^{(i/ħ)x·k} read from `core._plane_waves`.
     """
     grid = psi.grid
-    if theta.dim != grid.dim or V.dim != grid.dim:
-        raise GridMismatchError("potential/theta dimensions do not match the field grid")
+    _require_model(grid, V=V, theta=theta)
     if theta.is_zero:
         return ComplexField(V(grid.x_points) * psi.values, grid)
     psi_hat = grid.wave_to_momentum(psi.values)
     weight = grid.momentum_cell_volume * (2.0 * np.pi * grid.hbar) ** (-grid.dim / 2.0)
     shifts = theta.shift(grid.k_points)
-    out = np.zeros(grid.size, dtype=complex)
-    for start in range(0, grid.size, 128):
-        rows = slice(start, start + 128)
-        x = grid.x_points[rows]
-        phase = np.exp(1j * (x @ grid.k_points.T) / grid.hbar)
-        out[rows] = (phase * V(x[:, None, :] + shifts[None, :, :])) @ psi_hat
+    idx = grid._index_points
+    out = np.empty(grid.size, dtype=complex)
+    for rows in _row_blocks(grid):
+        phase = _plane_waves(grid.points_per_axis, idx[rows], idx)
+        phase *= V(grid.x_points[rows, None, :] + shifts[None, :, :])
+        out[rows] = phase @ psi_hat
     return ComplexField(out * weight, grid)
 
 
@@ -207,9 +210,7 @@ def star_apply_field(phi: ComplexField, theta: ThetaMatrix, psi: ComplexField) -
     accumulated over blocks of w with temporaries of about (block · G^N).
     """
     grid = psi.grid
-    grid.require_same(phi.grid)
-    if theta.dim != grid.dim:
-        raise GridMismatchError("theta dimension does not match the field grid")
+    _require_model(grid, theta=theta, field=phi)
     if theta.is_zero:
         return ComplexField(phi.values * psi.values, grid)
     G, N = grid.points_per_axis, grid.dim
@@ -244,7 +245,7 @@ def star_integral_identity_check(phi: ComplexField, psi: ComplexField,
     phase is e^{(i/ħ) k·θk} ≡ 1; on the lattice the residual sits at
     quadrature scale.
     """
-    phi.grid.require_same(psi.grid)
+    _require_model(psi.grid, theta=theta, field=phi)
     star = star_apply_field(phi, theta, psi)
     lhs = np.sum(star.values) * phi.grid.cell_volume
     rhs = np.sum(phi.values * psi.values) * phi.grid.cell_volume
@@ -263,8 +264,7 @@ def potential_operator_kernel(V: Potential, theta: ThetaMatrix,
     its deviation from Hermiticity is of first order in θ.  θ = 0 gives
     diag(V(y))/Δx^N.  Grids of more than 4096 lattice points are refused.
     """
-    if theta.dim != grid.dim or V.dim != grid.dim:
-        raise GridMismatchError("potential/theta dimensions do not match the grid")
+    _require_model(grid, V=V, theta=theta)
     _require_dense_size(grid)
     if theta.is_zero:
         return OperatorKernel(np.diag(V(grid.x_points) / grid.cell_volume).astype(complex), grid)

@@ -38,6 +38,7 @@ from .core import (
     _gather_block,
     _pair_axes,
     _require_dense_size,
+    _require_model,
     _symbol_entries,
     evaluate_potential_shifted,
 )
@@ -155,6 +156,7 @@ def shifted_potential_symbol(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceG
     Only the exponential depends on α: a caller that already holds the table
     V(x + θk), indexed [k, x], passes it as `shifted` and it is not rebuilt.
     """
+    _require_model(grid, V=V, theta=theta)
     a = _alpha_value(alpha)
     if a == -0.5:
         raise ValueError("alpha: the closed-form route divides by (alpha + 1/2); "
@@ -202,8 +204,9 @@ def verify_alpha_washout(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceGrid,
     The report carries per-α deviation from the shifted potential V(x+θk)
     and the pairwise spread, absolute and relative to max |V(x+θk)|, and
     the table V(x+θk) itself as `target`.  Grids of more than 4096 lattice
-    points are refused.
+    points are refused, and so are a V or θ of another dimension than the grid.
     """
+    _require_model(grid, V=V, theta=theta)
     alphas = [(_alpha_value(a)) for a in alphas]
     if len(alphas) < 2:
         raise ValueError("alphas: need at least two ordering indices to compare")

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncpath import oracle, slicer, star, weyl
 from ncpath.core import (
     ConfigError,
+    GridMismatchError,
     PhaseSpaceGrid,
     PhysicsParams,
     Potential,
@@ -16,6 +18,7 @@ from ncpath.core import (
     load_config,
     realize_hamiltonian_symbol,
 )
+from ncpath.oracle import build_hamiltonian_matrix
 
 
 def test_params_validation():
@@ -409,3 +412,96 @@ def test_every_dense_builder_checks_the_size_first(monkeypatch):
             build()
     # the paths without an n×n array still run
     split_step_evolve(psi, V, ThetaMatrix.zero(2), params, 0.1, 2)
+
+
+# every public entry that takes two of grid, params, V, θ and a field runs the
+# model check (`core._require_model`) before it builds anything
+_MODEL_ENTRIES = {
+    "short_time_propagator": ("params", "V", "theta"),
+    "propagate_half": ("params", "V", "theta", "probe"),
+    "propagate_dense": ("params", "V", "theta", "probe"),
+    "split_step_evolve": ("params", "V", "theta"),
+    "build_hamiltonian_matrix": ("params", "V", "theta"),
+    "kinetic_operator_kernel": ("params",),
+    "free_kernel_closed_form": ("params",),
+    "oracle_compare": ("params", "V", "theta", "probe"),
+    "star_apply": ("V", "theta"),
+    "star_apply_field": ("theta", "probe"),
+    "potential_operator_kernel": ("V", "theta"),
+    "star_integral_identity_check": ("theta", "probe"),
+    "shifted_potential_symbol": ("V", "theta"),
+    "verify_alpha_washout": ("V", "theta"),
+}
+# mismatch -> (the object it replaces, the message it is refused with)
+_MISMATCHES = {"hbar": ("params", "hbar"), "params_dim": ("params", "dim"),
+               "V_dim": ("V", "dim"), "theta_dim": ("theta", "dim"),
+               "probe": ("probe", "different grids")}
+
+
+def _run_model_entry(entry, grid, params, V, theta, probe):
+    psi = star.gaussian_packet(grid)
+    calls = {
+        "short_time_propagator": lambda: slicer.short_time_propagator(
+            slicer.SlicingConfig(2, 1.0, 0.5, params), V, theta, grid),
+        "propagate_half": lambda: slicer.propagate(
+            slicer.SlicingConfig(2, 1.0, 0.5, params), V, theta, grid, probe),
+        "propagate_dense": lambda: slicer.propagate(
+            slicer.SlicingConfig(2, 1.0, 0.3, params), V, theta, grid, probe),
+        "split_step_evolve": lambda: oracle.split_step_evolve(psi, V, theta, params, 1.0, 4),
+        # the entry itself, not the name patched in oracle
+        "build_hamiltonian_matrix": lambda: build_hamiltonian_matrix(V, theta, grid, params),
+        "kinetic_operator_kernel": lambda: oracle.kinetic_operator_kernel(grid, params),
+        "free_kernel_closed_form": lambda: slicer.free_kernel_closed_form(grid, params, 1.0),
+        "oracle_compare": lambda: oracle.oracle_compare(V, theta, grid, params, 1.0, [2],
+                                                        probe),
+        "star_apply": lambda: star.star_apply(V, theta, psi),
+        "star_apply_field": lambda: star.star_apply_field(probe, theta, psi),
+        "potential_operator_kernel": lambda: star.potential_operator_kernel(V, theta, grid),
+        "star_integral_identity_check": lambda: star.star_integral_identity_check(
+            probe, psi, theta),
+        "shifted_potential_symbol": lambda: weyl.shifted_potential_symbol(V, theta, grid, 0.2),
+        "verify_alpha_washout": lambda: weyl.verify_alpha_washout(V, theta, grid, [0.2, 0.4]),
+    }
+    calls[entry]()
+
+
+@pytest.mark.parametrize("entry, mismatch", [
+    (entry, mismatch) for entry, takes in _MODEL_ENTRIES.items()
+    for mismatch, (obj, _) in _MISMATCHES.items() if obj in takes])
+def test_model_mismatch_is_refused_before_any_build(entry, mismatch, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a build started before the model check")
+
+    for module, names in [(slicer, ("_require_dense_size",)),
+                          (oracle, ("_require_dense_size", "_symbol_entries",
+                                    "build_hamiltonian_matrix", "_axis_step_tables")),
+                          (star, ("_require_dense_size", "_symbol_entries")),
+                          (weyl, ("_require_dense_size", "_symbol_entries"))]:
+        for name in names:
+            monkeypatch.setattr(module, name, refuse)
+    grid = PhaseSpaceGrid(8, 4.0, 2)
+    model = {"params": PhysicsParams(dim=2), "V": Potential.harmonic(1.0, 1.0, dim=2),
+             "theta": ThetaMatrix.single_block(2, 0.1), "probe": star.gaussian_packet(grid)}
+    obj, message = _MISMATCHES[mismatch]
+    model[obj] = {"hbar": PhysicsParams(hbar=0.5, dim=2),
+                  "params_dim": PhysicsParams(dim=3),
+                  "V_dim": Potential.harmonic(1.0, 1.0, dim=3),
+                  "theta_dim": ThetaMatrix.single_block(3, 0.1),
+                  "probe": star.gaussian_packet(PhaseSpaceGrid(8, 3.0, 2))}[mismatch]
+    with pytest.raises(GridMismatchError, match=message):
+        _run_model_entry(entry, grid, **model)
+
+
+@pytest.mark.parametrize("G", [8, 9])
+def test_plane_waves_of_opposite_momenta_are_exact_conjugates(G):
+    from ncpath.core import _plane_waves
+
+    n = np.indices((G, G)).reshape(2, -1).T - G // 2
+    plus = _plane_waves(G, n, n)
+    minus = _plane_waves(G, n, -n)
+    residue = (n @ n.T) % G
+    assert np.max(np.abs(plus - np.exp(2j * np.pi * (n @ n.T) / G))) < 1e-14
+    # e^{iπ} at r = G/2 on even G is one table entry for ±r
+    odd = residue == G // 2 if G % 2 == 0 else np.zeros_like(residue, dtype=bool)
+    assert np.array_equal(minus[~odd], plus[~odd].conj())
+    assert np.array_equal(minus[odd], plus[odd])

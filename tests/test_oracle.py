@@ -556,3 +556,19 @@ def test_dense_builds_allocate_one_n_by_n_array(prepare, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * kernel_bytes, f"peak {peak} B for a {kernel_bytes} B kernel"
+
+
+@pytest.mark.parametrize("m_values, alpha, message", [([2, -1], 0.5, "slices_m"),
+                                                      ([2, 4], 0.7, "alpha")],
+                         ids=["m", "alpha"])
+def test_oracle_compare_refuses_a_bad_slicing_before_the_reference(m_values, alpha, message,
+                                                                   monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the reference Hamiltonian was built")
+
+    monkeypatch.setattr(ncpath.oracle, "build_hamiltonian_matrix", refuse)
+    params = PhysicsParams(dim=2)
+    grid = PhaseSpaceGrid(8, 4.0, 2)
+    with pytest.raises(ValueError, match=message):
+        oracle_compare(Potential.harmonic(1.0, 1.0, dim=2), ThetaMatrix.single_block(2, 0.1),
+                       grid, params, 1.0, m_values, gaussian_packet(grid), alpha=alpha)

@@ -301,3 +301,37 @@ def test_gaussian_packet_boundary_mass_and_norm():
 def test_gaussian_packet_rejects_non_finite_or_non_positive_width(width):
     with pytest.raises(ValueError, match="width"):
         gaussian_packet(PhaseSpaceGrid(8, 4.0, 2), width=width)
+
+
+def _long_double_star_apply(V, theta, psi):
+    """The mixed-domain sum of `star_apply` for harmonic V in long double.
+
+    Dense transforms with plane-wave phases 2π(n·n' mod G)/G and the exact
+    lattice scale G^{-N} of the two measures (ΔxΔk·G = 2πħ per axis); every
+    product and sum in long double.
+    """
+    grid = psi.grid
+    G, N, ld = grid.points_per_axis, grid.dim, np.longdouble
+    pi = 4 * np.arctan(ld(1))
+    idx = np.indices(grid.shape).reshape(N, -1).T - G // 2
+    plane = np.exp(2j * pi * ((idx @ idx.T) % G) / G)  # e^{(i/ħ)x·k} at [x, k]
+    x, k = idx * ld(grid.dx), idx * ld(grid.dk)
+    u = x[:, None, :] + np.einsum("jl,kl->kj", theta.entries.astype(ld), k)[None, :, :]
+    vals = ld(0.5) * ld(V.coeffs["mass"]) * ld(V.coeffs["omega"]) ** 2 * np.sum(u * u, axis=-1)
+    hat = plane.conj().T @ psi.values.astype(np.clongdouble)  # unscaled ψ̂
+    return (plane * vals) @ hat / ld(G) ** N
+
+
+# each bound is about twice the error measured on this input (2.9e-15, 4.6e-15)
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than double on this platform")
+@pytest.mark.parametrize("G, bound", [(16, 6e-15), (32, 1e-14)])
+def test_star_apply_matches_a_long_double_mixed_sum(G, bound):
+    grid = PhaseSpaceGrid(G, 4.0, 2)
+    V = Potential.harmonic(1.0, 1.0, dim=2)
+    theta = ThetaMatrix.single_block(2, 0.1)
+    psi = gaussian_packet(grid, center=(0.5, -0.3), width=0.9, momentum=(0.4, 0.2))
+    ref = _long_double_star_apply(V, theta, psi)
+    out = star_apply(V, theta, psi).values
+    err = np.max(np.abs(out - ref)) / np.max(np.abs(ref))
+    assert err <= bound
