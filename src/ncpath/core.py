@@ -32,21 +32,27 @@ class GridMismatchError(ValueError):
     """Raised when fields or kernels living on different grids are combined."""
 
 
+def _is_integer(value) -> bool:
+    """An int or a NumPy integer; a bool, a float or anything else is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class PhysicsParams:
-    """Run-level constants: ħ, the mass M, and the spatial dimension N."""
+    """Run-level constants: ħ and the mass M (positive and finite), and the
+    spatial dimension N (a positive integer)."""
 
     hbar: float = 1.0
     mass: float = 1.0
     dim: int = 2
 
     def __post_init__(self):
-        if self.hbar <= 0:
-            raise ConfigError("hbar: must be positive")
-        if self.mass <= 0:
-            raise ConfigError("mass: must be positive")
-        if self.dim < 1:
-            raise ConfigError("dim: must be a positive integer")
+        if not 0 < self.hbar < np.inf:  # NaN fails the comparison too
+            raise ConfigError(f"hbar: must be positive and finite (got {self.hbar!r})")
+        if not 0 < self.mass < np.inf:
+            raise ConfigError(f"mass: must be positive and finite (got {self.mass!r})")
+        if not _is_integer(self.dim) or self.dim < 1:
+            raise ConfigError(f"dim: must be a positive integer (got {self.dim!r})")
 
 
 class ThetaMatrix:
@@ -95,13 +101,10 @@ class ThetaMatrix:
         σ(b) = b on a zero row; a row with two nonzeros couples three axes
         and gives None.  Antisymmetry makes σ its own inverse.
         """
-        pairing = []
-        for b, row in enumerate(self.entries):
-            cols = np.flatnonzero(row)
-            if cols.size > 1:
-                return None
-            pairing.append(int(cols[0]) if cols.size else b)
-        return tuple(pairing)
+        cols = [np.flatnonzero(row) for row in self.entries]
+        if any(c.size > 1 for c in cols):
+            return None
+        return tuple(int(c[0]) if c.size else b for b, c in enumerate(cols))
 
     def shift(self, k):
         """Map momentum vectors k (shape (..., N)) to (θk)^j = θ^{jl} k^l."""
@@ -280,6 +283,18 @@ def _gather_block(table, parts, o: int):
     return table.reshape(-1)[flat]
 
 
+def _apply_axis_tables(tables, values, grid: PhaseSpaceGrid):
+    """ψ(x) ← Σ_{x'} Π_a h_a[x, x'_a] ψ(x') for N tables h_a of shape (n, G):
+    one (n×G)·(G×G^{N-1}) product, then a row-wise contraction with each
+    further axis's table.  The α = +1/2 slice and both split-step half-steps
+    are applied this way."""
+    n, G = grid.size, grid.points_per_axis
+    out = tables[0] @ values.reshape(G, -1)  # (x, x'_1 … x'_{N-1})
+    for h in tables[1:]:
+        out = (h[:, None, :] @ out.reshape(n, G, -1))[:, 0]
+    return out.reshape(n)
+
+
 def _symbol_entries(grid: PhaseSpaceGrid, symbol):
     """The standard-ordered kernel (2πħ)^{-N} Σ_k Δk^N f(k, y) e^{(i/ħ) k·(y - y')}.
 
@@ -398,12 +413,11 @@ class Potential:
     def axis_terms(self):
         """N one-axis callables V_b with V(u) = Σ_b V_b(u_b), or None.
 
-        Zero, linear, harmonic and polynomials whose terms each touch at most
-        one axis split this way (a constant term goes to axis 0); quartic,
-        Gaussian-well and mixed polynomials do not.
+        Linear, harmonic and polynomials whose terms each touch at most one
+        axis split this way (a constant term goes to axis 0); quartic,
+        Gaussian-well and mixed polynomials do not.  V = 0 gives None here:
+        `_axis_factors`, the one caller, splits it itself at every θ.
         """
-        if self.form == "zero":
-            return [np.zeros_like] * self.dim
         if self.form == "linear":
             return [partial(np.multiply, c) for c in self.coeffs["c"]]
         if self.form == "harmonic":
@@ -464,6 +478,23 @@ def evaluate_potential_shifted(V: Potential, theta: ThetaMatrix, x, k):
     x = np.asarray(x, dtype=float)
     k = np.asarray(k, dtype=float)
     return V(x + theta.shift(k))
+
+
+def _axis_factors(V: Potential, theta: ThetaMatrix):
+    """Per momentum axis a, (b, V_b, θ_ba) with V(x + θk) = Σ_a V_b(x_b + θ_ba k_a),
+    or None: the one place that decides whether V(x + θk) factors by axis.
+
+    V must split into one-axis terms (`Potential.axis_terms`) and θ must pair
+    each position axis b with at most one momentum axis a = σ(b)
+    (`ThetaMatrix.axis_pairing`).  θ enters only V's argument, so V = 0
+    splits at every θ, with b = a and θ_ba = 0.
+    """
+    if V.is_zero:
+        return [(a, np.zeros_like, 0.0) for a in range(V.dim)]
+    terms, pairing = V.axis_terms(), theta.axis_pairing()
+    if terms is None or pairing is None:
+        return None
+    return [(b, terms[b], theta.entries[b, a]) for a, b in enumerate(pairing)]
 
 
 def realize_hamiltonian_symbol(V: Potential, theta: ThetaMatrix, p: PhysicsParams):

@@ -16,11 +16,11 @@ the diagonalization.  The split-step route alternates exact kinetic steps in
 momentum space with mixed-domain phase steps e^{-(i/ħ) δt V(x + θk)}.
 Because the x- and k-dependence of the shifted potential do not commute,
 the split-step scheme is first order in the coupling θ and second order
-when θ = 0; step counts in the tests are chosen accordingly.  For
-V = Σ_b V_b(u_b) with θ pairing the axes, each row of that phase step is a
-product of one length-G factor per momentum axis, so a half-step, its
-forward transform folded in, is N tables of n×G and no n×n array; any
-other V at θ ≠ 0 builds the n×n half-step matrix.
+when θ = 0; step counts in the tests are chosen accordingly.  Where
+V(x + θk) factors by axis (`core._axis_factors` decides), each row of that
+phase step is a product of one length-G factor per momentum axis, so a
+half-step, its forward transform folded in, is N tables of n×G and no n×n
+array; any other V at θ ≠ 0 builds the n×n half-step matrix.
 """
 
 from __future__ import annotations
@@ -34,6 +34,9 @@ from .core import (
     PhysicsParams,
     Potential,
     ThetaMatrix,
+    _apply_axis_tables,
+    _axis_factors,
+    _is_integer,
     _plane_waves,
     _require_dense_size,
     _require_model,
@@ -201,10 +204,10 @@ def split_step_evolve(psi: ComplexField, V: Potential, theta: ThetaMatrix,
     there are two routes, both refused on grids of more than 4096 lattice
     points:
 
-    - V = Σ_b V_b(u_b) (`Potential.axis_terms`) and θ pairing the axes
-      (`ThetaMatrix.axis_pairing`): a half-step row is a product of one
-      length-G factor per momentum axis, so each half-step, its forward
-      transform included, is N tables of n×G (`_axis_step_tables`).
+    - V(x + θk) factored by axis (`core._axis_factors`): a half-step row is
+      a product of one length-G factor per momentum axis, so each half-step,
+      its forward transform included, is N tables of n×G
+      (`_axis_step_tables`), applied by `core._apply_axis_tables`.
     - Any other V: the half-step is an n×n matrix, built row block by row
       block (n²/G entries each) with no other n×n array.
 
@@ -215,7 +218,7 @@ def split_step_evolve(psi: ComplexField, V: Potential, theta: ThetaMatrix,
     _require_model(grid, params, V, theta)
     if not np.isfinite(T):
         raise ValueError(f"T: evolution time must be finite (got {T})")
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
+    if not _is_integer(steps) or steps < 1:
         raise ValueError(f"steps: must be an integer of at least 1 (got {steps!r})")
     dt = T / steps
     hbar = grid.hbar
@@ -235,13 +238,12 @@ def split_step_evolve(psi: ComplexField, V: Potential, theta: ThetaMatrix,
             values *= half
         return ComplexField(values, grid)
     _require_dense_size(grid)
-    terms, pairing = V.axis_terms(), theta.axis_pairing()
-    if terms is not None and pairing is not None:
-        first = _axis_step_tables(grid, terms, theta, pairing, dt, None)
-        second = _axis_step_tables(grid, terms, theta, pairing, dt, params.mass)
+    factors = _axis_factors(V, theta)
+    if factors is not None:
+        half_steps = [_axis_step_tables(grid, factors, dt, mass) for mass in (None, params.mass)]
         for _ in range(steps):
-            values = _apply_axis_tables(first, values, grid)
-            values = _apply_axis_tables(second, values, grid)
+            for tables in half_steps:
+                values = _apply_axis_tables(tables, values, grid)
         return ComplexField(values, grid)
     # mixed-domain half-step matrix: momentum rep -> position rep, its plane
     # waves e^{(i/ħ)x·k} from `core._plane_waves`
@@ -262,16 +264,15 @@ def split_step_evolve(psi: ComplexField, V: Potential, theta: ThetaMatrix,
     return ComplexField(values, grid)
 
 
-def _axis_step_tables(grid: PhaseSpaceGrid, terms, theta: ThetaMatrix, pairing, dt: float,
-                      mass: float | None):
+def _axis_step_tables(grid: PhaseSpaceGrid, factors, dt: float, mass: float | None):
     """One split-step half-step as N tables h_c of shape (n, G), position to position.
 
-    With b = σ(c) the position axis that θ pairs with momentum axis c,
-    V(x + θk) = Σ_c V_b(x_b + θ_{bc} k_c), so the mixed-domain half-step
+    With (b, V_b, θ_bc) the factor of momentum axis c (`core._axis_factors`),
+    V(x + θk) = Σ_c V_b(x_b + θ_bc k_c), so the mixed-domain half-step
     after the forward transform is a product over axes of
 
         h_c[x, x'_c] = (1/G) Σ_{k_c} e^{(i/ħ)(x_c − x'_c)k_c} e^{-iφ_c(x, k_c)},
-        φ_c = (δt/2) V_b(x_b + θ_{bc}k_c)/ħ  [+ δt k_c²/2Mħ],
+        φ_c = (δt/2) V_b(x_b + θ_bc k_c)/ħ  [+ δt k_c²/2Mħ],
 
     the kinetic phase included when `mass` is given (ΔxΔk/2πħ = 1/G per
     axis).  The sum is taken as δ(x_c, x'_c) plus the transform of
@@ -284,8 +285,8 @@ def _axis_step_tables(grid: PhaseSpaceGrid, terms, theta: ThetaMatrix, pairing, 
     forward = plane.conj() / G  # (k_c, x'_c)
     rows = np.indices(grid.shape).reshape(grid.dim, -1)  # 0-based axis indices of each x
     tables = []
-    for c, b in enumerate(pairing):
-        phase = (0.5 * dt / hbar) * terms[b](grid.x_points[:, b, None] + theta.entries[b, c] * k)
+    for c, (b, term, shift) in enumerate(factors):
+        phase = (0.5 * dt / hbar) * term(grid.x_points[:, b, None] + shift * k)
         if mass is not None:
             phase += dt * k * k / (2.0 * mass * hbar)
         factor = np.expm1(-1j * phase)
@@ -294,16 +295,6 @@ def _axis_step_tables(grid: PhaseSpaceGrid, terms, theta: ThetaMatrix, pairing, 
         table[np.arange(n), rows[c]] += 1.0
         tables.append(table)
     return tables
-
-
-def _apply_axis_tables(tables, values, grid: PhaseSpaceGrid):
-    """ψ(x) ← Σ_{x'} Π_c h_c[x, x'_c] ψ(x'): one (n×G)·(G×G^{N-1}) product,
-    then a row-wise contraction with each further axis's table."""
-    n, G = grid.size, grid.points_per_axis
-    out = tables[0] @ values.reshape(G, -1)  # (x, x'_1 … x'_{N-1})
-    for h in tables[1:]:
-        out = (h[:, None, :] @ out.reshape(n, G, -1))[:, 0]
-    return out.reshape(n)
 
 
 def oracle_compare(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceGrid,
@@ -325,7 +316,7 @@ def oracle_compare(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceGrid,
     every m's SlicingConfig run before H is built.
     """
     _require_model(grid, params, V, theta, probe)
-    configs = [SlicingConfig(int(m), total_time, alpha, params) for m in m_values]
+    configs = [SlicingConfig(m, total_time, alpha, params) for m in m_values]
     timings = {} if timings is None else timings
     t0 = time.perf_counter()
     H = build_hamiltonian_matrix(V, theta, grid, params)

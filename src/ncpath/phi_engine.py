@@ -39,6 +39,7 @@ components i = 0..N-1; μ is labelled a = 1..m; the slice step is
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -265,8 +266,9 @@ class PhiContext:
     mass: Fraction = _ONE
 
     def __post_init__(self):
-        if self.slices_m < 1:
-            raise ValueError("slices_m: need at least one interior slice")
+        m = self.slices_m
+        if not isinstance(m, numbers.Integral) or isinstance(m, bool) or m < 1:
+            raise ValueError(f"slices_m: need an integer of at least 1 (got {m!r})")
         if self.total_time <= 0:
             raise ValueError("total_time: must be positive")
         if not -_HALF <= self.alpha <= _HALF:

@@ -21,27 +21,24 @@ trapezoid fold), which leaves the V = 0 case untouched.
 for every α, and the α-spread of composed kernels shrinks like 1/(m+1) —
 the quantitative face of ordering independence in the continuum limit.
 
-A slice is built by one of two routes:
+A slice is built by one of two routes, chosen by `core._axis_factors`, the
+one place that decides whether V(x + θk) factors by axis:
 
-- V = Σ_b V_b(u_b) a sum of one-axis terms (V = 0 among them) and θ with at
-  most one nonzero per row: V_b's argument is x̄_b + θ_{b,σ(b)} k_{σ(b)}, so
-  the integrand, its ±K fold and the momentum sum factor over axes.  Each
-  axis needs one (G, G, G) table of 1-D transforms, and an entry is the
-  product of one table value per axis; the cost does not depend on α.
-  θ enters only V's argument, so a V = 0 slice is built with θ = 0 and
-  always takes this route.
-- Any other V (quartic, Gaussian well, mixed polynomials): the grouped
-  builder, which groups lattice pairs by their slice point x̄(α) and
-  transforms the full N-dimensional integrand once per slice point, at
-  any α.
+- Where it does, V(x̄ + θk) = Σ_a V_b(x̄_b + θ_ba k_a), so the integrand, its
+  ±K fold and the momentum sum factor over momentum axes.  Each axis needs
+  one (G, G, G) table of 1-D transforms, and an entry is the product of one
+  table value per axis; the cost does not depend on α.
+- Otherwise (quartic, Gaussian well, mixed polynomials, a θ coupling three
+  axes): the grouped builder, which groups lattice pairs by their slice
+  point x̄(α) and transforms the full N-dimensional integrand once per slice
+  point, at any α.
 
 `propagate` needs no slice kernel where the first route meets α = ±1/2, the
 standard and anti-standard orderings.  There x̄(α) is x_out or x_in, a
 lattice point, so each axis's table is needed at the G lattice points only,
-and a slice acts as N tables of shape (n, G): one (n×G)·(G×G^{N-1})
-product and one row-wise contraction per further axis at α = +1/2, the
-transposed contraction at α = -1/2.  V = 0 takes that route at every α.
-Any other α or V is propagated by the dense slice.
+and a slice acts as N tables of shape (n, G): `core._apply_axis_tables` at
+α = +1/2, the transposed contraction at α = -1/2.  V = 0 takes that route
+at every α.  Any other α or V is propagated by the dense slice.
 
 Kernels are star.OperatorKernel; PropagatorKernel is an alias of that one
 type, and a slice's kernel carries its SlicingConfig in `config`.
@@ -60,9 +57,12 @@ from .core import (
     PhysicsParams,
     Potential,
     ThetaMatrix,
+    _apply_axis_tables,
+    _axis_factors,
     _centered_fft,
     _gather_block,
     _index_difference_table,
+    _is_integer,
     _pair_axes,
     _require_dense_size,
     _require_model,
@@ -83,8 +83,8 @@ class SlicingConfig:
     params: PhysicsParams
 
     def __post_init__(self):
-        if self.slices_m < 0:
-            raise ValueError("slices_m: must be a nonnegative integer")
+        if not _is_integer(self.slices_m) or self.slices_m < 0:
+            raise ValueError(f"slices_m: must be a nonnegative integer (got {self.slices_m!r})")
         if not 0 < self.total_time < np.inf:  # NaN fails the comparison too
             raise ValueError("total_time: must be positive and finite")
         if not -0.5 <= self.alpha <= 0.5:
@@ -135,11 +135,8 @@ def short_time_propagator(cfg: SlicingConfig, V: Potential, theta: ThetaMatrix,
 
     Two routes build the same entries.
 
-    - V a sum of one-axis terms (`Potential.axis_terms`) and θ pairing the
-      axes (`ThetaMatrix.axis_pairing`): the factorized route, one table of
-      1-D momentum transforms per axis, at any α.  V = 0 always takes it:
-      θ enters only V's argument, so it is set to zero there, and the
-      slice is the same for every α and θ.
+    - V(x + θk) factored by axis (`core._axis_factors`): the factorized
+      route, one table of 1-D momentum transforms per axis, at any α.
     - Otherwise the grouped builder: pairs (x_out, x_in) are grouped by
       their per-axis slice point x̄(α) (coordinates rounded to 12
       decimals), and each tuple of slice points on axes 0 … N-2 is one
@@ -149,13 +146,9 @@ def short_time_propagator(cfg: SlicingConfig, V: Potential, theta: ThetaMatrix,
     """
     _check_slice(cfg, V, theta, grid)
     norm = grid.momentum_cell_volume * (2.0 * np.pi * cfg.params.hbar) ** (-grid.dim)
-    if V.is_zero:
-        theta = ThetaMatrix.zero(grid.dim)
-    terms, pairing = V.axis_terms(), theta.axis_pairing()
-    if terms is not None and pairing is not None:
-        entries = _factorized_slice(cfg, terms, theta, pairing, grid)
-    else:
-        entries = _grouped_slice(cfg, V, theta, grid)
+    factors = _axis_factors(V, theta)
+    entries = _factorized_slice(cfg, factors, grid) if factors is not None \
+        else _grouped_slice(cfg, V, theta, grid)
     entries *= norm
     return PropagatorKernel(entries, grid, cfg)
 
@@ -174,53 +167,53 @@ def _check_slice(cfg, V, theta, grid):
         )
 
 
-def _axis_transforms(cfg, terms, theta, pairing, grid, xbar):
-    """Per momentum axis a, with b = σ(a): A_a[..., d], the 1-D momentum
-    transform of the ±K-folded f_a = e^{-iεk_a²/2Mħ} e^{-iεV_b(x̄ + θ_{ba}k_a)/ħ}
-    at every slice point of the array xbar, read at offset d = 0 … G-1."""
+def _axis_transforms(cfg, factors, grid, xbar):
+    """Per momentum axis a with factor (b, V_b, θ_ba) (`core._axis_factors`):
+    A_a[..., d], the 1-D momentum transform of the ±K-folded
+    f_a = e^{-iεk_a²/2Mħ} e^{-iεV_b(x̄ + θ_ba k_a)/ħ} at every slice point of
+    the array xbar, read at offset d = 0 … G-1."""
     G = grid.points_per_axis
     eps, hbar = cfg.epsilon, cfg.params.hbar
     k = _momentum_window(grid)
     kin = np.exp(-1j * eps * k * k / (2.0 * cfg.params.mass * hbar))
     tables = []
-    for a, b in enumerate(pairing):
-        u = xbar[..., None] + theta.entries[b, a] * k
-        integrand = kin * np.exp(-1j * eps * terms[b](u) / hbar)
+    for _, term, shift in factors:
+        u = xbar[..., None] + shift * k
+        integrand = kin * np.exp(-1j * eps * term(u) / hbar)
         tables.append(_centered_fft(_fold_nyquist(integrand, G, 1), +1, (-1,)))
     return tables
 
 
-def _factorized_slice(cfg, terms, theta, pairing, grid):
-    """Slice entries, before the momentum measure, for V = Σ_b V_b(u_b) and a
-    θ that pairs momentum axis a with position axis b = σ(a).
+def _factorized_slice(cfg, factors, grid):
+    """Slice entries, before the momentum measure, for V(x̄ + θk) factored as
+    Σ_a V_b(x̄_b + θ_ba k_a) (`core._axis_factors`).
 
-    V_b's argument is then x̄_b + θ_{ba} k_a, so the integrand is a product
-    over momentum axes of  f_a = e^{-iεk_a²/2Mħ} e^{-iεV_b(x̄_b + θ_{ba}k_a)/ħ},
-    and the ±K fold and the momentum sum factor with it.  A_a[n_out_b, n_in_b, d]
-    is the 1-D transform of f_a at every per-axis pair's slice point, and
+    The integrand is then a product over momentum axes of
+    f_a = e^{-iεk_a²/2Mħ} e^{-iεV_b(x̄_b + θ_ba k_a)/ħ}, and the ±K fold and
+    the momentum sum factor with it.  A_a[n_out_b, n_in_b, d] is the 1-D
+    transform of f_a at every per-axis pair's slice point, and
 
-        entry = Π_a A_a[n_out_σ(a), n_in_σ(a), (n_out_a - n_in_a) mod G],
+        entry = Π_a A_a[n_out_b, n_in_b, (n_out_a - n_in_a) mod G],
 
     gathered into the kernel viewed as (G,)*2N one leading-axis block view[o]
     (n²/G entries) at a time, factor by factor in axis order.
     """
     G, N = grid.points_per_axis, grid.dim
     xbar = (0.5 + cfg.alpha) * grid.x_axis[:, None] + (0.5 - cfg.alpha) * grid.x_axis[None, :]
-    tables = _axis_transforms(cfg, terms, theta, pairing, grid, xbar)  # (G, G, G) each
+    tables = _axis_transforms(cfg, factors, grid, xbar)  # (G, G, G) each
     diff = _index_difference_table(grid)
     pos = np.arange(G)
     # per momentum axis: its table and the flat offsets of A_a[n_out_b, n_in_b, d]
-    factors = [(table, (_pair_axes(pos * G * G, (b,), 2 * N),
+    gathers = [(table, (_pair_axes(pos * G * G, (b,), 2 * N),
                         _pair_axes(pos * G, (N + b,), 2 * N),
                         _pair_axes(diff, (a, N + a), 2 * N)))
-               for table, (a, b) in zip(tables, enumerate(pairing))]
+               for a, (table, (b, _, _)) in enumerate(zip(tables, factors))]
     entries = np.empty((grid.size, grid.size), dtype=complex)
     view = entries.reshape((G,) * (2 * N))
     for o in range(G):
         block = view[o]
-        table, parts = factors[0]
-        block[...] = _gather_block(table, parts, o)
-        for table, parts in factors[1:]:
+        block[...] = _gather_block(*gathers[0], o)
+        for table, parts in gathers[1:]:
             block *= _gather_block(table, parts, o)
     return entries
 
@@ -320,10 +313,9 @@ def propagate(cfg: SlicingConfig, V: Potential, theta: ThetaMatrix,
     Equal to full_kernel(cfg, ...).apply(probe) up to rounding, at
     O((m+1)·n²) instead of O(n³ log m).  Two routes:
 
-    - α = ±1/2 with V split by axis (`Potential.axis_terms`) and θ pairing
-      the axes (`ThetaMatrix.axis_pairing`), and V = 0 at every α: the slice
-      is applied through N per-axis tables of shape (n, G)
-      (`_half_slice_tables`), with no n×n array.
+    - α = ±1/2 with V(x + θk) factored by axis (`core._axis_factors`), and
+      V = 0 at every α: the slice is applied through N per-axis tables of
+      shape (n, G) (`_half_slice_tables`), with no n×n array.
     - Otherwise the dense slice of `short_time_propagator`, applied as a
       matrix; at m = 0 the result is then that slice's action bitwise.
 
@@ -332,14 +324,12 @@ def propagate(cfg: SlicingConfig, V: Potential, theta: ThetaMatrix,
     edge-phase warning) on either route.
     """
     _require_model(grid, cfg.params, V, theta, probe)
-    terms, pairing = V.axis_terms(), theta.axis_pairing()
-    if V.is_zero or (abs(cfg.alpha) == 0.5 and terms is not None and pairing is not None):
+    factors = _axis_factors(V, theta)
+    if factors is not None and (V.is_zero or abs(cfg.alpha) == 0.5):
         _check_slice(cfg, V, theta, grid)
-        if V.is_zero:  # θ and α enter only V's argument: one table set for every α
-            theta, cfg = ThetaMatrix.zero(grid.dim), replace(cfg, alpha=0.5)
-            pairing = theta.axis_pairing()
-        tables = _half_slice_tables(cfg, terms, theta, pairing, grid)
-        contract = _contract_outgoing if cfg.alpha > 0 else _contract_incoming
+        cfg = replace(cfg, alpha=0.5) if V.is_zero else cfg  # V = 0: one table set for every α
+        tables = _half_slice_tables(cfg, factors, grid)
+        contract = _apply_axis_tables if cfg.alpha > 0 else _contract_incoming
         values = probe.values
         for _ in range(cfg.slices_m + 1):
             values = contract(tables, values, grid)
@@ -351,14 +341,15 @@ def propagate(cfg: SlicingConfig, V: Potential, theta: ThetaMatrix,
     return field
 
 
-def _half_slice_tables(cfg, terms, theta, pairing, grid):
+def _half_slice_tables(cfg, factors, grid):
     """The α = ±1/2 slice as N tables of shape (n, G), measures included.
 
     There x̄(α) is x_out (α = +1/2) or x_in (α = -1/2), a lattice point, so
     the table A_a of `_axis_transforms` is needed at the G lattice points
-    only, and with σ = pairing a slice entry times Δx^N is
+    only, and with (b, V_b, θ_ba) the factor of momentum axis a, a slice
+    entry times Δx^N is
 
-        K[o, i]·Δx^N = Π_a (ΔxΔk/2πħ) A_a[x̄_σ(a), (o_a - i_a) mod G].
+        K[o, i]·Δx^N = Π_a (ΔxΔk/2πħ) A_a[x̄_b, (o_a - i_a) mod G].
 
     Row r of table a is the lattice point x̄ sits on (o at +1/2, i at
     -1/2) and column j the other end's index on axis a.
@@ -368,25 +359,15 @@ def _half_slice_tables(cfg, terms, theta, pairing, grid):
     diff = _index_difference_table(grid)  # [o_a, i_a]
     offset = diff if cfg.alpha > 0 else diff.T  # [r_a, j]
     measure = grid.dx * grid.dk / (2.0 * np.pi * cfg.params.hbar)
-    tables = _axis_transforms(cfg, terms, theta, pairing, grid, grid.x_axis)  # (G, G) each
+    tables = _axis_transforms(cfg, factors, grid, grid.x_axis)  # (G, G) each
     return [(measure * table).reshape(-1)[rows[b][:, None] * G + offset[rows[a]]]
-            for table, (a, b) in zip(tables, enumerate(pairing))]
-
-
-def _contract_outgoing(tables, values, grid):
-    """α = +1/2: out[o] = Σ_i ψ[i] Π_a h_a[o, i_a], as one (n×G)·(G×G^{N-1})
-    product, then one row-wise contraction per further axis."""
-    n, G = grid.size, grid.points_per_axis
-    out = tables[0] @ values.reshape(G, -1)  # (o, i_1 … i_{N-1})
-    for h in tables[1:]:
-        out = (h[:, None, :] @ out.reshape(n, G, -1))[:, 0]
-    return out.reshape(n)
+            for a, (table, (b, _, _)) in enumerate(zip(tables, factors))]
 
 
 def _contract_incoming(tables, values, grid):
-    """α = -1/2: out[o] = Σ_i ψ[i] Π_a g_a[i, o_a], the transpose of the
-    outgoing contraction: row-wise outer products over axes N-1 … 1, then one
-    (G×n)·(n×G^{N-1}) product over the input point."""
+    """α = -1/2: out[o] = Σ_i ψ[i] Π_a g_a[i, o_a], the transpose of
+    `core._apply_axis_tables` (α = +1/2): row-wise outer products over axes
+    N-1 … 1, then one (G×n)·(n×G^{N-1}) product over the input point."""
     n = grid.size
     acc = values[:, None]  # (i, o_{a+1} … o_{N-1})
     for g in reversed(tables[1:]):
@@ -438,10 +419,11 @@ def alpha_sweep(params: PhysicsParams, total_time: float, alphas, m_values,
     at the first α, and the norm ratio ||K^{m+1}·ψ|| / ||ψ|| at every α.
 
     Expected: D(m) ∝ 1/(m+1) (log-log slope ≈ -1), since each slice's
-    α-sensitivity enters at order ε and the kernels stay near unitary.
+    α-sensitivity enters at order ε and the kernels stay near unitary.  Every
+    (m, α) SlicingConfig is checked before the first propagation.
     """
     alphas = [float(a) for a in alphas]
-    m_values = [int(m) for m in m_values]
+    m_values = list(m_values)
     if len(alphas) < 2:
         raise ValueError("alphas: need at least two ordering indices")
     if len(set(alphas)) < len(alphas):
@@ -452,13 +434,13 @@ def alpha_sweep(params: PhysicsParams, total_time: float, alphas, m_values,
         raise ValueError("m_values: slice counts must be distinct")
     if probe.norm() == 0:
         raise ValueError("probe: degenerate (zero norm)")
+    configs = [[SlicingConfig(m, total_time, a, params) for a in alphas] for m in m_values]
 
     spreads: dict = {}
     d_values: dict = {}
     norm_ratios: dict = {}
-    for m in m_values:
-        actions = [propagate(SlicingConfig(m, total_time, a, params), V, theta, grid, probe)
-                   for a in alphas]
+    for m, row in zip(m_values, configs):
+        actions = [propagate(cfg, V, theta, grid, probe) for cfg in row]
         norm_ratios[m] = [action.norm() / probe.norm() for action in actions]
         ref = actions[0].norm()
         pair_spread = {}

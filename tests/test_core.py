@@ -23,12 +23,22 @@ from ncpath.oracle import build_hamiltonian_matrix
 
 def test_params_validation():
     PhysicsParams(1.0, 1.0, 2)
+    PhysicsParams(dim=np.int64(3))
     with pytest.raises(ConfigError):
         PhysicsParams(hbar=0.0)
     with pytest.raises(ConfigError):
         PhysicsParams(mass=-1.0)
     with pytest.raises(ConfigError):
         PhysicsParams(dim=0)
+
+
+@pytest.mark.parametrize("key, value", [("hbar", float("nan")), ("hbar", float("inf")),
+                                        ("mass", float("nan")), ("mass", float("inf")),
+                                        ("dim", True), ("dim", 2.0), ("dim", 2.5)])
+def test_params_refuse_non_finite_constants_and_a_non_integer_dim(key, value):
+    # a NaN mass makes every evolution NaN, and an infinite one drops the kinetic term
+    with pytest.raises(ConfigError, match=f"{key}:"):
+        PhysicsParams(**{key: value})
 
 
 def test_theta_antisymmetry_enforced():

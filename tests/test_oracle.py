@@ -559,8 +559,11 @@ def test_dense_builds_allocate_one_n_by_n_array(prepare, bound):
 
 
 @pytest.mark.parametrize("m_values, alpha, message", [([2, -1], 0.5, "slices_m"),
+                                                      ([2, 2.7], 0.5, "slices_m"),
+                                                      ([2, 2.5], 0.5, "slices_m"),
+                                                      ([True, 4], 0.5, "slices_m"),
                                                       ([2, 4], 0.7, "alpha")],
-                         ids=["m", "alpha"])
+                         ids=["m", "m-fraction", "m-half", "m-bool", "alpha"])
 def test_oracle_compare_refuses_a_bad_slicing_before_the_reference(m_values, alpha, message,
                                                                    monkeypatch):
     def refuse(*args):

@@ -378,6 +378,12 @@ def test_block_engine_matches_brute_force_reference(case, data):
             apply_L(ref_phi, [(a, i), (b, j)]).at_zero()
 
 
+@pytest.mark.parametrize("m", [True, 2.5, F(3), 0])
+def test_phi_context_refuses_a_slice_count_that_is_not_a_positive_integer(m):
+    with pytest.raises(ValueError, match="slices_m"):
+        PhiContext(m, F(1), F(0))
+
+
 def test_reports_reject_labels_out_of_range():
     phi = build_phi(PhiContext(3, F(1), F(0)), THETA, XF, XIN)
     for bad in ((4, 0), (-1, 0), (0, 2), (0, -1)):

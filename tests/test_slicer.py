@@ -11,6 +11,7 @@ from ncpath.core import (
     PhysicsParams,
     Potential,
     ThetaMatrix,
+    _axis_factors,
 )
 from ncpath.slicer import (
     PropagatorKernel,
@@ -105,6 +106,10 @@ def two_pair_theta():
     return ThetaMatrix(entries)
 
 
+# rows with two nonzeros couple three axes: a θ that does not pair the axes
+THREE_AXIS_THETA = ThetaMatrix([[0.0, 0.1, 0.2], [-0.1, 0.0, 0.3], [-0.2, -0.3, 0.0]])
+
+
 SEPARABLE_CASES = {
     # N: (G, θ) with one axis at θ = 0, one pair, one pair plus an unpaired
     # axis, two crossed pairs on an odd grid
@@ -133,7 +138,7 @@ def test_factorized_slice_matches_point_builders(dim, form, alpha):
     grid = PhaseSpaceGrid(G, 2.0, dim)
     V = separable_potential(form, dim)
     cfg = SlicingConfig(7, 1.0, alpha, PhysicsParams(dim=dim))
-    factorized = _factorized_slice(cfg, V.axis_terms(), theta, theta.axis_pairing(), grid)
+    factorized = _factorized_slice(cfg, _axis_factors(V, theta), grid)
     scale = np.max(np.abs(factorized))
     grouped = _grouped_slice(cfg, V, theta, grid)
     assert np.max(np.abs(factorized - grouped)) <= 1e-13 * scale
@@ -163,9 +168,8 @@ def test_zero_potential_theta_independent(small2d, monkeypatch):
 
     monkeypatch.setattr(slicer, "_grouped_slice", grouped)
     _, grid2, theta2, _ = small2d
-    # rows with two nonzeros couple three axes: with V ≠ 0 this θ is grouped
-    coupling = ThetaMatrix([[0.0, 0.1, 0.2], [-0.1, 0.0, 0.3], [-0.2, -0.3, 0.0]])
-    for grid, theta in ((grid2, theta2), (PhaseSpaceGrid(4, 2.0, 3), coupling)):
+    # with V ≠ 0 the three-axis θ is grouped
+    for grid, theta in ((grid2, theta2), (PhaseSpaceGrid(4, 2.0, 3), THREE_AXIS_THETA)):
         Vz = Potential.zero(grid.dim)
         cfg = SlicingConfig(3, 1.0, 0.2, PhysicsParams(dim=grid.dim))
         with_theta = short_time_propagator(cfg, Vz, theta, grid)
@@ -487,6 +491,7 @@ def test_config_validation():
         SlicingConfig(2, 1.0, 0.7, params)
     cfg = SlicingConfig(3, 1.0, 0.0, params)
     assert cfg.epsilon == pytest.approx(0.25)
+    assert SlicingConfig(np.int64(3), 1.0, 0.0, params).epsilon == cfg.epsilon
 
 
 def test_slice_rejects_hbar_mismatch_between_grid_and_params():
@@ -599,6 +604,46 @@ def test_axis_split_of_potentials_and_theta():
     assert ThetaMatrix(full).axis_pairing() is None
 
 
+def test_axis_factors_of_zero_potential_ignore_a_three_axis_theta():
+    # V = 0 splits at every θ: θ enters only V's argument
+    factors = _axis_factors(Potential.zero(3), THREE_AXIS_THETA)
+    assert [(b, shift) for b, _, shift in factors] == [(0, 0.0), (1, 0.0), (2, 0.0)]
+    u = np.linspace(-1.0, 1.0, 7)
+    assert not any(term(u).any() for _, term, _ in factors)
+    assert _axis_factors(Potential.harmonic(1.0, dim=3), THREE_AXIS_THETA) is None
+
+
+@pytest.mark.parametrize("theta", [ThetaMatrix.zero(2), ThetaMatrix.single_block(2, 0.1)],
+                         ids=["theta0", "paired"])
+@pytest.mark.parametrize("V", [Potential.quartic(1.0, dim=2),
+                               Potential.gaussian_well(1.0, 1.0, dim=2),
+                               Potential.polynomial([((1, 1), 0.3), ((2, 0), 1.0)], 2)],
+                         ids=["quartic", "gaussian_well", "mixed_polynomial"])
+def test_axis_factors_refuse_potentials_that_do_not_split(V, theta):
+    assert _axis_factors(V, theta) is None
+
+
+def test_axis_factors_of_a_two_pair_theta():
+    theta = two_pair_theta()  # pairs axes (0, 3) and (1, 2)
+    V = separable_potential("polynomial", 4)
+    factors = _axis_factors(V, theta)
+    assert [(b, shift) for b, _, shift in factors] == [(3, -0.2), (2, 0.1), (1, -0.1), (0, 0.2)]
+    x, k = np.random.default_rng(5).normal(size=(2, 9, 4))
+    total = sum(term(x[:, b] + shift * k[:, a]) for a, (b, term, shift) in enumerate(factors))
+    exact = V(x + theta.shift(k))
+    assert np.max(np.abs(total - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("alpha", [0.5, -0.5, 0.0, 0.3])
+def test_propagate_zero_potential_ignores_a_three_axis_theta(alpha):
+    grid = PhaseSpaceGrid(4, 2.0, 3)
+    probe = gaussian_packet(grid, center=(0.3, -0.2, 0.1))
+    cfg = SlicingConfig(3, 1.0, alpha, PhysicsParams(dim=3))
+    with_theta = propagate(cfg, Potential.zero(3), THREE_AXIS_THETA, grid, probe)
+    without = propagate(cfg, Potential.zero(3), ThetaMatrix.zero(3), grid, probe)
+    assert np.array_equal(with_theta.values, without.values)
+
+
 @pytest.mark.parametrize("form", ["zero", "harmonic", "quartic"])
 def test_slice_refuses_grids_too_big_for_a_dense_kernel(form):
     # 128² lattice points: one kernel would take 4.3 GB; the check runs first
@@ -615,3 +660,23 @@ def test_slice_refuses_grids_too_big_for_a_dense_kernel(form):
 def test_slicing_config_rejects_non_finite_or_non_positive_time(total_time):
     with pytest.raises(ValueError, match="total_time"):
         SlicingConfig(4, total_time, 0.5, PhysicsParams(dim=2))
+
+
+@pytest.mark.parametrize("m", [True, 2.5, 2.7, 3.0, float("nan"), float("inf"), "3"])
+def test_slicing_config_refuses_a_slice_count_that_is_not_an_integer(m):
+    with pytest.raises(ValueError, match="slices_m"):
+        SlicingConfig(m, 1.0, 0.5, PhysicsParams(dim=2))
+
+
+@pytest.mark.parametrize("bad", [2.7, 2.5, True])
+def test_alpha_sweep_refuses_a_bad_slice_count_before_any_propagation(small2d, bad,
+                                                                      monkeypatch):
+    # no m may be rounded (2.7 to 2) or read as a count (True as 1)
+    def refuse(*args):
+        raise AssertionError("a slice was propagated")
+
+    monkeypatch.setattr(slicer, "propagate", refuse)
+    params, grid, theta, V = small2d
+    with pytest.raises(ValueError, match="slices_m"):
+        alpha_sweep(params, 1.0, [0.5, -0.5], [4, 8, bad], V, theta, grid,
+                    gaussian_packet(grid))
