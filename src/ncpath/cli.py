@@ -378,6 +378,7 @@ def cmd_oracle_compare(args) -> int:
     _write_artifact(args.out, header, rows)
     _write_summary(args.summary, "oracle-compare", cfg, header, rows,
                    {"reference_seconds": _fmt(timings["reference"]),
+                    "reference_route": timings["reference_route"],
                     "reference_terms": timings["terms"],
                     "spectral_bounds": [_fmt(b) for b in timings["spectral_bounds"]],
                     "hermiticity_deviation": _fmt(timings["hermiticity_deviation"]),

@@ -4,23 +4,33 @@ corresponding wave equation
 
     -ħ²/(2M) ∇² Ψ + V(x) ⋆ Ψ = iħ ∂Ψ/∂t .
 
-The spectral reference evaluates e^{-(i/ħ) T H} on the dense lattice
-Hamiltonian exactly (to rounding) in two independent ways: by dense
+The spectral reference evaluates e^{-(i/ħ) T H} on the standard-ordered
+lattice Hamiltonian exactly (to rounding) in two independent ways: by dense
 diagonalization (`spectral_propagator`, the whole n×n propagator) and by a
 Chebyshev series in H with Bessel coefficients (`chebyshev_evolve`, one
 state from matrix-vector products; Tal-Ezer & Kosloff, J. Chem. Phys. 81,
-3967 (1984)).  Both expand in the Hermitian part of H, formed in one strip
-pass; `oracle_compare` uses the series and forms that part in H's own
-array, so its reference holds one n×n array.  The tests hold the series to
-the diagonalization.  The split-step route alternates exact kinetic steps in
-momentum space with mixed-domain phase steps e^{-(i/ħ) δt V(x + θk)}.
-Because the x- and k-dependence of the shifted potential do not commute,
-the split-step scheme is first order in the coupling θ and second order
-when θ = 0; step counts in the tests are chosen accordingly.  Where
-V(x + θk) factors by axis (`core._axis_factors` decides), each row of that
-phase step is a product of one length-G factor per momentum axis, so a
-half-step, its forward transform folded in, is N tables of n×G and no n×n
-array; any other V at θ ≠ 0 builds the n×n half-step matrix.
+3967 (1984)).  Both expand in the Hermitian part of the dense H, formed in
+one strip pass, and the tests hold the series to the diagonalization.  The
+series itself (`_chebyshev_series`) takes a matrix-vector product and
+rigorous spectral bounds, so `oracle_compare` runs it on one of two
+Hamiltonians.  Where V(x + θk) factors by axis (`core._axis_factors`
+decides), H = Σ_a [K_a²/2M + V_b(X_b + θ_ba K_a)] and each term for b ≠ a
+is a real table on the commuting pair (x_b, k_a): one FFT along axis a, a
+multiply by a G×G table and one inverse FFT, with the sums of the tables'
+extremes as rigorous bounds (`_factored_hamiltonian`, no n×n array).  Any
+other V forms the Hermitian part in the dense H's own array and bounds it
+by Gershgorin discs (`_dense_hamiltonian`, one n×n array).
+
+The split-step route alternates exact kinetic steps in momentum space with
+mixed-domain phase steps e^{-(i/ħ) δt V(x + θk)}.  Because the x- and
+k-dependence of the shifted potential do not commute, the split-step scheme
+is first order in the coupling θ and second order when θ = 0; step counts
+in the tests are chosen accordingly.  Where V(x + θk) factors by axis, each
+row of that phase step is a product of one length-G factor per momentum
+axis, so a half-step, its forward transform folded in, is N tables of n×G
+and no n×n array; any other V at θ ≠ 0 builds the n×n half-step matrix.
+The split-step shares only the `core._axis_factors` decision with the
+spectral reference and the slicer.
 """
 
 from __future__ import annotations
@@ -36,7 +46,9 @@ from .core import (
     ThetaMatrix,
     _apply_axis_tables,
     _axis_factors,
+    _centered_fft,
     _is_integer,
+    _pair_axes,
     _plane_waves,
     _require_dense_size,
     _require_model,
@@ -145,49 +157,117 @@ def chebyshev_evolve(H: OperatorKernel, T: float, psi: ComplexField,
     """e^{-(i/ħ) T H} ψ by a Chebyshev series in H; no diagonalization.
 
     Runs the Hermiticity check of `spectral_propagator` and expands in its
-    Hermitian part A (`_chebyshev_series`).  H is left as it was: A goes
-    into a new n×n array, so the call holds two.  `oracle_compare`, which
-    has no further use for H, forms A in H's own array instead.
+    Hermitian part A within A's Gershgorin bounds (`_chebyshev_series`).
+    H is left as it was: A goes into a new n×n array, so the call holds
+    two.  A `stats` dict also receives "hermiticity_deviation".
     """
     herm = np.empty_like(H.entries)
     dev = _hermitian_part(H, herm)
-    return _chebyshev_series(herm, dev, H.grid, T, psi, stats)
+    if stats is not None:
+        stats["hermiticity_deviation"] = dev
+    return _chebyshev_series(herm.__matmul__, *_gershgorin_bounds(herm, H.grid), H.grid, T,
+                             psi, stats)
 
 
-def _chebyshev_series(herm: np.ndarray, dev: float, grid: PhaseSpaceGrid, T: float,
+def _gershgorin_bounds(herm: np.ndarray, grid: PhaseSpaceGrid):
+    """(lo, hi) around the spectrum of the Hermitian array `herm`: its
+    Gershgorin discs, the row sums taken one `_row_blocks` slice at a time."""
+    diag = herm.diagonal().real
+    radius = np.concatenate([np.sum(np.abs(herm[rows]), axis=1) for rows in _row_blocks(grid)])
+    radius -= np.abs(diag)
+    return float(np.min(diag - radius)), float(np.max(diag + radius))
+
+
+def _dense_hamiltonian(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceGrid,
+                       params: PhysicsParams):
+    """(matvec, lo, hi, deviation) of the Hermitian part A of the dense H·Δx^N.
+
+    A is formed in H's own array (`_hermitian_part`), so the matvec holds
+    the one n×n array; [lo, hi] are its Gershgorin bounds and deviation is
+    max|H·Δx^N − (H·Δx^N)†|.  Raises ValueError where H is not Hermitian.
+    """
+    H = build_hamiltonian_matrix(V, theta, grid, params)
+    dev = _hermitian_part(H, H.entries)  # H's array now holds its Hermitian part
+    return (H.entries.__matmul__, *_gershgorin_bounds(H.entries, grid), dev)
+
+
+def _factored_hamiltonian(factors, grid: PhaseSpaceGrid, params: PhysicsParams):
+    """(matvec, lo, hi, 0.0) of H·Δx^N where V(x + θk) factors by axis.
+
+    With (b, V_b, θ_ba) the factor of momentum axis a (`core._axis_factors`),
+    the standard-ordered lattice H is Σ_a [K_a²/2M + V_b(X_b + θ_ba K_a)].
+    For b ≠ a, X_b and K_a act on different axes and commute, so the term
+    is the real table t_a[x_b, k_a] = k_a²/2M + V_b(x_b + θ_ba k_a) on the
+    joint lattice: one FFT along axis a, a multiply by t_a and one inverse
+    FFT.  For b = a (θ_ba = 0) the kinetic part acts in k_a and V_a(x_a) in
+    x; the V_a of all such axes are summed into one diagonal.  Each term is
+    Hermitian and its eigenvalues are its table values, so lo = Σ_a min t_a
+    and hi = Σ_a max t_a bound the spectrum rigorously, and the Hermiticity
+    deviation is 0 by construction.  No n×n array is formed.  Raises
+    ValueError when a table holds a non-finite value.
+    """
+    N = grid.dim
+    k = np.fft.ifftshift(grid.k_axis)  # the FFT's frequency order
+    kinetic = k * k / (2.0 * params.mass)
+    diagonal = np.zeros(grid.shape)
+    tables, lo, hi = [], 0.0, 0.0
+    for a, (b, term, shift) in enumerate(factors):
+        if b == a:
+            v = term(grid.x_axis)
+            diagonal += _pair_axes(v, (a,), N)
+            table = _pair_axes(kinetic, (a,), N)
+            lo, hi = lo + kinetic.min() + v.min(), hi + kinetic.max() + v.max()
+        else:
+            table = kinetic + term(grid.x_axis[:, None] + shift * k)  # [x_b, k_a]
+            lo, hi = lo + table.min(), hi + table.max()
+            table = _pair_axes(table if b < a else table.T, (a, b), N)
+        tables.append((a, table))
+    if not (np.isfinite(lo) and np.isfinite(hi)):  # min and max keep a NaN
+        raise ValueError(f"Hamiltonian not finite (spectral bounds [{lo:.3e}, {hi:.3e}])")
+
+    def matvec(values):
+        psi = values.reshape(grid.shape)
+        out = diagonal * psi
+        for a, table in tables:
+            spectrum = np.fft.fft(psi, axis=a)
+            spectrum *= table
+            out += np.fft.ifft(spectrum, axis=a)
+        return out.reshape(-1)
+
+    return matvec, float(lo), float(hi), 0.0
+
+
+def _chebyshev_series(matvec, lo: float, hi: float, grid: PhaseSpaceGrid, T: float,
                       psi: ComplexField, stats: dict | None) -> ComplexField:
-    """e^{-(i/ħ) T A} ψ for the Hermitian part A = `herm` of H·Δx^N.
+    """e^{-(i/ħ) T A} ψ for a Hermitian A, given as `matvec`, with spectrum in [lo, hi].
 
-    Gershgorin discs bound the spectrum of A by [lo, hi]; with
-    c = (hi + lo)/2, r = (hi − lo)/2 and z = rT/ħ,
+    With c = (hi + lo)/2, r = (hi − lo)/2 and z = rT/ħ,
 
         e^{-(i/ħ) T A} = e^{-(i/ħ) cT} Σ_k (2 − δ_k0) (-i)^k J_k(z) T_k((A − c)/r),
 
     evaluated by the three-term recurrence, one matrix-vector product per
-    term; `herm` is overwritten by 2(A − c)/r.  The series stops where the
-    Bessel coefficients fall below rounding, after about z + 10·z^{1/3}
-    terms.  A `stats` dict receives "terms", "spectral_bounds" (lo, hi) and
-    "hermiticity_deviation" (`dev`).
+    term.  The series stops where the Bessel coefficients fall below
+    rounding, after about z + 10·z^{1/3} terms.  A `stats` dict receives
+    "terms" and "spectral_bounds" (lo, hi).
     """
     grid.require_same(psi.grid)
-    diag = herm.diagonal().real
-    radius = np.concatenate([np.sum(np.abs(herm[rows]), axis=1) for rows in _row_blocks(grid)])
-    radius -= np.abs(diag)
-    lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
     center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     coeffs = _bessel_coefficients(half * T / grid.hbar)
     if stats is not None:
-        stats.update(terms=len(coeffs), spectral_bounds=(lo, hi), hermiticity_deviation=dev)
+        stats.update(terms=len(coeffs), spectral_bounds=(lo, hi))
     values = psi.values
     out = coeffs[0] * values
     if len(coeffs) > 1:
-        # herm becomes 2(A − c)/r in place, so T_{k+1} = herm·T_k − T_{k-1}
-        herm[np.diag_indices_from(herm)] -= center
-        herm *= 2.0 / half
-        prev, cur = values, 0.5 * (herm @ values)
+        def scaled(v):  # 2(A − c)/r v, so T_{k+1} = scaled(T_k) − T_{k-1}
+            w = matvec(v)
+            w -= center * v
+            w *= 2.0 / half
+            return w
+
+        prev, cur = values, 0.5 * scaled(values)
         out += 2.0 * coeffs[1] * cur
         for c in coeffs[2:]:
-            prev, cur = cur, herm @ cur - prev
+            prev, cur = cur, scaled(cur) - prev
             out += 2.0 * c * cur
     return ComplexField(np.exp(-1j * center * T / grid.hbar) * out, grid)
 
@@ -200,9 +280,8 @@ def split_step_evolve(psi: ComplexField, V: Potential, theta: ThetaMatrix,
     domain:  ψ(x) ← (2πħ)^{-N/2} Σ_k Δk^N e^{(i/ħ)k·x} e^{-(i/ħ)(δt/2)V(x+θk)} ψ̂(k).
     A step is one half-step on ψ̂, then one on e^{-iδt k²/2Mħ} ψ̂ of the
     result; no two half-steps are merged.  V = 0 evolution is exact for any
-    step count, and θ = 0 alternates phases with centred FFTs.  At θ ≠ 0
-    there are two routes, both refused on grids of more than 4096 lattice
-    points:
+    step count, and θ = 0 alternates phases with FFTs.  At θ ≠ 0 there are
+    two routes, both refused on grids of more than 4096 lattice points:
 
     - V(x + θk) factored by axis (`core._axis_factors`): a half-step row is
       a product of one length-G factor per momentum axis, so each half-step,
@@ -210,6 +289,12 @@ def split_step_evolve(psi: ComplexField, V: Potential, theta: ThetaMatrix,
       (`_axis_step_tables`), applied by `core._apply_axis_tables`.
     - Any other V: the half-step is an n×n matrix, built row block by row
       block (n²/G entries each) with no other n×n array.
+
+    On the θ = 0 and n×n routes each round trip x → k → x is an unscaled
+    transform pair and one division by G^N.  The two lattice transforms'
+    scales Δx^N(2πħ)^{-N/2} and Δk^N(2πħ)^{-N/2} multiply to G^{-N} only up
+    to rounding, which would shrink or grow the state by a fixed factor
+    per step.
 
     The grid, θ, V and params must share dim and ħ, T must be finite and
     steps an integer of at least 1; all are checked before anything is built.
@@ -230,13 +315,17 @@ def split_step_evolve(psi: ComplexField, V: Potential, theta: ThetaMatrix,
         hat *= kin_phase**steps
         return ComplexField(grid.momentum_to_wave(hat), grid)
     if theta.is_zero:
-        half = np.exp(-0.5j * dt * V(grid.x_points) / hbar)
+        half = np.exp(-0.5j * dt * V(grid.x_points) / hbar).reshape(grid.shape)
+        kin = np.fft.ifftshift(kin_phase.reshape(grid.shape))  # the FFT's frequency order
+        values = values.reshape(grid.shape)
         for _ in range(steps):
             values *= half
-            hat = grid.wave_to_momentum(values)
-            values = grid.momentum_to_wave(hat * kin_phase)
+            hat = np.fft.fftn(values)
+            hat *= kin
+            values = np.fft.ifftn(hat, norm="forward")  # unscaled
+            values /= grid.size
             values *= half
-        return ComplexField(values, grid)
+        return ComplexField(values.reshape(-1), grid)
     _require_dense_size(grid)
     factors = _axis_factors(V, theta)
     if factors is not None:
@@ -245,22 +334,27 @@ def split_step_evolve(psi: ComplexField, V: Potential, theta: ThetaMatrix,
             for tables in half_steps:
                 values = _apply_axis_tables(tables, values, grid)
         return ComplexField(values, grid)
-    # mixed-domain half-step matrix: momentum rep -> position rep, its plane
-    # waves e^{(i/ħ)x·k} from `core._plane_waves`
+    # mixed-domain half-step matrix, unscaled: momentum rep -> position rep,
+    # its plane waves e^{(i/ħ)x·k} from `core._plane_waves`
     shifts = theta.shift(grid.k_points)
-    pref = grid.momentum_cell_volume * (2.0 * np.pi * hbar) ** (-grid.dim / 2.0)
     idx = grid._index_points
     half_v = np.empty((grid.size, grid.size), dtype=complex)
     for rows in _row_blocks(grid):
         x = grid.x_points[rows]
         block = half_v[rows]  # (x, k)
         np.exp(-0.5j * dt * V(x[:, None, :] + shifts[None, :, :]) / hbar, out=block)
-        block *= pref * _plane_waves(grid.points_per_axis, idx[rows], idx)
+        block *= _plane_waves(grid.points_per_axis, idx[rows], idx)
+
+    def forward(v):  # Σ_x e^{-(i/ħ)k·x} v(x) at centred k, unscaled
+        return np.fft.fftshift(_centered_fft(v.reshape(grid.shape), -1, range(grid.dim)))
+
     for _ in range(steps):
-        hat = grid.wave_to_momentum(values)
+        values = half_v @ forward(values).reshape(-1)
+        values /= grid.size
+        hat = forward(values).reshape(-1)
+        hat *= kin_phase
         values = half_v @ hat
-        hat = grid.wave_to_momentum(values)
-        values = half_v @ (hat * kin_phase)
+        values /= grid.size
     return ComplexField(values, grid)
 
 
@@ -307,22 +401,33 @@ def oracle_compare(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceGrid,
     reference Hamiltonian's potential kernel, so the comparison converges
     without an ordering-mismatch floor.  The reference e^{-(i/ħ) T H} probe
     is evaluated once for all m, by the Chebyshev series of
-    `chebyshev_evolve` on the dense H, with H's Hermitian part formed in H's
-    own array: the reference holds one n×n array, freed before the slices
-    are built.  A `timings` dict receives the seconds of that one-off
-    evaluation (H build included) under "reference", each m's propagation
-    seconds under m, and the series' "terms", "spectral_bounds" and
-    "hermiticity_deviation".  The model check (`core._require_model`) and
-    every m's SlicingConfig run before H is built.
+    `_chebyshev_series`.  Where V(x + θk) factors by axis
+    (`core._axis_factors`) H is applied by per-axis FFTs and G×G tables
+    with exact spectral bounds, and no n×n array exists
+    (`_factored_hamiltonian`); any other V builds the dense H and forms its
+    Hermitian part in H's own array, one n×n array freed before the slices
+    are built (`_dense_hamiltonian`).  A `timings` dict receives the seconds
+    of that one-off evaluation (H build included) under "reference", each
+    m's propagation seconds under m, "reference_route" ("axis-factored" or
+    "dense"), and the series' "terms", "spectral_bounds" and
+    "hermiticity_deviation" (0.0 on the factored route).  The model check
+    (`core._require_model`), every m's SlicingConfig and the slices'
+    dense-kernel size limit all run before the reference is computed.
     """
     _require_model(grid, params, V, theta, probe)
     configs = [SlicingConfig(m, total_time, alpha, params) for m in m_values]
+    _require_dense_size(grid)  # the slices need it; refuse before the reference
     timings = {} if timings is None else timings
     t0 = time.perf_counter()
-    H = build_hamiltonian_matrix(V, theta, grid, params)
-    dev = _hermitian_part(H, H.entries)  # H's array now holds its Hermitian part
-    reference = _chebyshev_series(H.entries, dev, grid, total_time, probe, timings)
-    del H  # free the n×n array before the slices are built
+    factors = _axis_factors(V, theta)
+    if factors is None:
+        route, (matvec, lo, hi, dev) = "dense", _dense_hamiltonian(V, theta, grid, params)
+    else:
+        route, (matvec, lo, hi, dev) = "axis-factored", _factored_hamiltonian(factors, grid,
+                                                                              params)
+    timings.update(reference_route=route, hermiticity_deviation=dev)
+    reference = _chebyshev_series(matvec, lo, hi, grid, total_time, probe, timings)
+    del matvec  # free a dense H before the slices are built
     ref_norm = reference.norm() or 1.0
     timings["reference"] = time.perf_counter() - t0
     rows = []

@@ -287,6 +287,41 @@ def test_oracle_compare_builds_one_spectral_reference(config_path, tmp_path, mon
     assert math.isfinite(lo) and math.isfinite(hi) and lo < hi
     deviation = float(payload["hermiticity_deviation"])
     assert math.isfinite(deviation) and 0.0 <= deviation < 1e-8
+    # harmonic V with one axis pair factors by axis: no dense H, exact bounds
+    assert payload["reference_route"] == "axis-factored"
+    assert deviation == 0.0
+
+
+def test_oracle_compare_summary_names_the_dense_route(tmp_path):
+    # quartic V does not factor by axis; at θ = 0 its dense H is Hermitian
+    config = json.loads(json.dumps(CONFIG))
+    config["theta"] = [[0.0, 0.0], [0.0, 0.0]]
+    config["potential"] = {"form": "quartic", "coefficients": {"lambda": 0.1}}
+    path = tmp_path / "quartic.json"
+    path.write_text(json.dumps(config))
+    summary = tmp_path / "oracle.json"
+    assert _run_in_process("oracle-compare", "--config", str(path), "--m-list", "2",
+                           "--out", str(tmp_path / "oracle.csv"), "--summary", str(summary)) == 0
+    payload = json.loads(summary.read_text())
+    assert payload["reference_route"] == "dense"
+    assert 0.0 <= float(payload["hermiticity_deviation"]) < 1e-8
+
+
+def test_oracle_compare_on_a_grid_too_big_for_its_slices_exits_2_before_the_reference(
+        tmp_path, capsys, monkeypatch):
+    import ncpath.oracle
+
+    def refuse(*args):
+        raise AssertionError("a reference Hamiltonian was built")
+
+    monkeypatch.setattr(ncpath.oracle, "_factored_hamiltonian", refuse)
+    monkeypatch.setattr(ncpath.oracle, "build_hamiltonian_matrix", refuse)
+    config = json.loads(json.dumps(CONFIG))
+    config["grid"]["points_per_axis"] = 65  # 4225 points, past the dense-kernel limit
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(config))
+    assert _run_in_process("oracle-compare", "--config", str(path), "--m-list", "2") == 2
+    assert "grid.points_per_axis" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, flag, value", [

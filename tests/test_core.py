@@ -484,7 +484,8 @@ def test_model_mismatch_is_refused_before_any_build(entry, mismatch, monkeypatch
 
     for module, names in [(slicer, ("_require_dense_size",)),
                           (oracle, ("_require_dense_size", "_symbol_entries",
-                                    "build_hamiltonian_matrix", "_axis_step_tables")),
+                                    "build_hamiltonian_matrix", "_factored_hamiltonian",
+                                    "_axis_step_tables")),
                           (star, ("_require_dense_size", "_symbol_entries")),
                           (weyl, ("_require_dense_size", "_symbol_entries"))]:
         for name in names:

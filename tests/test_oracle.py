@@ -2,9 +2,19 @@ import numpy as np
 import pytest
 
 import ncpath.oracle
-from ncpath.core import GridMismatchError, PhaseSpaceGrid, PhysicsParams, Potential, ThetaMatrix
+from ncpath.core import (
+    ConfigError,
+    GridMismatchError,
+    PhaseSpaceGrid,
+    PhysicsParams,
+    Potential,
+    ThetaMatrix,
+    _axis_factors,
+)
 from ncpath.oracle import (
     _bessel_coefficients,
+    _chebyshev_series,
+    _factored_hamiltonian,
     build_hamiltonian_matrix,
     chebyshev_evolve,
     kinetic_operator_kernel,
@@ -95,7 +105,8 @@ def test_spectral_propagator_rejects_a_non_finite_hamiltonian():
 def test_a_nan_on_one_side_of_the_diagonal_fails_every_spectral_route(where, monkeypatch):
     params = PhysicsParams(dim=2)
     grid = PhaseSpaceGrid(4, 2.0, 2)
-    V, theta = Potential.harmonic(1.0, 1.0, dim=2), ThetaMatrix.single_block(2, 0.1)
+    # quartic V does not factor by axis, so oracle_compare builds the dense H
+    V, theta = Potential.quartic(0.1), ThetaMatrix.zero(2)
 
     def poisoned(*args):
         H = kinetic_operator_kernel(grid, params)
@@ -187,6 +198,119 @@ def test_chebyshev_evolve_rejects_non_finite_time(T):
                                  grid, PhysicsParams(dim=1))
     with pytest.raises(ValueError, match="not finite"):
         chebyshev_evolve(H, T, gaussian_packet(grid))
+
+
+def _separable_polynomial(dim):
+    return Potential.polynomial([((3,) + (0,) * (dim - 1), 0.2),
+                                 ((0,) * (dim - 1) + (2,), 0.7), ((0,) * dim, 0.4)], dim)
+
+
+# V(x + θk) factored by axis (`core._axis_factors`): G even and odd, N = 3
+# with axes 0 and 1 paired and axis 2 paired with itself, θ = 0 and V = 0
+_FACTORING_MODELS = {
+    "harmonic-even-G": (8, 2, Potential.harmonic(1.0, 1.0, dim=2), 0.1),
+    "harmonic-odd-G": (9, 2, Potential.harmonic(1.0, 1.0, dim=2), 0.1),
+    "harmonic-3d": (6, 3, Potential.harmonic(1.3, 1.0, dim=3), 0.2),
+    "linear": (8, 2, Potential.linear([0.4, -0.7]), 0.3),
+    "separable-polynomial": (9, 2, _separable_polynomial(2), 0.15),
+    "separable-polynomial-3d": (5, 3, _separable_polynomial(3), 0.15),
+    "zero": (8, 2, Potential.zero(2), 0.1),
+    "theta-zero": (7, 2, Potential.harmonic(1.0, 1.0, dim=2), 0.0),
+}
+
+
+def _factored_model(name):
+    G, dim, V, theta_value = _FACTORING_MODELS[name]
+    params = PhysicsParams(dim=dim, mass=1.3)
+    grid = PhaseSpaceGrid(G, 3.0, dim)
+    psi = gaussian_packet(grid, center=(0.5, -0.3, 0.2)[:dim], width=0.8,
+                          momentum=(0.4, 0.2, -0.1)[:dim])
+    return V, ThetaMatrix.single_block(dim, theta_value), grid, params, psi
+
+
+@pytest.mark.parametrize("name", list(_FACTORING_MODELS))
+def test_factored_hamiltonian_matches_the_dense_matrix(name):
+    V, theta, grid, params, psi = _factored_model(name)
+    matvec, lo, hi, dev = _factored_hamiltonian(_axis_factors(V, theta), grid, params)
+    A = build_hamiltonian_matrix(V, theta, grid, params).entries * grid.cell_volume
+    expected = A @ psi.values
+    assert np.max(np.abs(matvec(psi.values) - expected)) <= 1e-14 * np.max(np.abs(expected))
+    evals = np.linalg.eigvalsh(0.5 * (A + A.conj().T))
+    assert dev == 0.0 and lo <= evals[0] and evals[-1] <= hi
+
+
+@pytest.mark.parametrize("T", [1.0, 5.0])
+@pytest.mark.parametrize("name", list(_FACTORING_MODELS))
+def test_factored_reference_matches_diagonalization(name, T):
+    V, theta, grid, params, psi = _factored_model(name)
+    matvec, lo, hi, _ = _factored_hamiltonian(_axis_factors(V, theta), grid, params)
+    stats = {}
+    out = _chebyshev_series(matvec, lo, hi, grid, T, psi, stats)
+    ref = spectral_propagator(build_hamiltonian_matrix(V, theta, grid, params), T).apply(psi)
+    assert np.linalg.norm(out.values - ref.values) <= 1e-12 * np.linalg.norm(ref.values)
+    assert stats["spectral_bounds"] == (lo, hi) and stats["terms"] > 0.5 * (hi - lo) * T
+
+
+# one axis's table overflows to +inf; opposite signs on the two axes give
+# an infinite bound at each end
+@pytest.mark.parametrize("terms", [[((12, 0), 1e306)], [((12, 0), 1e306), ((0, 12), -1e306)]],
+                         ids=["inf", "both-signs"])
+def test_a_non_finite_table_fails_the_factored_reference_like_the_dense_one(terms):
+    V, theta = Potential.polynomial(terms, 2), ThetaMatrix.single_block(2, 0.1)
+    params = PhysicsParams(dim=2)
+    grid = PhaseSpaceGrid(8, 4.0, 2)
+    psi = gaussian_packet(grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflow is the input
+        with pytest.raises(ValueError, match="Hamiltonian not finite"):
+            oracle_compare(V, theta, grid, params, 1.0, [2], psi)
+        with pytest.raises(ValueError, match="Hamiltonian not Hermitian"):
+            chebyshev_evolve(build_hamiltonian_matrix(V, theta, grid, params), 1.0, psi)
+
+
+@pytest.mark.parametrize("name", list(_FACTORING_MODELS))
+def test_oracle_compare_builds_no_dense_hamiltonian_where_v_factors(name, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the dense Hamiltonian was built")
+
+    V, theta, grid, params, psi = _factored_model(name)
+    expected = oracle_compare(V, theta, grid, params, 1.0, [2, 4], psi)
+    monkeypatch.setattr(ncpath.oracle, "build_hamiltonian_matrix", refuse)
+    timings = {}
+    assert oracle_compare(V, theta, grid, params, 1.0, [2, 4], psi, timings=timings) == expected
+    assert timings["reference_route"] == "axis-factored"
+    assert timings["hermiticity_deviation"] == 0.0
+
+
+# quartic, Gaussian-well and mixed polynomials do not factor by axis, at θ = 0
+# either (their dense H at θ ≠ 0 is not Hermitian)
+@pytest.mark.parametrize("V", [
+    Potential.quartic(0.1), Potential.gaussian_well(1.0, 1.5),
+    Potential.polynomial([((2, 0), 0.5), ((0, 2), 0.5), ((1, 1), 0.1)], 2),
+], ids=["quartic", "gaussian-well", "mixed-polynomial"])
+def test_oracle_compare_keeps_the_dense_hamiltonian_where_v_does_not_factor(V, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the factored reference was built")
+
+    monkeypatch.setattr(ncpath.oracle, "_factored_hamiltonian", refuse)
+    params = PhysicsParams(dim=2)
+    grid = PhaseSpaceGrid(8, 4.0, 2)
+    timings = {}
+    oracle_compare(V, ThetaMatrix.zero(2), grid, params, 1.0, [2], gaussian_packet(grid),
+                   timings=timings)
+    assert timings["reference_route"] == "dense"
+    assert 0.0 <= timings["hermiticity_deviation"] < 1e-8
+
+
+def test_oracle_compare_refuses_a_grid_past_the_dense_limit_before_the_reference(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a reference Hamiltonian was built")
+
+    monkeypatch.setattr(ncpath.oracle, "build_hamiltonian_matrix", refuse)
+    monkeypatch.setattr(ncpath.oracle, "_factored_hamiltonian", refuse)
+    grid = PhaseSpaceGrid(65, 8.0, 2)
+    with pytest.raises(ConfigError, match="grid.points_per_axis"):
+        oracle_compare(Potential.harmonic(1.0, 1.0, dim=2), ThetaMatrix.single_block(2, 0.1),
+                       grid, PhysicsParams(dim=2), 1.0, [2], gaussian_packet(grid))
 
 
 def test_bessel_coefficients_match_tables_and_sum_to_the_exponential():
@@ -383,22 +507,45 @@ def _long_double_split_step(psi, V, theta, params, T, steps):
     return values
 
 
-# quartic V takes the n×n half-step matrix and harmonic V the factorized
-# route; each bound is about twice the error measured on this input
-@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
-                    reason="long double is no wider than double on this platform")
-@pytest.mark.parametrize("V, bound", [(Potential.quartic(0.05), 5e-14),
-                                      (Potential.harmonic(1.0, 1.0, dim=2), 1.5e-14)],
-                         ids=["dense", "factorized"])
-def test_split_step_matches_a_long_double_reference(V, bound):
+def _split_step_error(V, theta_value, G):
+    """max|split_step_evolve − the long-double split-step| / max|reference|,
+    64 steps to T = 1 on a box of half-width 4 with θ^{01} = theta_value."""
     params = PhysicsParams(dim=2)
-    grid = PhaseSpaceGrid(9, 4.0, 2)
-    theta = ThetaMatrix.single_block(2, 0.3)
+    grid = PhaseSpaceGrid(G, 4.0, 2)
+    theta = ThetaMatrix.single_block(2, theta_value)
     psi = gaussian_packet(grid, center=(0.5, -0.3), width=0.9, momentum=(0.4, 0.2))
     ref = _long_double_split_step(psi, V, theta, params, 1.0, 64)
     out = split_step_evolve(psi, V, theta, params, 1.0, 64)
-    err = np.max(np.abs(out.values - ref)) / np.max(np.abs(ref))
-    assert err <= bound
+    return np.max(np.abs(out.values - ref)) / np.max(np.abs(ref))
+
+
+_NO_WIDE_LONG_DOUBLE = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="long double is no wider than double on this platform")
+
+
+# quartic V at θ ≠ 0 takes the n×n half-step matrix, harmonic V the
+# factorized route and θ = 0 the phases with FFTs; each bound is about
+# twice the error measured on this input
+@_NO_WIDE_LONG_DOUBLE
+@pytest.mark.parametrize("V, theta_value, bound",
+                         [(Potential.quartic(0.05), 0.3, 5e-14),
+                          (Potential.harmonic(1.0, 1.0, dim=2), 0.3, 1.5e-14),
+                          (Potential.quartic(0.05), 0.0, 3.5e-14)],
+                         ids=["dense", "factorized", "theta-zero"])
+def test_split_step_matches_a_long_double_reference(V, theta_value, bound):
+    assert _split_step_error(V, theta_value, 9) <= bound
+
+
+# Each round trip x -> k -> x divides by G^N once.  With the two transforms'
+# scales Δx^N(2πħ)^{-N/2} and Δk^N(2πħ)^{-N/2}, whose product is G^{-N} only
+# up to rounding, the same state drifted by a fixed factor per step: 2.9e-14
+# (dense) and 2.7e-14 (θ = 0) here, against 9.0e-15 and 8.6e-15 now.  At
+# odd G the FFT's own round trip still loses norm, so G = 10.
+@_NO_WIDE_LONG_DOUBLE
+@pytest.mark.parametrize("theta_value", [0.3, 0.0], ids=["dense", "theta-zero"])
+def test_split_step_round_trips_carry_no_scale_drift(theta_value):
+    assert _split_step_error(Potential.quartic(0.05), theta_value, 10) <= 1.8e-14
 
 
 @pytest.fixture
@@ -508,7 +655,16 @@ def _hamiltonian_then_evolve(V, theta, grid, params):
 
 
 def _oracle_compare(V, theta, grid, params):
-    # H, its Hermitian part and each slice share one n×n array at a time
+    # quartic V takes the dense reference: H, its Hermitian part and each
+    # slice share one n×n array at a time
+    probe = gaussian_packet(grid)
+    return lambda: oracle_compare(Potential.quartic(0.1), ThetaMatrix.zero(2), grid, params,
+                                  1.0, [4, 8], probe)
+
+
+def _oracle_compare_factorized(V, theta, grid, params):
+    # harmonic V: the reference's per-axis tables and the α = 1/2 slices'
+    # n×G tables, no n×n array
     probe = gaussian_packet(grid)
     return lambda: oracle_compare(V, theta, grid, params, 1.0, [4, 8], probe)
 
@@ -534,10 +690,11 @@ def _kernel_then_symbol(V, theta, grid, params):
     (lambda V, theta, grid, params: lambda: split_step_evolve(
         gaussian_packet(grid), V, theta, params, 1.0, 2), 0.5),
     (_oracle_compare, 1.5),
+    (_oracle_compare_factorized, 0.3),
     (_kernel_then_symbol, 2.5),
 ], ids=["kinetic_operator_kernel", "build_hamiltonian_matrix", "chebyshev_evolve",
         "split_step_evolve", "split_step_evolve_factorized", "oracle_compare",
-        "symbol_of_operator"])
+        "oracle_compare_factorized", "symbol_of_operator"])
 def test_dense_builds_allocate_one_n_by_n_array(prepare, bound):
     # each builder allocates its n×n output once and fills it in row blocks
     # of n²/G entries, so the traced peak stays near one kernel
@@ -570,6 +727,7 @@ def test_oracle_compare_refuses_a_bad_slicing_before_the_reference(m_values, alp
         raise AssertionError("the reference Hamiltonian was built")
 
     monkeypatch.setattr(ncpath.oracle, "build_hamiltonian_matrix", refuse)
+    monkeypatch.setattr(ncpath.oracle, "_factored_hamiltonian", refuse)
     params = PhysicsParams(dim=2)
     grid = PhaseSpaceGrid(8, 4.0, 2)
     with pytest.raises(ValueError, match=message):
