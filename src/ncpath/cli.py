@@ -2,16 +2,22 @@
 and emit deterministic CSV/JSON artifacts.
 
 Subcommands: symbol, star-check, kernel, alpha-sweep, phi-audit,
-limit-check, oracle-compare, unitarity.  Exit codes: 0 pass,
-1 verification failure, 2 usage/config error.  Identical config and flags
-produce byte-identical output; floats are printed with 17 significant
+limit-check, oracle-compare, unitarity.  Exit codes: 2 usage/config error;
+1 a failed check, which only star-check, phi-audit and limit-check gate;
+0 otherwise: symbol, kernel, alpha-sweep, oracle-compare and unitarity exit
+0 once their output is written, whatever it shows.  Identical config and
+flags produce byte-identical output; floats are printed with 17 significant
 digits.
+
+Importing this module loads `core` alone.  Each subcommand imports the
+engine modules it runs when it runs, and `hashlib` is imported only to hash
+a config for a summary's `config_sha256`: phi-audit and limit-check load
+`phi_engine` and neither of the two.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -21,14 +27,8 @@ from itertools import chain
 
 import numpy as np
 
-from . import core, phi_engine
+from . import core
 from .core import ConfigError, load_config
-from .oracle import oracle_compare
-from .slicer import SlicingConfig, alpha_sweep, edge_phase_turns, full_kernel, propagate, \
-    short_time_propagator
-from .star import gaussian_packet, potential_operator_kernel, star_apply, \
-    star_integral_identity_check
-from .weyl import verify_alpha_washout
 
 IDENTITY_SET_VERSION = 1
 
@@ -157,6 +157,8 @@ def _write_artifact(path, header, rows, footer_rows=()):
 
 
 def _config_hash(cfg) -> str:
+    import hashlib  # loads libcrypto: only a summary of a config run needs it
+
     canonical = json.dumps(cfg.raw, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -182,6 +184,8 @@ def _probe_width(cfg, args):
 
 
 def _probe(cfg, args):
+    from .star import gaussian_packet
+
     return gaussian_packet(cfg.grid, center=cfg.probe.center,
                            width=_probe_width(cfg, args), momentum=cfg.probe.momentum)
 
@@ -233,6 +237,8 @@ def _symbol_table(report):
 
 
 def cmd_symbol(args) -> int:
+    from .weyl import verify_alpha_washout
+
     cfg = load_config(args.config)
     alphas = _read_list(args.alphas, "--alphas", float)
     method = args.method.replace("-", "_")
@@ -256,6 +262,9 @@ def cmd_symbol(args) -> int:
 
 
 def cmd_star_check(args) -> int:
+    from .star import gaussian_packet, potential_operator_kernel, star_apply, \
+        star_integral_identity_check
+
     cfg = load_config(args.config)
     grid, theta, V = cfg.grid, cfg.theta, cfg.potential
     width = _probe_width(cfg, args)
@@ -283,6 +292,8 @@ def cmd_star_check(args) -> int:
 
 
 def cmd_kernel(args) -> int:
+    from .slicer import SlicingConfig, edge_phase_turns, full_kernel, short_time_propagator
+
     cfg = load_config(args.config)
     scfg = SlicingConfig(args.m, args.total_time, args.alpha, cfg.params)
     kernel = full_kernel(scfg, cfg.potential, cfg.theta, cfg.grid) if args.compose \
@@ -303,11 +314,15 @@ def cmd_kernel(args) -> int:
 
 def _edge_phase(cfg, args, m_values, alpha):
     """Summary entry: the slice edge phase in turns at the smallest m (largest ε)."""
+    from .slicer import SlicingConfig, edge_phase_turns
+
     scfg = SlicingConfig(min(m_values), args.total_time, alpha, cfg.params)
     return {"edge_phase_turns": _fmt(edge_phase_turns(scfg, cfg.grid))}
 
 
 def cmd_alpha_sweep(args) -> int:
+    from .slicer import alpha_sweep
+
     cfg = load_config(args.config)
     alphas = _read_list(args.alphas, "--alphas", float)
     m_values = _read_list(args.m_list, "--m-list", int)
@@ -331,13 +346,14 @@ def cmd_alpha_sweep(args) -> int:
 
 
 def cmd_phi_audit(args) -> int:
+    from .phi_engine import run_phi_audit
+
     if args.dim < 2:
         raise ConfigError("--dim: the audit needs at least two dimensions")
     alphas = _read_list(args.alphas, "--alphas", Fraction)
-    report = phi_engine.run_phi_audit(args.m, alphas, dim=args.dim,
-                                      theta_value=_read(args.theta, "--theta", Fraction),
-                                      total_time=_read(args.total_time, "--total-time",
-                                                       Fraction))
+    report = run_phi_audit(args.m, alphas, dim=args.dim,
+                           theta_value=_read(args.theta, "--theta", Fraction),
+                           total_time=_read(args.total_time, "--total-time", Fraction))
     header = ["identity", "status", "detail"]
     rows = [(r.name, "PASS" if r.passed else "FAIL", r.detail) for r in report.rows]
     for r in report.rows:
@@ -350,13 +366,15 @@ def cmd_phi_audit(args) -> int:
 
 
 def cmd_limit_check(args) -> int:
+    from .phi_engine import midslice_limit_check
+
     m_values = _read_list(args.m_list, "--m-list", int)
     T = _read(args.total_time, "--total-time", Fraction)
     header = ["m", "value", "gap_to_T_squared", "expected_gap", "pass"]
     rows = []
     ok = True
     for m in m_values:
-        value, error = phi_engine.midslice_limit_check(m, T)
+        value, error = midslice_limit_check(m, T)
         expected = T * T / (m + 1)
         good = (value == T * T * Fraction(m, m + 1)) and (error == expected)
         ok = ok and good
@@ -367,6 +385,8 @@ def cmd_limit_check(args) -> int:
 
 
 def cmd_oracle_compare(args) -> int:
+    from .oracle import oracle_compare
+
     cfg = load_config(args.config)
     m_values = _read_list(args.m_list, "--m-list", int)
     timings = {}
@@ -387,6 +407,8 @@ def cmd_oracle_compare(args) -> int:
 
 
 def cmd_unitarity(args) -> int:
+    from .slicer import SlicingConfig, propagate
+
     cfg = load_config(args.config)
     m_values = _read_list(args.m_list, "--m-list", int)
     probe = _probe(cfg, args)

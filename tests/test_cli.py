@@ -480,7 +480,7 @@ def test_kernel_artifact_bytes_match_literal_rendering(config_path, tmp_path, ca
 
 def test_kernel_artifact_spells_special_values_like_the_literal(tmp_path, monkeypatch, capsys):
     import ncpath
-    import ncpath.cli
+    import ncpath.slicer
     from ncpath.star import OperatorKernel
 
     config = {"dim": 1, "theta": [[0.0]],
@@ -491,7 +491,7 @@ def test_kernel_artifact_spells_special_values_like_the_literal(tmp_path, monkey
     cfg = ncpath.load_config(str(path))
     special = np.array([-0.0, 5e-324, 1e300, 1.0, np.nan, np.inf, -np.inf, 0.1])
     entries = special.view(complex).reshape(2, 2)  # (re, im) pairs, -0.0 kept
-    monkeypatch.setattr(ncpath.cli, "short_time_propagator",
+    monkeypatch.setattr(ncpath.slicer, "short_time_propagator",
                         lambda *args: OperatorKernel(entries, cfg.grid))
     assert _run_in_process("kernel", "--config", str(path)) == 0
     text = capsys.readouterr().out
@@ -733,3 +733,59 @@ def test_known_quartic_failure_oracle_compare_exits_2(capsys):
     # the spectral reference refuses it
     assert _run_in_process("oracle-compare", "--config", QUARTIC) == 2
     assert "Hamiltonian not Hermitian (deviation 2.895e+01)" in capsys.readouterr().err
+
+
+HARMONIC = os.path.join(os.path.dirname(__file__), "..", "configs", "harmonic_shifted.json")
+
+# In a fresh interpreter: import the package and the CLI, load a config, run
+# one subcommand in process, and print which ncpath modules (and whether
+# hashlib) were loaded after the imports and after the command.
+_MODULE_PROBE = """
+import json, sys
+import ncpath, ncpath.cli
+
+def loaded():
+    return {"ncpath": sorted(m for m in sys.modules if m.split(".")[0] == "ncpath"),
+            "hashlib": sorted(m for m in ("hashlib", "_hashlib") if m in sys.modules)}
+
+ncpath.load_config(sys.argv[1])
+before = loaded()
+code = ncpath.cli.main(sys.argv[2:])
+print(json.dumps({"before": before, "after": loaded(), "code": code}))
+"""
+
+
+def _modules_loaded_by(tmp_path, *argv):
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    summary = tmp_path / "summary.json"
+    result = subprocess.run(
+        [sys.executable, "-c", _MODULE_PROBE, HARMONIC, *argv, "--out",
+         str(tmp_path / "out.csv"), "--summary", str(summary)],
+        capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout.splitlines()[-1])
+    assert report["code"] == 0, result.stderr
+    return report["before"], report["after"], json.loads(summary.read_text())
+
+
+def test_importing_the_cli_loads_core_alone_and_phi_audit_adds_only_its_engine(tmp_path):
+    before, after, summary = _modules_loaded_by(tmp_path, "phi-audit", "--m", "3")
+    assert before == {"ncpath": ["ncpath", "ncpath.cli", "ncpath.core"], "hashlib": []}
+    assert after == {"ncpath": ["ncpath", "ncpath.cli", "ncpath.core", "ncpath.phi_engine"],
+                     "hashlib": []}
+    assert summary["config_sha256"] is None
+
+
+def test_alpha_sweep_loads_slicer_and_star_and_hashes_the_config(tmp_path):
+    import hashlib
+
+    before, after, summary = _modules_loaded_by(tmp_path, "alpha-sweep", "--config", HARMONIC)
+    assert before["ncpath"] == ["ncpath", "ncpath.cli", "ncpath.core"]
+    assert after["ncpath"] == ["ncpath", "ncpath.cli", "ncpath.core", "ncpath.slicer",
+                               "ncpath.star"]
+    assert "hashlib" in after["hashlib"]
+    with open(HARMONIC, encoding="utf-8") as fh:
+        canonical = json.dumps(json.load(fh), sort_keys=True, separators=(",", ":"))
+    assert summary["config_sha256"] == hashlib.sha256(canonical.encode()).hexdigest()

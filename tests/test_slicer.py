@@ -585,6 +585,25 @@ def test_propagator_kernel_is_the_one_kernel_type():
     assert all(hasattr(ncpath, name) for name in ncpath.__all__)
 
 
+def test_package_exports_resolve_to_their_home_objects():
+    import importlib
+
+    import ncpath
+
+    for layer in ("core", "star", "weyl", "slicer", "oracle", "phi_engine", "cli"):
+        assert getattr(ncpath, layer) is importlib.import_module(f"ncpath.{layer}")
+    for name in ncpath.__all__:
+        home = importlib.import_module(f"ncpath.{ncpath._HOME[name]}")
+        assert getattr(ncpath, name) is getattr(home, name), name
+    assert set(ncpath.__all__) <= set(dir(ncpath))
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        ncpath.no_such_name
+    namespace = {}
+    exec("from ncpath import *", namespace)
+    assert {name: namespace[name] for name in ncpath.__all__} == \
+        {name: getattr(ncpath, name) for name in ncpath.__all__}
+
+
 def test_axis_split_of_potentials_and_theta():
     u = np.random.default_rng(3).normal(size=(5, 3))
     for form in ("harmonic", "linear", "polynomial"):
