@@ -6,13 +6,15 @@ limit-check, oracle-compare, unitarity.  Exit codes: 2 usage/config error;
 1 a failed check, which only star-check, phi-audit and limit-check gate;
 0 otherwise: symbol, kernel, alpha-sweep, oracle-compare and unitarity exit
 0 once their output is written, whatever it shows.  Identical config and
-flags produce byte-identical output; floats are printed with 17 significant
-digits.
+flags produce byte-identical output, with one exception: oracle-compare's
+`runtime_seconds` column (in the CSV and the summary's rows) and its
+summary's `reference_seconds` are wall-clock times.  Floats are printed
+with 17 significant digits.
 
-Importing this module loads `core` alone.  Each subcommand imports the
-engine modules it runs when it runs, and `hashlib` is imported only to hash
-a config for a summary's `config_sha256`: phi-audit and limit-check load
-`phi_engine` and neither of the two.
+Importing this module loads `core` alone, and each subcommand imports the
+engine modules it runs when it runs: phi-audit and limit-check load
+`phi_engine` alone.  A summary's `config_sha256` comes from CPython's
+built-in SHA-256, so no subcommand loads `hashlib` or OpenSSL.
 """
 
 from __future__ import annotations
@@ -157,10 +159,15 @@ def _write_artifact(path, header, rows, footer_rows=()):
 
 
 def _config_hash(cfg) -> str:
-    import hashlib  # loads libcrypto: only a summary of a config run needs it
+    # CPython's built-in SHA-256 (`_sha2` from 3.12, `_sha256` before): the
+    # digest of hashlib.sha256 without loading OpenSSL's libcrypto
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        from _sha256 import sha256
 
     canonical = json.dumps(cfg.raw, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return sha256(canonical.encode()).hexdigest()
 
 
 def _write_summary(path, command, cfg, header=(), rows=(), extra=None):

@@ -283,13 +283,18 @@ def _gather_block(table, parts, o: int):
     return table.reshape(-1)[flat]
 
 
-def _apply_axis_tables(tables, values, grid: PhaseSpaceGrid):
+def _apply_axis_tables(tables, values, grid: PhaseSpaceGrid, work=None):
     """ψ(x) ← Σ_{x'} Π_a h_a[x, x'_a] ψ(x') for N tables h_a of shape (n, G):
     one (n×G)·(G×G^{N-1}) product, then a row-wise contraction with each
     further axis's table.  The α = +1/2 slice and both split-step half-steps
-    are applied this way."""
+    are applied this way.
+
+    The product is written into `work`, an (n, G^{N-1}) complex array that a
+    caller applying tables repeatedly allocates once (at N = 1 the result is
+    a view of it); without one it is a fresh array.  The later contractions
+    are G times smaller each."""
     n, G = grid.size, grid.points_per_axis
-    out = tables[0] @ values.reshape(G, -1)  # (x, x'_1 … x'_{N-1})
+    out = np.matmul(tables[0], values.reshape(G, -1), out=work)  # (x, x'_1 … x'_{N-1})
     for h in tables[1:]:
         out = (h[:, None, :] @ out.reshape(n, G, -1))[:, 0]
     return out.reshape(n)

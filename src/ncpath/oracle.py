@@ -286,7 +286,8 @@ def split_step_evolve(psi: ComplexField, V: Potential, theta: ThetaMatrix,
     - V(x + θk) factored by axis (`core._axis_factors`): a half-step row is
       a product of one length-G factor per momentum axis, so each half-step,
       its forward transform included, is N tables of n×G
-      (`_axis_step_tables`), applied by `core._apply_axis_tables`.
+      (`_axis_step_tables`), applied by `core._apply_axis_tables` through
+      one work array of shape (n, G^{N-1}), allocated once per call.
     - Any other V: the half-step is an n×n matrix, built row block by row
       block (n²/G entries each) with no other n×n array.
 
@@ -330,9 +331,10 @@ def split_step_evolve(psi: ComplexField, V: Potential, theta: ThetaMatrix,
     factors = _axis_factors(V, theta)
     if factors is not None:
         half_steps = [_axis_step_tables(grid, factors, dt, mass) for mass in (None, params.mass)]
+        work = np.empty((grid.size, grid.size // grid.points_per_axis), dtype=complex)
         for _ in range(steps):
             for tables in half_steps:
-                values = _apply_axis_tables(tables, values, grid)
+                values = _apply_axis_tables(tables, values, grid, work)
         return ComplexField(values, grid)
     # mixed-domain half-step matrix, unscaled: momentum rep -> position rep,
     # its plane waves e^{(i/ħ)x·k} from `core._plane_waves`
@@ -373,19 +375,25 @@ def _axis_step_tables(grid: PhaseSpaceGrid, factors, dt: float, mass: float | No
     e^{-iφ_c} − 1, so a near-identity table carries no rounding from the
     identity part.  The plane-wave phases come from `core._plane_waves`.
     """
-    G, n, hbar = grid.points_per_axis, grid.size, grid.hbar
+    G, n, N, hbar = grid.points_per_axis, grid.size, grid.dim, grid.hbar
     idx, k = grid.index_axis[:, None], grid.k_axis
     plane = _plane_waves(G, idx, idx)  # e^{(i/ħ)xk}
     forward = plane.conj() / G  # (k_c, x'_c)
-    rows = np.indices(grid.shape).reshape(grid.dim, -1)  # 0-based axis indices of each x
+    rows = np.indices(grid.shape).reshape(N, -1)  # 0-based axis indices of each x
     tables = []
     for c, (b, term, shift) in enumerate(factors):
-        phase = (0.5 * dt / hbar) * term(grid.x_points[:, b, None] + shift * k)
+        phase = term(grid.x_points[:, b, None] + shift * k)
+        phase *= 0.5 * dt / hbar
         if mass is not None:
             phase += dt * k * k / (2.0 * mass * hbar)
-        factor = np.expm1(-1j * phase)
-        factor *= plane[rows[c]]
+        factor = phase.astype(complex)  # a cast without the -1j * phase ufunc's buffer
+        del phase
+        factor *= -1j
+        np.expm1(factor, out=factor)
+        by_axis = factor.reshape(grid.shape + (G,))  # times e^{(i/ħ)x_c k_c}, broadcast
+        by_axis *= _pair_axes(plane, (c, N), N + 1)
         table = factor @ forward
+        del factor, by_axis  # before the next axis's phase
         table[np.arange(n), rows[c]] += 1.0
         tables.append(table)
     return tables

@@ -315,7 +315,9 @@ def propagate(cfg: SlicingConfig, V: Potential, theta: ThetaMatrix,
 
     - α = ±1/2 with V(x + θk) factored by axis (`core._axis_factors`), and
       V = 0 at every α: the slice is applied through N per-axis tables of
-      shape (n, G) (`_half_slice_tables`), with no n×n array.
+      shape (n, G) (`_half_slice_tables`), with no n×n array.  One work
+      array of shape (n, G^{N-1}), allocated once per call, takes each
+      application's largest intermediate.
     - Otherwise the dense slice of `short_time_propagator`, applied as a
       matrix; at m = 0 the result is then that slice's action bitwise.
 
@@ -330,9 +332,10 @@ def propagate(cfg: SlicingConfig, V: Potential, theta: ThetaMatrix,
         cfg = replace(cfg, alpha=0.5) if V.is_zero else cfg  # V = 0: one table set for every α
         tables = _half_slice_tables(cfg, factors, grid)
         contract = _apply_axis_tables if cfg.alpha > 0 else _contract_incoming
+        work = np.empty((grid.size, grid.size // grid.points_per_axis), dtype=complex)
         values = probe.values
         for _ in range(cfg.slices_m + 1):
-            values = contract(tables, values, grid)
+            values = contract(tables, values, grid, work)
         return ComplexField(values, grid)
     kernel = short_time_propagator(cfg, V, theta, grid)
     field = probe
@@ -364,14 +367,18 @@ def _half_slice_tables(cfg, factors, grid):
             for a, (table, (b, _, _)) in enumerate(zip(tables, factors))]
 
 
-def _contract_incoming(tables, values, grid):
+def _contract_incoming(tables, values, grid, work=None):
     """α = -1/2: out[o] = Σ_i ψ[i] Π_a g_a[i, o_a], the transpose of
     `core._apply_axis_tables` (α = +1/2): row-wise outer products over axes
-    N-1 … 1, then one (G×n)·(n×G^{N-1}) product over the input point."""
-    n = grid.size
+    N-1 … 1, then one (G×n)·(n×G^{N-1}) product over the input point.
+
+    The last outer product, (n, G^{N-1}), is written into `work` as in
+    `core._apply_axis_tables`; the earlier ones are G times smaller each."""
+    n, G = grid.size, grid.points_per_axis
     acc = values[:, None]  # (i, o_{a+1} … o_{N-1})
-    for g in reversed(tables[1:]):
-        acc = (g[:, :, None] * acc[:, None, :]).reshape(n, -1)
+    for a in range(len(tables) - 1, 0, -1):
+        out = work.reshape(n, G, -1) if a == 1 and work is not None else None
+        acc = np.multiply(tables[a][:, :, None], acc[:, None, :], out=out).reshape(n, -1)
     return (tables[0].T @ acc).reshape(n)
 
 

@@ -292,6 +292,23 @@ def test_oracle_compare_builds_one_spectral_reference(config_path, tmp_path, mon
     assert deviation == 0.0
 
 
+def test_oracle_compare_output_is_identical_but_for_its_wall_clock_fields(config_path, tmp_path):
+    # the one exception to byte-identical artifacts: the runtime_seconds
+    # column (the CSV's last, mirrored in the summary's rows) and the
+    # summary's reference_seconds
+    runs = []
+    for run in ("first", "second"):
+        out, summary = tmp_path / f"{run}.csv", tmp_path / f"{run}.json"
+        assert _run_in_process("oracle-compare", "--config", config_path, "--m-list", "2,4",
+                               "--out", str(out), "--summary", str(summary)) == 0
+        csv = "\n".join(line.rsplit(",", 1)[0] for line in out.read_text().splitlines())
+        payload = json.loads(summary.read_text())
+        del payload["reference_seconds"]
+        payload["rows"] = [row[:-1] for row in payload["rows"]]
+        runs.append((csv, json.dumps(payload, sort_keys=True)))
+    assert runs[0] == runs[1]
+
+
 def test_oracle_compare_summary_names_the_dense_route(tmp_path):
     # quartic V does not factor by axis; at θ = 0 its dense H is Hermitian
     config = json.loads(json.dumps(CONFIG))
@@ -739,7 +756,8 @@ HARMONIC = os.path.join(os.path.dirname(__file__), "..", "configs", "harmonic_sh
 
 # In a fresh interpreter: import the package and the CLI, load a config, run
 # one subcommand in process, and print which ncpath modules (and whether
-# hashlib) were loaded after the imports and after the command.
+# hashlib or OpenSSL's _hashlib) were loaded after the imports and after the
+# command.
 _MODULE_PROBE = """
 import json, sys
 import ncpath, ncpath.cli
@@ -778,14 +796,29 @@ def test_importing_the_cli_loads_core_alone_and_phi_audit_adds_only_its_engine(t
     assert summary["config_sha256"] is None
 
 
-def test_alpha_sweep_loads_slicer_and_star_and_hashes_the_config(tmp_path):
-    import hashlib
+def _hashlib_sha256_of_config(path):
+    import hashlib  # this test process loads hashlib; the subcommands do not
 
+    with open(path, encoding="utf-8") as fh:
+        canonical = json.dumps(json.load(fh), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def test_alpha_sweep_loads_slicer_and_star_and_hashes_the_config(tmp_path):
     before, after, summary = _modules_loaded_by(tmp_path, "alpha-sweep", "--config", HARMONIC)
     assert before["ncpath"] == ["ncpath", "ncpath.cli", "ncpath.core"]
     assert after["ncpath"] == ["ncpath", "ncpath.cli", "ncpath.core", "ncpath.slicer",
                                "ncpath.star"]
-    assert "hashlib" in after["hashlib"]
-    with open(HARMONIC, encoding="utf-8") as fh:
-        canonical = json.dumps(json.load(fh), sort_keys=True, separators=(",", ":"))
-    assert summary["config_sha256"] == hashlib.sha256(canonical.encode()).hexdigest()
+    assert after["hashlib"] == []  # the built-in SHA-256: no hashlib, no OpenSSL
+    assert summary["config_sha256"] == _hashlib_sha256_of_config(HARMONIC)
+
+
+@pytest.mark.parametrize("command, engines", [
+    ("oracle-compare", ["ncpath.oracle", "ncpath.slicer", "ncpath.star"]),
+    ("star-check", ["ncpath.star"]),
+])
+def test_a_summary_hashes_its_config_without_hashlib(tmp_path, command, engines):
+    _, after, summary = _modules_loaded_by(tmp_path, command, "--config", HARMONIC)
+    assert after == {"ncpath": ["ncpath", "ncpath.cli", "ncpath.core", *engines],
+                     "hashlib": []}
+    assert summary["config_sha256"] == _hashlib_sha256_of_config(HARMONIC)

@@ -715,6 +715,29 @@ def test_dense_builds_allocate_one_n_by_n_array(prepare, bound):
     assert peak <= bound * kernel_bytes, f"peak {peak} B for a {kernel_bytes} B kernel"
 
 
+def test_factorized_split_step_holds_four_tables_and_one_work_array():
+    # harmonic V: 2N = 4 tables of n×G and one (n, G^{N-1}) work array, each
+    # one table's bytes at N = 2 (64 KB at G = 16); a table is built in place,
+    # its plane waves broadcast, so the build stays below that.  With numpy
+    # 2.4 it traces 5.47 tables; the margin covers the probe, its copies and
+    # the kinetic phases
+    import tracemalloc
+
+    params = PhysicsParams(dim=2)
+    grid = PhaseSpaceGrid(16, 5.0, 2)
+    V, theta = Potential.harmonic(1.0, 1.0, dim=2), ThetaMatrix.single_block(2, 0.1)
+    probe = gaussian_packet(grid)
+    table_bytes = grid.size * grid.points_per_axis * 16
+    split_step_evolve(probe, V, theta, params, 1.0, 2)  # the first call imports numpy.fft
+    tracemalloc.start()
+    try:
+        split_step_evolve(probe, V, theta, params, 1.0, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (4 + 1 + 0.75) * table_bytes, f"peak {peak} B, {peak / table_bytes:.2f} tables"
+
+
 @pytest.mark.parametrize("m_values, alpha, message", [([2, -1], 0.5, "slices_m"),
                                                       ([2, 2.7], 0.5, "slices_m"),
                                                       ([2, 2.5], 0.5, "slices_m"),

@@ -11,6 +11,7 @@ from ncpath.core import (
     PhysicsParams,
     Potential,
     ThetaMatrix,
+    _apply_axis_tables,
     _axis_factors,
 )
 from ncpath.slicer import (
@@ -403,6 +404,55 @@ def test_half_slice_route_allocates_no_n_by_n_array(alpha):
     finally:
         tracemalloc.stop()
     assert peak <= 0.3 * kernel_bytes, f"peak {peak} B for a {kernel_bytes} B kernel"
+
+
+def _half_slice_setup(G, N, alpha):
+    """A harmonic α = ±1/2 slice's N tables of n×G, a probe's values and a
+    matching (n, G^{N-1}) work array."""
+    grid = PhaseSpaceGrid(G, 5.0, N)
+    V = Potential.harmonic(1.0, 1.0, dim=N)
+    theta = ThetaMatrix.single_block(N, 0.1 if N > 1 else 0.0)
+    cfg = SlicingConfig(4, 1.0, alpha, PhysicsParams(dim=N))
+    tables = slicer._half_slice_tables(cfg, _axis_factors(V, theta), grid)
+    work = np.empty((grid.size, grid.size // G), dtype=complex)
+    return grid, tables, gaussian_packet(grid).values, work
+
+
+CONTRACTIONS = [pytest.param(0.5, _apply_axis_tables, id="apply_axis_tables"),
+                pytest.param(-0.5, slicer._contract_incoming, id="contract_incoming")]
+
+
+@pytest.mark.parametrize("alpha, contract", CONTRACTIONS)
+def test_table_contraction_writes_its_product_into_the_work_array(alpha, contract):
+    # at G = 32, N = 2 the (n, G^{N-1}) intermediate is 512 KB; with the work
+    # array one application traces its (n,) result and the later, G times
+    # smaller contraction (16 KB each), besides the one iterator buffer of
+    # np.getbufsize() elements that numpy may allocate for a broadcast multiply
+    import tracemalloc
+
+    grid, tables, values, work = _half_slice_setup(32, 2, alpha)
+    contract(tables, values, grid, work)
+    tracemalloc.start()
+    try:
+        contract(tables, values, grid, work)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024 + np.getbufsize() * 16, f"peak {peak} B"
+
+
+@pytest.mark.parametrize("alpha, contract", CONTRACTIONS)
+@pytest.mark.parametrize("G, N", [(7, 1), (32, 2), (6, 3)])
+def test_table_contraction_is_bitwise_the_same_with_a_work_array(alpha, contract, G, N):
+    # the result is fed back in, as `propagate` does; at N = 1 it is a view
+    # of the work array the next application writes
+    grid, tables, values, work = _half_slice_setup(G, N, alpha)
+    fresh = contract(tables, values, grid)
+    fresh_twice = contract(tables, fresh, grid)
+    reused = contract(tables, values, grid, work)
+    assert reused.tobytes() == fresh.tobytes()
+    reused = contract(tables, reused, grid, work)
+    assert reused.tobytes() == fresh_twice.tobytes()
 
 
 def _slice_at_generic_alpha(V, theta, grid, _):
