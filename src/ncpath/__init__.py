@@ -23,7 +23,7 @@ _EXPORTS = {
                "oracle_compare", "spectral_propagator", "split_step_evolve"),
     "slicer": ("PropagatorKernel", "SlicingConfig", "SweepResult", "alpha_sweep", "compose",
                "edge_phase_turns", "free_kernel_closed_form", "full_kernel", "propagate",
-               "short_time_propagator"),
+               "short_time_propagator", "slice_row_blocks"),
     "star": ("ComplexField", "OperatorKernel", "gaussian_packet", "identity_kernel",
              "potential_operator_kernel", "star_apply", "star_apply_field",
              "star_integral_identity_check"),

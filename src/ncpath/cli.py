@@ -79,12 +79,15 @@ _MIN_RANGE_VALUES = 1 << 16   # a forked range below this costs more than it sav
 _COPY_CHARS = 1 << 16         # spooled text copied through per read
 
 
-def _format_range(fmt, table, start, stop):
-    """Yield fmt % row for rows start..stop of table, a block of rows per call."""
-    step = max(1, _BLOCK_VALUES // table.shape[1])
-    for lo in range(start, stop, step):
-        block = table[lo:min(lo + step, stop)]
-        yield (fmt * len(block)) % tuple(block.ravel().tolist())
+def _format_range(fmt, block, start, stop):
+    """Yield fmt % row for the rows of block(start) … block(stop - 1), a few
+    rows per call; each block is a 2-D float table."""
+    for index in range(start, stop):
+        table = block(index)
+        step = max(1, _BLOCK_VALUES // table.shape[1])
+        for lo in range(0, len(table), step):
+            rows = table[lo:lo + step]
+            yield (fmt * len(rows)) % tuple(rows.ravel().tolist())
 
 
 def _usable_cores() -> int:
@@ -93,38 +96,43 @@ def _usable_cores() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _spool_range(fmt, table, start, stop, spool):
-    """In a forked child: format rows start..stop into spool, then leave.
+def _spool_range(fmt, block, start, stop, spool):
+    """In a forked child: build and format blocks start..stop into spool, then leave.
 
     os._exit skips every cleanup of the caller, so the child never flushes the
     buffers it inherited (stdout, the artifact file) and never returns.
     """
     status = 1
     try:
-        spool.writelines(_format_range(fmt, table, start, stop))
+        spool.writelines(_format_range(fmt, block, start, stop))
         spool.flush()
         status = 0
     finally:
         os._exit(status)
 
 
-def _formatted_rows(fmt, table):
-    """Yield fmt % row for every row of a 2-D float table, in order.
+def _formatted_rows(fmt, block, count, values):
+    """Yield fmt % row for every row of the row blocks block(0) … block(count - 1),
+    in order: 2-D float tables of `values` numbers in all.
 
-    A large table is cut into one contiguous row range per usable core.  A
-    forked child formats each later range into a temporary file while this
-    process formats and yields the first; each child's text is then copied
-    through in order.  The text is the same as the serial rendering's, byte for
-    byte; chunks copied from a spool may end mid-line.  A child runs only
-    Python formatting and NumPy copies, never BLAS, so the parent's idle BLAS
-    threads cannot hold a lock the child needs.
+    block(i) may build its table when called (`ncpath kernel` gathers a slice
+    block from per-axis tables) and may reuse one buffer, since a block is
+    formatted whole before the next is asked for.  Many blocks are cut into
+    one contiguous block range per usable core.  A forked child builds and
+    formats each later range into a temporary file, from what it inherited,
+    while this process formats and yields the first; each child's text is
+    then copied through in order.  The text is the same as the serial
+    rendering's, byte for byte; chunks copied from a spool may end mid-line.
+    A child runs Python formatting and NumPy gathers, copies and multiplies,
+    never BLAS, so the parent's idle BLAS threads cannot hold a lock the
+    child needs.
     """
-    workers = min(_usable_cores(), table.size // _MIN_RANGE_VALUES, len(table))
+    workers = min(_usable_cores(), values // _MIN_RANGE_VALUES, count)
     if workers < 2:
-        yield from _format_range(fmt, table, 0, len(table))
+        yield from _format_range(fmt, block, 0, count)
         return
-    cuts = [len(table) * i // workers for i in range(workers + 1)]
-    children = []  # (pid, spool) per later range, in row order
+    cuts = [count * i // workers for i in range(workers + 1)]
+    children = []  # (pid, spool) per later range, in block order
     try:
         for start, stop in zip(cuts[1:-1], cuts[2:]):
             spool = tempfile.TemporaryFile("w+", encoding="ascii")
@@ -134,9 +142,9 @@ def _formatted_rows(fmt, table):
                 spool.close()
                 raise
             if pid == 0:
-                _spool_range(fmt, table, start, stop, spool)
+                _spool_range(fmt, block, start, stop, spool)
             children.append((pid, spool))
-        yield from _format_range(fmt, table, 0, cuts[1])
+        yield from _format_range(fmt, block, 0, cuts[1])
         while children:
             pid, spool = children.pop(0)
             with spool:
@@ -254,7 +262,10 @@ def cmd_symbol(args) -> int:
     header = ["alpha", "k_index", "x_index", "re", "im", "deviation"]
     footer = [("# max_pairwise_abs", report.max_pairwise_abs, "", "", "", ""),
               ("# max_pairwise_relative", report.max_pairwise_relative, "", "", "", "")]
-    body = _formatted_rows(_SYMBOL_ROW, _symbol_table(report))
+    table = _symbol_table(report)
+    step = max(1, _BLOCK_VALUES // table.shape[1])  # many blocks, so ranges stay even
+    body = _formatted_rows(_SYMBOL_ROW, lambda i: table[i * step:(i + 1) * step],
+                           -(-len(table) // step), table.size)
     if args.summary:
         text = "".join(body)  # the summary repeats every row
         body = [text]
@@ -299,20 +310,35 @@ def cmd_star_check(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    from .slicer import SlicingConfig, edge_phase_turns, full_kernel, short_time_propagator
+    """Write one slice (or with --compose the composed kernel) row by row.
+
+    The slice comes from `slicer.slice_row_blocks`, whose checks run once,
+    here, before any table is built or any process forked.  Where V(x + θk)
+    factors by axis, this process and each formatting child hold the
+    per-axis tables and one row block (n²/G entries) and no n×n array: every
+    block is gathered from the tables into one buffer and formatted from it.
+    The grouped route and --compose hold the n×n kernel and copy its rows
+    into the buffer.
+    """
+    from .slicer import SlicingConfig, _held_row_blocks, edge_phase_turns, full_kernel, \
+        slice_row_blocks
 
     cfg = load_config(args.config)
-    scfg = SlicingConfig(args.m, args.total_time, args.alpha, cfg.params)
-    kernel = full_kernel(scfg, cfg.potential, cfg.theta, cfg.grid) if args.compose \
-        else short_time_propagator(scfg, cfg.potential, cfg.theta, cfg.grid)
     grid = cfg.grid
+    scfg = SlicingConfig(args.m, args.total_time, args.alpha, cfg.params)
+    if args.compose:
+        fill = _held_row_blocks(full_kernel(scfg, cfg.potential, cfg.theta, grid).entries, grid)
+    else:
+        fill = slice_row_blocks(scfg, cfg.potential, cfg.theta, grid)
     theta_flat = ",".join(_fmt(v) for v in cfg.theta.entries.reshape(-1))
     header_line = (f"{grid.dim},{grid.points_per_axis},{_fmt(grid.box_half_width)},"
                    f"{args.m},{_fmt(args.alpha)},{_fmt(args.total_time)},"
                    f"{_fmt(cfg.params.hbar)},{_fmt(cfg.params.mass)},{theta_flat}")
     row_format = " ".join(["%.17g,%.17g"] * grid.size) + "\n"
-    parts = np.ascontiguousarray(kernel.entries).view(np.float64)  # re, im interleaved
-    _write_lines(args.out, chain([header_line + "\n"], _formatted_rows(row_format, parts)))
+    buffer = np.empty((grid.size // grid.points_per_axis, grid.size), dtype=complex)
+    body = _formatted_rows(row_format, lambda o: fill(o, buffer).view(np.float64),
+                           grid.points_per_axis, 2 * grid.size ** 2)  # re, im interleaved
+    _write_lines(args.out, chain([header_line + "\n"], body))
     _write_summary(args.summary, "kernel", cfg,
                    extra={"m": args.m, "alpha": _fmt(args.alpha), "compose": args.compose,
                           "edge_phase_turns": _fmt(edge_phase_turns(scfg, grid))})

@@ -27,7 +27,10 @@ one place that decides whether V(x + θk) factors by axis:
 - Where it does, V(x̄ + θk) = Σ_a V_b(x̄_b + θ_ba k_a), so the integrand, its
   ±K fold and the momentum sum factor over momentum axes.  Each axis needs
   one (G, G, G) table of 1-D transforms, and an entry is the product of one
-  table value per axis; the cost does not depend on α.
+  table value per axis; the cost does not depend on α.  The kernel is
+  gathered from the tables one leading-axis row block at a time
+  (`slice_row_blocks`), so a caller that reads the rows in order, as
+  `ncpath kernel` does, never holds the n×n slice.
 - Otherwise (quartic, Gaussian well, mixed polynomials, a θ coupling three
   axes): the grouped builder, which groups lattice pairs by their slice
   point x̄(α) and transforms the full N-dimensional integrand once per slice
@@ -66,6 +69,7 @@ from .core import (
     _pair_axes,
     _require_dense_size,
     _require_model,
+    _row_blocks,
 )
 from .star import ComplexField, OperatorKernel
 
@@ -136,7 +140,8 @@ def short_time_propagator(cfg: SlicingConfig, V: Potential, theta: ThetaMatrix,
     Two routes build the same entries.
 
     - V(x + θk) factored by axis (`core._axis_factors`): the factorized
-      route, one table of 1-D momentum transforms per axis, at any α.
+      route, one table of 1-D momentum transforms per axis, at any α; the
+      kernel is filled one `slice_row_blocks` block at a time.
     - Otherwise the grouped builder: pairs (x_out, x_in) are grouped by
       their per-axis slice point x̄(α) (coordinates rounded to 12
       decimals), and each tuple of slice points on axes 0 … N-2 is one
@@ -145,12 +150,45 @@ def short_time_propagator(cfg: SlicingConfig, V: Potential, theta: ThetaMatrix,
     Grids of more than 4096 lattice points are refused before any n×n build.
     """
     _check_slice(cfg, V, theta, grid)
-    norm = grid.momentum_cell_volume * (2.0 * np.pi * cfg.params.hbar) ** (-grid.dim)
     factors = _axis_factors(V, theta)
-    entries = _factorized_slice(cfg, factors, grid) if factors is not None \
-        else _grouped_slice(cfg, V, theta, grid)
-    entries *= norm
+    if factors is None:
+        return PropagatorKernel(_grouped_slice(cfg, V, theta, grid), grid, cfg)
+    fill = _factorized_blocks(cfg, factors, grid)  # its tables' temporaries go first
+    entries = np.empty((grid.size, grid.size), dtype=complex)
+    for o, rows in enumerate(_row_blocks(grid)):
+        fill(o, entries[rows])
     return PropagatorKernel(entries, grid, cfg)
+
+
+def slice_row_blocks(cfg: SlicingConfig, V: Potential, theta: ThetaMatrix,
+                     grid: PhaseSpaceGrid):
+    """The slice of `short_time_propagator` as G row blocks, checked once here.
+
+    Returns fill(o, out), which writes block o (the `core._row_blocks` rows
+    o·n/G … (o+1)·n/G - 1, the leading-axis slab of the kernel viewed as
+    (G,)*2N) into out, a C-contiguous complex array of shape (n/G, n), and
+    returns out.  Where V(x + θk) factors by axis, only the per-axis tables
+    are held and fill gathers each block from them, so no n×n array exists.
+    Otherwise the grouped builder forms the slice here, whole, and fill
+    copies its rows.  The checks (`_check_slice`) run before anything is
+    built.
+    """
+    _check_slice(cfg, V, theta, grid)
+    factors = _axis_factors(V, theta)
+    if factors is not None:
+        return _factorized_blocks(cfg, factors, grid)
+    return _held_row_blocks(_grouped_slice(cfg, V, theta, grid), grid)
+
+
+def _held_row_blocks(entries, grid):
+    """The `slice_row_blocks` source of a kernel already held: fill copies its rows."""
+    rows = _row_blocks(grid)
+
+    def fill(o, out):
+        out[...] = entries[rows[o]]
+        return out
+
+    return fill
 
 
 def _check_slice(cfg, V, theta, grid):
@@ -184,19 +222,27 @@ def _axis_transforms(cfg, factors, grid, xbar):
     return tables
 
 
-def _factorized_slice(cfg, factors, grid):
-    """Slice entries, before the momentum measure, for V(x̄ + θk) factored as
+def _slice_measure(cfg, grid):
+    """The momentum measure Δk^N/(2πħ)^N of a slice's sum."""
+    return grid.momentum_cell_volume * (2.0 * np.pi * cfg.params.hbar) ** (-grid.dim)
+
+
+def _factorized_blocks(cfg, factors, grid):
+    """Row-block source of the slice for V(x̄ + θk) factored as
     Σ_a V_b(x̄_b + θ_ba k_a) (`core._axis_factors`).
 
     The integrand is then a product over momentum axes of
     f_a = e^{-iεk_a²/2Mħ} e^{-iεV_b(x̄_b + θ_ba k_a)/ħ}, and the ±K fold and
     the momentum sum factor with it.  A_a[n_out_b, n_in_b, d] is the 1-D
-    transform of f_a at every per-axis pair's slice point, and
+    transform of f_a at every per-axis pair's slice point, built once here,
+    and
 
-        entry = Π_a A_a[n_out_b, n_in_b, (n_out_a - n_in_a) mod G],
+        entry = Π_a A_a[n_out_b, n_in_b, (n_out_a - n_in_a) mod G] · Δk^N/(2πħ)^N.
 
-    gathered into the kernel viewed as (G,)*2N one leading-axis block view[o]
-    (n²/G entries) at a time, factor by factor in axis order.
+    fill(o, out) gathers the kernel's leading-axis block view[o] (n²/G
+    entries, the kernel viewed as (G,)*2N) into out, a C-contiguous array
+    of shape (n/G, n), factor by factor in axis order, scales it by the
+    momentum measure and returns out.
     """
     G, N = grid.points_per_axis, grid.dim
     xbar = (0.5 + cfg.alpha) * grid.x_axis[:, None] + (0.5 - cfg.alpha) * grid.x_axis[None, :]
@@ -208,14 +254,17 @@ def _factorized_slice(cfg, factors, grid):
                         _pair_axes(pos * G, (N + b,), 2 * N),
                         _pair_axes(diff, (a, N + a), 2 * N)))
                for a, (table, (b, _, _)) in enumerate(zip(tables, factors))]
-    entries = np.empty((grid.size, grid.size), dtype=complex)
-    view = entries.reshape((G,) * (2 * N))
-    for o in range(G):
-        block = view[o]
+    measure = _slice_measure(cfg, grid)
+
+    def fill(o, out):
+        block = out.reshape((G,) * (2 * N - 1))  # a view: out is C-contiguous
         block[...] = _gather_block(*gathers[0], o)
         for table, parts in gathers[1:]:
             block *= _gather_block(table, parts, o)
-    return entries
+        block *= measure
+        return out
+
+    return fill
 
 
 def _slice_points(cfg, grid):
@@ -233,7 +282,7 @@ def _slice_points(cfg, grid):
 
 
 def _grouped_slice(cfg, V, theta, grid):
-    """Slice entries, before the momentum measure, grouped by slice point.
+    """Slice entries grouped by slice point, scaled by the momentum measure at the end.
 
     χ at a slice point x̄ is the momentum transform of the ±K-folded
     integrand e^{-iεk²/2Mħ} e^{-iεV(x̄ + θk)/ħ}, read by offset
@@ -275,6 +324,7 @@ def _grouped_slice(cfg, V, theta, grid):
                               for a, p in enumerate(pairs))))
         flat = last + np.expand_dims(offset, (-2, -1))
         view[(*outs, slice(None), *ins, slice(None))] = chi_of(points)[flat]
+    entries *= _slice_measure(cfg, grid)
     return entries
 
 

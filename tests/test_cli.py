@@ -498,7 +498,6 @@ def test_kernel_artifact_bytes_match_literal_rendering(config_path, tmp_path, ca
 def test_kernel_artifact_spells_special_values_like_the_literal(tmp_path, monkeypatch, capsys):
     import ncpath
     import ncpath.slicer
-    from ncpath.star import OperatorKernel
 
     config = {"dim": 1, "theta": [[0.0]],
               "grid": {"points_per_axis": 2, "box_half_width": 1.0},
@@ -508,8 +507,9 @@ def test_kernel_artifact_spells_special_values_like_the_literal(tmp_path, monkey
     cfg = ncpath.load_config(str(path))
     special = np.array([-0.0, 5e-324, 1e300, 1.0, np.nan, np.inf, -np.inf, 0.1])
     entries = special.view(complex).reshape(2, 2)  # (re, im) pairs, -0.0 kept
-    monkeypatch.setattr(ncpath.slicer, "short_time_propagator",
-                        lambda *args: OperatorKernel(entries, cfg.grid))
+    # V = 0 factors by axis: the artifact's rows come from the factorized block source
+    monkeypatch.setattr(ncpath.slicer, "_factorized_blocks",
+                        lambda *args: ncpath.slicer._held_row_blocks(entries, cfg.grid))
     assert _run_in_process("kernel", "--config", str(path)) == 0
     text = capsys.readouterr().out
     assert text == _literal_kernel_text(cfg, 0, 0.0, 1.0, entries)
@@ -612,14 +612,167 @@ def test_failed_formatting_child_exits_non_zero(config_path, tmp_path, capsys, m
 
     original = ncpath.cli._format_range
 
-    def failing_in_children(fmt, table, start, stop):
+    def failing_in_children(fmt, block, start, stop):
         if start > 0:  # a later range: only children format those
             if failure == "killed":
                 os.kill(os.getpid(), signal.SIGKILL)
             raise RuntimeError("formatting failed")
-        return original(fmt, table, start, stop)
+        return original(fmt, block, start, stop)
 
     monkeypatch.setattr(ncpath.cli, "_format_range", failing_in_children)
+    out = tmp_path / "kernel.txt"
+    args = ("kernel", "--config", config_path, "--m", "2", "--alpha", "0.3")
+    assert _run_in_process(*args, "--out", str(out)) == 2
+    assert "worker" in capsys.readouterr().err
+    # the artifact is whole or absent, and its temporary file is gone
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+    assert _run_in_process(*args) == 2
+    captured = capsys.readouterr()
+    assert "worker" in captured.err
+    assert len(captured.out.splitlines()) < 1 + 64  # the rows stop at the failed range
+    assert len(forked_formatting) == 4
+    for pid in forked_formatting:  # every child was reaped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _kernel_config(tmp_path, dim=2, points=8, form="harmonic", half_width=5.0):
+    """CONFIG in dim dimensions (θ pairs axes 0 and 1) with the given grid and V."""
+    theta = np.zeros((dim, dim))
+    if dim > 1:
+        theta[0, 1], theta[1, 0] = 0.1, -0.1
+    coefficients = {"harmonic": {"omega": 1.0}, "quartic": {"lambda": 1.0}, "zero": {}}
+    config = {**CONFIG, "dim": dim, "theta": theta.tolist(),
+              "grid": {"points_per_axis": points, "box_half_width": half_width},
+              "potential": {"form": form, "coefficients": coefficients[form]}}
+    path = tmp_path / f"kernel-{dim}-{points}-{form}-{half_width}.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+# (config, --m, --alpha, --compose, whether V(x + θk) factors by axis); the
+# factorized route at α = 0.3 is test_kernel_artifact_bytes_match_literal_rendering
+KERNEL_ROUTES = {
+    "factorized+1/2": ({}, 2, 0.5, False, True),
+    "factorized-1/2": ({}, 2, -0.5, False, True),
+    "zero": ({"form": "zero"}, 1, 0.3, False, True),
+    "grouped-quartic": ({"form": "quartic"}, 2, -0.17, False, False),
+    "compose": ({}, 2, 0.3, True, True),
+    "N1-G7": ({"dim": 1, "points": 7}, 2, 0.3, False, True),
+    "N3-G5": ({"dim": 3, "points": 5}, 2, -0.17, False, True),
+}
+
+
+@pytest.mark.parametrize("path", ["serial", "forked"])
+@pytest.mark.parametrize("route", list(KERNEL_ROUTES))
+def test_kernel_artifact_bytes_on_every_route(tmp_path, capsys, request, route, path):
+    import ncpath
+    from ncpath.core import _axis_factors
+    from ncpath.slicer import SlicingConfig, full_kernel, short_time_propagator
+
+    overrides, m, alpha, compose, factored = KERNEL_ROUTES[route]
+    config_path = _kernel_config(tmp_path, **overrides)
+    cfg = ncpath.load_config(config_path)
+    assert (_axis_factors(cfg.potential, cfg.theta) is not None) == factored
+    scfg = SlicingConfig(m, 1.0, alpha, cfg.params)
+    build = full_kernel if compose else short_time_propagator
+    expected = _literal_kernel_text(cfg, m, alpha, 1.0,
+                                    build(scfg, cfg.potential, cfg.theta, cfg.grid).entries)
+    children = request.getfixturevalue("forked_formatting") if path == "forked" else None
+    args = ("kernel", "--config", config_path, "--m", str(m), "--alpha", str(alpha),
+            *(["--compose"] if compose else []))
+    out = tmp_path / "kernel.txt"
+    assert _run_in_process(*args, "--out", str(out)) == 0
+    assert out.read_bytes() == expected.encode()
+    capsys.readouterr()
+    assert _run_in_process(*args) == 0
+    assert capsys.readouterr().out == expected
+    if children is not None:
+        assert len(children) == 4  # two children for --out, two for stdout
+
+
+def test_kernel_artifact_holds_no_slice_sized_array(tmp_path, monkeypatch):
+    """On the factorized route the command holds the per-axis tables and one
+    row block (n²/G entries), not the n×n slice: G = 32, N = 2 is traced
+    formatting serially, so this one process builds every block."""
+    import tracemalloc
+
+    import ncpath.cli
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    out = tmp_path / "kernel.txt"
+    args = ["--m", "8", "--alpha", "0.3", "--out", str(out)]
+    small = _kernel_config(tmp_path, points=4)
+    assert ncpath.cli.main(["kernel", "--config", small, *args]) == 0  # the imports
+    config_path = _kernel_config(tmp_path, points=32, half_width=7.0)
+    tracemalloc.start()
+    try:
+        code = ncpath.cli.main(["kernel", "--config", config_path, *args])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    kernel_bytes = (32 * 32) ** 2 * 16
+    assert out.stat().st_size > 2 * kernel_bytes  # the whole text was written
+    assert peak < 0.25 * kernel_bytes, f"peak {peak} B for a {kernel_bytes} B kernel"
+
+
+@pytest.mark.parametrize("route", ["factorized", "grouped", "compose"])
+def test_kernel_warns_once_and_checks_before_forking(tmp_path, monkeypatch, route,
+                                                     forked_formatting):
+    import warnings
+
+    import ncpath.cli
+    import ncpath.core
+    import ncpath.slicer
+
+    # m = 0, T = 2 on G = 16 over a half-width 2 box: more than one turn at the edge
+    config_path = _kernel_config(tmp_path, points=16, half_width=2.0,
+                                 form="quartic" if route == "grouped" else "harmonic")
+    args = ["kernel", "--config", config_path, "--total-time", "2",
+            "--out", str(tmp_path / "k.txt"), *(["--compose"] if route == "compose" else [])]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert ncpath.cli.main(args) == 0
+    assert len(caught) == 1 and "momentum edge" in str(caught[0].message)
+    assert len(forked_formatting) == 2
+    # past the point cap: refused before any table is built or any child forked
+    monkeypatch.setattr(ncpath.core, "_DENSE_POINTS", 255)
+    monkeypatch.setattr(ncpath.slicer, "_axis_transforms",
+                        lambda *a: pytest.fail("a table was built past the point cap"))
+    monkeypatch.setattr(ncpath.slicer, "_grouped_slice",
+                        lambda *a: pytest.fail("a slice was built past the point cap"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert ncpath.cli.main(args) == 2
+    assert caught == []
+    assert len(forked_formatting) == 2
+
+
+@pytest.mark.parametrize("failure", ["raises", "killed"])
+def test_failed_block_build_in_a_child_exits_non_zero(config_path, tmp_path, capsys,
+                                                       monkeypatch, forked_formatting, failure):
+    import signal
+
+    import ncpath.slicer
+
+    parent = os.getpid()
+    source = ncpath.slicer._factorized_blocks
+
+    def failing_in_children(*args):
+        fill = source(*args)
+
+        def fill_or_fail(o, out):
+            if os.getpid() != parent:  # a block a child builds
+                if failure == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("block build failed")
+            return fill(o, out)
+
+        return fill_or_fail
+
+    monkeypatch.setattr(ncpath.slicer, "_factorized_blocks", failing_in_children)
     out = tmp_path / "kernel.txt"
     args = ("kernel", "--config", config_path, "--m", "2", "--alpha", "0.3")
     assert _run_in_process(*args, "--out", str(out)) == 2

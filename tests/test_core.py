@@ -428,6 +428,7 @@ def test_every_dense_builder_checks_the_size_first(monkeypatch):
 # model check (`core._require_model`) before it builds anything
 _MODEL_ENTRIES = {
     "short_time_propagator": ("params", "V", "theta"),
+    "slice_row_blocks": ("params", "V", "theta"),
     "propagate_half": ("params", "V", "theta", "probe"),
     "propagate_dense": ("params", "V", "theta", "probe"),
     "split_step_evolve": ("params", "V", "theta"),
@@ -453,6 +454,8 @@ def _run_model_entry(entry, grid, params, V, theta, probe):
     calls = {
         "short_time_propagator": lambda: slicer.short_time_propagator(
             slicer.SlicingConfig(2, 1.0, 0.5, params), V, theta, grid),
+        "slice_row_blocks": lambda: slicer.slice_row_blocks(
+            slicer.SlicingConfig(2, 1.0, 0.3, params), V, theta, grid),
         "propagate_half": lambda: slicer.propagate(
             slicer.SlicingConfig(2, 1.0, 0.5, params), V, theta, grid, probe),
         "propagate_dense": lambda: slicer.propagate(
