@@ -9,12 +9,17 @@ limit-check, oracle-compare, unitarity.  Exit codes: 2 usage/config error;
 flags produce byte-identical output, with one exception: oracle-compare's
 `runtime_seconds` column (in the CSV and the summary's rows) and its
 summary's `reference_seconds` are wall-clock times.  Floats are printed
-with 17 significant digits.
+as `'%.17g'` prints them (17 significant digits).  The kernel and symbol
+tables, millions of values, are rendered by `float_text.BlockFormatter`,
+NumPy arithmetic over blocks of up to `_BLOCK_VALUES` values that yields
+the same bytes; the values it cannot decide exactly (possible ties, |x|
+outside [1e-250, 1e250], NaN and ±inf) it hands to `'%.17g'` itself.
 
 Importing this module loads `core` alone, and each subcommand imports the
 engine modules it runs when it runs: phi-audit and limit-check load
-`phi_engine` alone.  A summary's `config_sha256` comes from CPython's
-built-in SHA-256, so no subcommand loads `hashlib` or OpenSSL.
+`phi_engine` alone, and only kernel and symbol load `float_text`.  A
+summary's `config_sha256` comes from CPython's built-in SHA-256, so no
+subcommand loads `hashlib` or OpenSSL.
 """
 
 from __future__ import annotations
@@ -49,45 +54,50 @@ def _csv_line(row) -> str:
     return ",".join(_fmt(v) for v in row) + "\n"
 
 
-def _write_lines(path, lines):
-    """Stream newline-terminated lines to path, or to stdout without a path; a
-    regular file is written beside itself and renamed into place once whole."""
+def _write_lines(path, chunks):
+    """Stream bytes chunks to path, or to stdout's byte stream without a path;
+    a regular file is written beside itself and renamed into place once whole."""
     if not path:
-        sys.stdout.writelines(lines)
+        out = getattr(sys.stdout, "buffer", None)
+        if out is None:  # a text stream with no bytes beneath, such as io.StringIO
+            sys.stdout.writelines(chunk.decode("ascii") for chunk in chunks)
+            return
+        sys.stdout.flush()
+        out.writelines(chunks)
+        out.flush()
         return
     if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(lines)
+        with open(path, "wb") as fh:
+            fh.writelines(chunks)
         return
     target = os.path.realpath(path)  # through a symlink, as open() writes
     partial = f"{target}.{os.getpid()}.tmp"
     try:
-        fh = open(partial, "x", encoding="utf-8")
+        fh = open(partial, "xb")
     except OSError as exc:  # name the --out path, not the temporary one
         raise OSError(exc.errno, exc.strerror, path) from exc
     try:
         with fh:
-            fh.writelines(lines)
+            fh.writelines(chunks)
         os.replace(partial, target)
     except BaseException:
         os.remove(partial)
         raise
 
 
-_BLOCK_VALUES = 4096          # table values formatted per `%` call
+_BLOCK_VALUES = 4096          # values per BlockFormatter call: its work arrays stay under 1 MB
 _MIN_RANGE_VALUES = 1 << 16   # a forked range below this costs more than it saves
-_COPY_CHARS = 1 << 16         # spooled text copied through per read
+_COPY_BYTES = 1 << 16         # spooled text copied through per read
 
 
-def _format_range(fmt, block, start, stop):
-    """Yield fmt % row for the rows of block(start) … block(stop - 1), a few
-    rows per call; each block is a 2-D float table."""
+def _format_range(render, block, start, stop):
+    """Yield the text of block(start) … block(stop - 1), a few rows per
+    render call; each block is a 2-D float table."""
     for index in range(start, stop):
         table = block(index)
         step = max(1, _BLOCK_VALUES // table.shape[1])
         for lo in range(0, len(table), step):
-            rows = table[lo:lo + step]
-            yield (fmt * len(rows)) % tuple(rows.ravel().tolist())
+            yield render(table[lo:lo + step])
 
 
 def _usable_cores() -> int:
@@ -96,55 +106,60 @@ def _usable_cores() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _spool_range(fmt, block, start, stop, spool):
-    """In a forked child: build and format blocks start..stop into spool, then leave.
+def _spool_range(render, block, start, stop, spool):
+    """In a forked child: build and render blocks start..stop into spool, then leave.
 
     os._exit skips every cleanup of the caller, so the child never flushes the
     buffers it inherited (stdout, the artifact file) and never returns.
     """
     status = 1
     try:
-        spool.writelines(_format_range(fmt, block, start, stop))
+        spool.writelines(_format_range(render, block, start, stop))
         spool.flush()
         status = 0
     finally:
         os._exit(status)
 
 
-def _formatted_rows(fmt, block, count, values):
-    """Yield fmt % row for every row of the row blocks block(0) … block(count - 1),
-    in order: 2-D float tables of `values` numbers in all.
+def _formatted_rows(separators, block, count, values):
+    """Yield the text of every row of the row blocks block(0) … block(count - 1),
+    in order: 2-D float tables of `values` numbers in all, each number printed
+    as `'%.17g'` prints it and followed by its column's separator byte.
 
-    block(i) may build its table when called (`ncpath kernel` gathers a slice
-    block from per-axis tables) and may reuse one buffer, since a block is
-    formatted whole before the next is asked for.  Many blocks are cut into
-    one contiguous block range per usable core.  A forked child builds and
-    formats each later range into a temporary file, from what it inherited,
-    while this process formats and yields the first; each child's text is
-    then copied through in order.  The text is the same as the serial
-    rendering's, byte for byte; chunks copied from a spool may end mid-line.
-    A child runs Python formatting and NumPy gathers, copies and multiplies,
+    The text is bytes from `float_text.BlockFormatter`, which this process
+    loads and sets up before any fork.  block(i) may build its table when
+    called (`ncpath kernel` gathers a slice block from per-axis tables) and
+    may reuse one buffer, since a block is rendered whole before the next is
+    asked for.  Many blocks are cut into one contiguous block range per
+    usable core.  A forked child builds and renders each later range into a
+    temporary file, from what it inherited, while this process renders and
+    yields the first; each child's bytes are then copied through in order.
+    The bytes are the same as the serial rendering's; chunks copied from a
+    spool may end mid-line.  A child runs NumPy gathers and arithmetic,
     never BLAS, so the parent's idle BLAS threads cannot hold a lock the
     child needs.
     """
+    from .float_text import BlockFormatter
+
+    render = BlockFormatter(separators)
     workers = min(_usable_cores(), values // _MIN_RANGE_VALUES, count)
     if workers < 2:
-        yield from _format_range(fmt, block, 0, count)
+        yield from _format_range(render, block, 0, count)
         return
     cuts = [count * i // workers for i in range(workers + 1)]
     children = []  # (pid, spool) per later range, in block order
     try:
         for start, stop in zip(cuts[1:-1], cuts[2:]):
-            spool = tempfile.TemporaryFile("w+", encoding="ascii")
+            spool = tempfile.TemporaryFile("w+b")
             try:
                 pid = os.fork()
             except BaseException:
                 spool.close()
                 raise
             if pid == 0:
-                _spool_range(fmt, block, start, stop, spool)
+                _spool_range(render, block, start, stop, spool)
             children.append((pid, spool))
-        yield from _format_range(fmt, block, 0, cuts[1])
+        yield from _format_range(render, block, 0, cuts[1])
         while children:
             pid, spool = children.pop(0)
             with spool:
@@ -153,7 +168,7 @@ def _formatted_rows(fmt, block, count, values):
                     raise OSError(f"artifact formatting: worker {pid} ended with "
                                   f"wait status {status}")
                 spool.seek(0)
-                while chunk := spool.read(_COPY_CHARS):
+                while chunk := spool.read(_COPY_BYTES):
                     yield chunk
     finally:
         for pid, spool in children:  # left behind by an error: reap, then drop
@@ -162,8 +177,8 @@ def _formatted_rows(fmt, block, count, values):
 
 
 def _write_artifact(path, header, rows, footer_rows=()):
-    _write_lines(path, chain([",".join(header) + "\n"], map(_csv_line, rows),
-                             map(_csv_line, footer_rows)))
+    _write_lines(path, (line.encode() for line in chain(
+        [",".join(header) + "\n"], map(_csv_line, rows), map(_csv_line, footer_rows))))
 
 
 def _config_hash(cfg) -> str:
@@ -190,7 +205,7 @@ def _write_summary(path, command, cfg, header=(), rows=(), extra=None):
     }
     if extra:
         payload.update(extra)
-    _write_lines(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
+    _write_lines(path, [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()])
 
 
 def _probe_width(cfg, args):
@@ -233,22 +248,31 @@ def _read_list(text, flag, kind):
 # -- subcommands --------------------------------------------------------------
 
 
-_SYMBOL_ROW = "%.17g,%d,%d,%.17g,%.17g,%.17g\n"
-
-
-def _symbol_table(report):
-    """The symbol CSV's data rows as one table: α, k index, x index, re, im, deviation."""
-    target = report.target.reshape(-1)
+def _symbol_blocks(report):
+    """The symbol CSV's data rows as row blocks, built when asked for: returns
+    (block, count), where block(i) is a table of rows α, k index, x index, re,
+    im, deviation.  Each α's n² rows are cut into blocks of one render call
+    each, so that the forked ranges stay even; one buffer serves every block."""
     n = report.target.shape[0]
-    table = np.empty((len(report.alphas), n * n, 6))
-    table[:, :, 1], table[:, :, 2] = np.divmod(np.arange(n * n), n)
-    for rows, a, sym in zip(table, report.alphas, report.symbols):
-        values = sym.values.reshape(-1)
-        rows[:, 0] = a
+    target = report.target.reshape(-1)
+    step = max(1, _BLOCK_VALUES // 6)
+    per_alpha = -(-target.size // step)
+    buffer = np.empty((step, 6))
+
+    def block(i):
+        which, lo = divmod(i, per_alpha)
+        lo *= step
+        hi = min(lo + step, target.size)
+        rows = buffer[:hi - lo]
+        values = report.symbols[which].values.reshape(-1)[lo:hi]
+        rows[:, 0] = report.alphas[which]
+        rows[:, 1], rows[:, 2] = np.divmod(np.arange(lo, hi), n)
         rows[:, 3] = values.real
         rows[:, 4] = values.imag
-        rows[:, 5] = np.abs(values - target)
-    return table.reshape(-1, 6)
+        rows[:, 5] = np.abs(values - target[lo:hi])
+        return rows
+
+    return block, len(report.alphas) * per_alpha
 
 
 def cmd_symbol(args) -> int:
@@ -262,16 +286,16 @@ def cmd_symbol(args) -> int:
     header = ["alpha", "k_index", "x_index", "re", "im", "deviation"]
     footer = [("# max_pairwise_abs", report.max_pairwise_abs, "", "", "", ""),
               ("# max_pairwise_relative", report.max_pairwise_relative, "", "", "", "")]
-    table = _symbol_table(report)
-    step = max(1, _BLOCK_VALUES // table.shape[1])  # many blocks, so ranges stay even
-    body = _formatted_rows(_SYMBOL_ROW, lambda i: table[i * step:(i + 1) * step],
-                           -(-len(table) // step), table.size)
+    block, count = _symbol_blocks(report)
+    # the index columns hold integers, which '%.17g' prints as '%d' does
+    body = _formatted_rows(b",,,,,\n", block, count, 6 * len(alphas) * report.target.size)
     if args.summary:
-        text = "".join(body)  # the summary repeats every row
+        text = b"".join(body)  # the summary repeats every row
         body = [text]
-    _write_lines(args.out, chain([",".join(header) + "\n"], body, map(_csv_line, footer)))
+    _write_lines(args.out, chain([(",".join(header) + "\n").encode()], body,
+                                 (_csv_line(row).encode() for row in footer)))
     if args.summary:
-        rows = [line.split(",") for line in text.splitlines()]  # chunks end mid-line
+        rows = [line.split(",") for line in text.decode().splitlines()]
         _write_summary(args.summary, "symbol", cfg, header, rows,
                        {"max_pairwise_abs": _fmt(report.max_pairwise_abs),
                         "max_pairwise_relative": _fmt(report.max_pairwise_relative),
@@ -334,11 +358,11 @@ def cmd_kernel(args) -> int:
     header_line = (f"{grid.dim},{grid.points_per_axis},{_fmt(grid.box_half_width)},"
                    f"{args.m},{_fmt(args.alpha)},{_fmt(args.total_time)},"
                    f"{_fmt(cfg.params.hbar)},{_fmt(cfg.params.mass)},{theta_flat}")
-    row_format = " ".join(["%.17g,%.17g"] * grid.size) + "\n"
+    separators = (b", " * grid.size)[:-1] + b"\n"  # re,im pairs, a space between
     buffer = np.empty((grid.size // grid.points_per_axis, grid.size), dtype=complex)
-    body = _formatted_rows(row_format, lambda o: fill(o, buffer).view(np.float64),
+    body = _formatted_rows(separators, lambda o: fill(o, buffer).view(np.float64),
                            grid.points_per_axis, 2 * grid.size ** 2)  # re, im interleaved
-    _write_lines(args.out, chain([header_line + "\n"], body))
+    _write_lines(args.out, chain([(header_line + "\n").encode()], body))
     _write_summary(args.summary, "kernel", cfg,
                    extra={"m": args.m, "alpha": _fmt(args.alpha), "compose": args.compose,
                           "edge_phase_turns": _fmt(edge_phase_turns(scfg, grid))})

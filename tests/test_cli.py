@@ -495,6 +495,24 @@ def test_kernel_artifact_bytes_match_literal_rendering(config_path, tmp_path, ca
     assert capsys.readouterr().out == expected
 
 
+def test_kernel_artifact_into_a_text_only_stdout(config_path):
+    """Without --out the bytes go to stdout's byte stream; a stdout with none
+    beneath it (io.StringIO) gets the same text."""
+    import contextlib
+    import io
+
+    import ncpath
+    from ncpath.slicer import SlicingConfig, short_time_propagator
+
+    cfg = ncpath.load_config(config_path)
+    kernel = short_time_propagator(SlicingConfig(2, 1.0, 0.3, cfg.params), cfg.potential,
+                                   cfg.theta, cfg.grid)
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert _run_in_process("kernel", "--config", config_path, "--m", "2", "--alpha", "0.3") == 0
+    assert text.getvalue() == _literal_kernel_text(cfg, 2, 0.3, 1.0, kernel.entries)
+
+
 def test_kernel_artifact_spells_special_values_like_the_literal(tmp_path, monkeypatch, capsys):
     import ncpath
     import ncpath.slicer
@@ -566,7 +584,7 @@ def forked_formatting(monkeypatch):
 
     monkeypatch.setattr(ncpath.cli, "_MIN_RANGE_VALUES", 1)
     monkeypatch.setattr(ncpath.cli, "_BLOCK_VALUES", 300)
-    monkeypatch.setattr(ncpath.cli, "_COPY_CHARS", 1000)
+    monkeypatch.setattr(ncpath.cli, "_COPY_BYTES", 1000)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(os, "fork", counted_fork)
     return children
@@ -716,6 +734,31 @@ def test_kernel_artifact_holds_no_slice_sized_array(tmp_path, monkeypatch):
     kernel_bytes = (32 * 32) ** 2 * 16
     assert out.stat().st_size > 2 * kernel_bytes  # the whole text was written
     assert peak < 0.25 * kernel_bytes, f"peak {peak} B for a {kernel_bytes} B kernel"
+
+
+def test_symbol_artifact_holds_no_row_table(tmp_path, monkeypatch):
+    """symbol builds its rows block by block from the α-symbols, so the
+    α·n² × 6 table of its rows is never held: the shipped quartic config
+    (G = 16, N = 2, three α) is traced formatting serially.  The peak, 5.3 MB,
+    is mostly the three symbols and the target; the table alone is 9.4 MB."""
+    import tracemalloc
+
+    import ncpath.cli
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    out = tmp_path / "symbol.csv"
+    small = _kernel_config(tmp_path, points=4, form="quartic")
+    assert ncpath.cli.main(["symbol", "--config", small, "--out", str(out)]) == 0  # the imports
+    tracemalloc.start()
+    try:
+        code = ncpath.cli.main(["symbol", "--config", QUARTIC, "--out", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    table_bytes = 3 * (16 * 16) ** 2 * 6 * 8
+    assert out.stat().st_size > table_bytes  # the whole text was written
+    assert peak < 0.65 * table_bytes, f"peak {peak} B for a {table_bytes} B row table"
 
 
 @pytest.mark.parametrize("route", ["factorized", "grouped", "compose"])
@@ -969,6 +1012,7 @@ def test_alpha_sweep_loads_slicer_and_star_and_hashes_the_config(tmp_path):
 @pytest.mark.parametrize("command, engines", [
     ("oracle-compare", ["ncpath.oracle", "ncpath.slicer", "ncpath.star"]),
     ("star-check", ["ncpath.star"]),
+    ("kernel", ["ncpath.float_text", "ncpath.slicer", "ncpath.star"]),
 ])
 def test_a_summary_hashes_its_config_without_hashlib(tmp_path, command, engines):
     _, after, summary = _modules_loaded_by(tmp_path, command, "--config", HARMONIC)
