@@ -27,7 +27,7 @@ _EXPORTS = {
     "star": ("ComplexField", "OperatorKernel", "gaussian_packet", "identity_kernel",
              "potential_operator_kernel", "star_apply", "star_apply_field",
              "star_integral_identity_check"),
-    "weyl": ("AlphaIndex", "PhaseSpaceSymbol", "WashoutReport", "delta_alpha_matrix_element",
+    "weyl": ("PhaseSpaceSymbol", "WashoutReport", "delta_alpha_matrix_element",
              "shifted_potential_symbol", "symbol_of_operator", "symbol_via_quantizer_trace",
              "symmetrized_position_momentum_kernel", "verify_alpha_washout"),
 }

@@ -10,7 +10,9 @@ unitarity exit 0 once their output is written, whatever it shows.
 Identical config and flags produce byte-identical output, with one
 exception: oracle-compare's `runtime_seconds` column (in the CSV and the
 summary's rows) and its summary's `reference_seconds` are wall-clock times.
-Floats are printed as `'%.17g'` prints them (17 significant digits).  The
+Floats are printed as `'%.17g'` prints them (17 significant digits), and a
+field holding a comma, a double quote or a line break is quoted as RFC 4180
+quotes it (only phi-audit's details hold one).  The
 kernel and symbol tables, millions of values, come as row blocks: the
 kernel's from `slicer.slice_row_blocks` (or views of the --compose kernel),
 the symbol's built per block from the α-symbols.  `float_text.BlockFormatter`
@@ -53,8 +55,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _csv_field(value) -> str:
+    """_fmt(value), quoted as RFC 4180 quotes a field holding a comma, a
+    double quote or a line break (phi-audit's details hold commas)."""
+    text = _fmt(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _csv_line(row) -> str:
-    return ",".join(_fmt(v) for v in row) + "\n"
+    return ",".join(_csv_field(v) for v in row) + "\n"
 
 
 def _write_lines(path, chunks):

@@ -12,6 +12,17 @@ momentum lattice of spacing Δk = 2πħ/(G Δx).  Then k·x/ħ on lattice pairs 
 exact multiple of 2π/G, the forward and inverse transforms (one centered FFT
 each) are inverses of each other up to rounding, and every ∫dx or ∫dk becomes
 a Δx^N- or Δk^N-weighted lattice sum.
+
+Inputs: every scalar of the model is read once, by the object that holds it,
+through one of four readers: `_finite` (a finite number, or an array of them),
+`_positive` (finite and above zero), `_count` (an int or NumPy integer of at
+least a floor, never a bool or a float) and `_ordering_index` (finite, within
+[-1/2, 1/2]).  Only numbers are read; a bool, a string or null is refused,
+not converted.  Each refusal is a `ConfigError` that starts with the value's
+config key, so the API refuses exactly what `load_config` refuses.
+`load_config` adds only what a JSON file needs: objects, known and required
+keys, counts written as integral floats (2.0 reads as 2), θ's (N, N) shape
+and the probe's keys.
 """
 
 from __future__ import annotations
@@ -32,9 +43,56 @@ class GridMismatchError(ValueError):
     """Raised when fields or kernels living on different grids are combined."""
 
 
-def _is_integer(value) -> bool:
-    """An int or a NumPy integer; a bool, a float or anything else is not."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+# -- readers (see the module docstring) -------------------------------------
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _finite(value, key: str, shape=()):
+    """A finite float, or a finite float array of the given shape (of any
+    shape for None).
+
+    Only numbers are read: a bool, a string or null is refused, not converted.
+    """
+    try:
+        if not all(_is_number(v) for v in np.asarray(value, dtype=object).flat):
+            raise ValueError
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key}: must be numeric") from None
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(f"{key}: must be finite") from None
+    if shape is not None and arr.shape != shape:
+        raise ConfigError(f"{key}: must be " + (f"of shape {shape}" if shape else "a number"))
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{key}: must be finite")
+    return float(arr) if shape == () else arr
+
+
+def _positive(value, key: str) -> float:
+    """A finite number above zero, as a float."""
+    number = _finite(value, key)
+    if not number > 0:
+        raise ConfigError(f"{key}: must be positive (got {value!r})")
+    return number
+
+
+def _count(value, key: str, least: int) -> int:
+    """An int or a NumPy integer of at least `least`, as an int; a bool, a
+    float or anything else is refused."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+        raise ConfigError(f"{key}: must be an integer of at least {least} (got {value!r})")
+    return int(value)
+
+
+def _ordering_index(value, key: str) -> float:
+    """A finite number in [-1/2, 1/2], as a float: the ordering index α."""
+    number = _finite(value, key)
+    if not -0.5 <= number <= 0.5:
+        raise ConfigError(f"{key}: ordering index must lie in [-1/2, 1/2] (got {value!r})")
+    return number
 
 
 @dataclass(frozen=True)
@@ -47,12 +105,9 @@ class PhysicsParams:
     dim: int = 2
 
     def __post_init__(self):
-        if not 0 < self.hbar < np.inf:  # NaN fails the comparison too
-            raise ConfigError(f"hbar: must be positive and finite (got {self.hbar!r})")
-        if not 0 < self.mass < np.inf:
-            raise ConfigError(f"mass: must be positive and finite (got {self.mass!r})")
-        if not _is_integer(self.dim) or self.dim < 1:
-            raise ConfigError(f"dim: must be a positive integer (got {self.dim!r})")
+        object.__setattr__(self, "hbar", _positive(self.hbar, "hbar"))
+        object.__setattr__(self, "mass", _positive(self.mass, "mass"))
+        object.__setattr__(self, "dim", _count(self.dim, "dim", 1))
 
 
 class ThetaMatrix:
@@ -64,11 +119,9 @@ class ThetaMatrix:
     """
 
     def __init__(self, entries):
-        arr = np.array(entries, dtype=float)
+        arr = np.array(_finite(entries, "theta", None))  # a copy, frozen below
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ConfigError("theta: must be a square matrix")
-        if not np.isfinite(arr).all():  # ±inf would pass the antisymmetry check
-            raise ConfigError("theta: must be finite")
         if not np.array_equal(arr, -arr.T) or np.any(arr.diagonal() != 0.0):
             raise ConfigError("theta: must be exactly antisymmetric")
         arr.setflags(write=False)
@@ -76,11 +129,12 @@ class ThetaMatrix:
 
     @classmethod
     def zero(cls, dim: int) -> "ThetaMatrix":
-        return cls(np.zeros((dim, dim)))
+        return cls(np.zeros((_count(dim, "dim", 1),) * 2))
 
     @classmethod
     def single_block(cls, dim: int, value: float) -> "ThetaMatrix":
         """θ with a single independent entry θ^{12} = value (needs dim ≥ 2)."""
+        dim, value = _count(dim, "dim", 1), _finite(value, "theta")
         if dim < 2 and value != 0.0:
             raise ConfigError("theta: a nonzero theta requires dim >= 2")
         arr = np.zeros((dim, dim))
@@ -133,21 +187,13 @@ class PhaseSpaceGrid:
     """
 
     def __init__(self, points_per_axis: int, box_half_width: float, dim: int, hbar: float = 1.0):
-        if not _is_integer(points_per_axis) or points_per_axis < 2:
-            raise ConfigError(f"grid.points_per_axis: must be an integer of at least 2 "
-                              f"(got {points_per_axis!r})")
-        if box_half_width <= 0:
-            raise ConfigError("grid.box_half_width: must be positive")
-        if not _is_integer(dim) or dim < 1:
-            raise ConfigError(f"dim: must be a positive integer (got {dim!r})")
-        if points_per_axis**dim > _GRID_POINTS:
-            raise ConfigError(f"grid.points_per_axis: {points_per_axis}^{dim} lattice points "
+        self.points_per_axis = G = _count(points_per_axis, "grid.points_per_axis", 2)
+        self.box_half_width = _positive(box_half_width, "grid.box_half_width")
+        self.dim = dim = _count(dim, "dim", 1)
+        self.hbar = _positive(hbar, "hbar")
+        if G**dim > _GRID_POINTS:
+            raise ConfigError(f"grid.points_per_axis: {G}^{dim} lattice points "
                               f"exceed the grid limit of {_GRID_POINTS}")
-        self.points_per_axis = points_per_axis
-        self.box_half_width = float(box_half_width)
-        self.dim = dim
-        self.hbar = float(hbar)
-        G = points_per_axis
         with np.errstate(divide="ignore", over="ignore", under="ignore"):
             dx = np.float64(2.0) * self.box_half_width / G
             dk = 2.0 * np.pi * self.hbar / (G * dx)
@@ -360,14 +406,15 @@ class Potential:
     Supported forms are entire functions, so V(x + θk) is well defined for
     every real shift and the derivative expansion of the star product
     converges without caveats.  The constructors refuse a coefficient that
-    is not a finite number, naming its config key.
+    is not a finite number (a Gaussian-well width or a mass that is not
+    positive, a dim that is not a positive integer), naming its config key.
     """
 
     def __init__(self, form: str, dim: int, **coeffs):
         if form not in _FORM_COEFFICIENTS:
             raise ConfigError(f"potential.form: unknown form {form!r}")
         self.form = form
-        self.dim = dim
+        self.dim = _count(dim, "dim", 1)
         self.coeffs = coeffs
 
     # -- constructors -------------------------------------------------------
@@ -378,14 +425,16 @@ class Potential:
 
     @classmethod
     def linear(cls, c) -> "Potential":
-        c = _finite(c, "potential.coefficients.c", np.shape(c))
+        c = _finite(c, "potential.coefficients.c", None)
+        if c.ndim != 1 or not c.size:
+            raise ConfigError("potential.coefficients.c: must be a list of numbers, one per axis")
         return cls("linear", c.shape[0], c=c)
 
     @classmethod
     def harmonic(cls, omega: float, mass: float = 1.0, dim: int = 2) -> "Potential":
         """V(u) = ½ M ω² u·u."""
         return cls("harmonic", dim, omega=_finite(omega, "potential.coefficients.omega"),
-                   mass=_finite(mass, "mass"))
+                   mass=_positive(mass, "mass"))
 
     @classmethod
     def quartic(cls, lam: float, dim: int = 2) -> "Potential":
@@ -395,26 +444,25 @@ class Potential:
     @classmethod
     def polynomial(cls, terms, dim: int) -> "Potential":
         """V(u) = Σ c·Π u_i^{p_i} from (powers, coefficient) pairs."""
+        V = cls("polynomial", dim)  # reads dim first: it sets each term's length
         frozen = []
         key = "potential.coefficients.terms.powers"
         for powers, c in terms:
-            powers = _finite(powers, key, (dim,))
+            powers = _finite(powers, key, (V.dim,))
             if not all(p.is_integer() and p >= 0 for p in powers):
                 raise ConfigError(f"{key}: must be nonnegative integers, one per axis")
             powers = tuple(int(p) for p in powers)
             if sum(powers) > _MAX_POLY_DEGREE:
                 raise ConfigError(f"{key}: total degree capped at {_MAX_POLY_DEGREE}")
             frozen.append((powers, _finite(c, "potential.coefficients.terms.c")))
-        return cls("polynomial", dim, terms=tuple(frozen))
+        V.coeffs["terms"] = tuple(frozen)
+        return V
 
     @classmethod
     def gaussian_well(cls, depth: float, width: float, dim: int = 2) -> "Potential":
         """V(u) = -depth · exp(-u·u / (2 width²))."""
-        depth = _finite(depth, "potential.coefficients.depth")
-        width = _finite(width, "potential.coefficients.width")
-        if width <= 0:
-            raise ConfigError("potential.coefficients.width: must be positive")
-        return cls("gaussian_well", dim, depth=depth, width=width)
+        return cls("gaussian_well", dim, depth=_finite(depth, "potential.coefficients.depth"),
+                   width=_positive(width, "potential.coefficients.width"))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -556,30 +604,6 @@ def _require(mapping: dict, key: str, context: str = ""):
     return mapping[key]
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-
-
-def _finite(value, name: str, shape=()):
-    """A finite float config value, or a finite array of the given shape.
-
-    Only numbers are read: a bool, a string or null is refused, not converted.
-    """
-    try:
-        if not all(_is_number(v) for v in np.asarray(value, dtype=object).flat):
-            raise ValueError
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name}: must be numeric") from None
-    except OverflowError:  # an integer beyond the float range
-        raise ConfigError(f"{name}: must be finite") from None
-    if arr.shape != shape:
-        raise ConfigError(f"{name}: must be " + (f"of shape {shape}" if shape else "a number"))
-    if not np.isfinite(arr).all():
-        raise ConfigError(f"{name}: must be finite")
-    return arr if shape else float(arr)
-
-
 def _integer(value, name: str) -> int:
     number = _finite(value, name)
     if not number.is_integer():
@@ -598,38 +622,34 @@ def _object(value, name: str, keys) -> dict:
     return value
 
 
-def _coefficient(coeffs: dict, key: str, shape=()):
-    return _finite(_require(coeffs, key, "potential.coefficients"),
-                   f"potential.coefficients.{key}", shape)
-
-
 def _potential_from_config(pot: dict, dim: int, mass: float) -> Potential:
     form = _require(pot, "form", "potential")
     if not isinstance(form, str) or form not in _FORM_COEFFICIENTS:
         raise ConfigError(f"potential.form: unknown form {form!r}")
     coeffs = _object(pot.get("coefficients", {}), "potential.coefficients",
                      _FORM_COEFFICIENTS[form])
+    key = "potential.coefficients"
     if form == "zero":
         return Potential.zero(dim)
     if form == "linear":
-        return Potential.linear(_coefficient(coeffs, "c", (dim,)))
+        V = Potential.linear(_require(coeffs, "c", key))
+        if V.dim != dim:
+            raise ConfigError(f"{key}.c: must be of shape {(dim,)}")
+        return V
     if form == "harmonic":
-        return Potential.harmonic(_coefficient(coeffs, "omega"), mass=mass, dim=dim)
+        return Potential.harmonic(_require(coeffs, "omega", key), mass=mass, dim=dim)
     if form == "quartic":
-        return Potential.quartic(_coefficient(coeffs, "lambda"), dim=dim)
+        return Potential.quartic(_require(coeffs, "lambda", key), dim=dim)
     if form == "polynomial":
-        key = "potential.coefficients.terms"
-        terms = _require(coeffs, "terms", "potential.coefficients")
+        terms = _require(coeffs, "terms", key)
         if not isinstance(terms, list):
-            raise ConfigError(f"{key}: must be a list")
-        terms = [_object(t, key, ("powers", "c")) for t in terms]
+            raise ConfigError(f"{key}.terms: must be a list")
+        terms = [_object(t, f"{key}.terms", ("powers", "c")) for t in terms]
         return Potential.polynomial(
-            [(_require(t, "powers", key), _finite(_require(t, "c", key), f"{key}.c"))
-             for t in terms],
-            dim,
-        )
-    return Potential.gaussian_well(_coefficient(coeffs, "depth"),
-                                   _coefficient(coeffs, "width"), dim=dim)
+            [(_require(t, "powers", f"{key}.terms"), _require(t, "c", f"{key}.terms"))
+             for t in terms], dim)
+    return Potential.gaussian_well(_require(coeffs, "depth", key), _require(coeffs, "width", key),
+                                   dim=dim)
 
 
 def load_config(source) -> RunConfig:
@@ -657,31 +677,28 @@ def load_config(source) -> RunConfig:
     _object(data, "", ("dim", "hbar", "mass", "theta", "grid", "potential", "probe"))
 
     dim = _integer(_require(data, "dim"), "dim")
-    hbar = _finite(data.get("hbar", 1.0), "hbar")
-    mass = _finite(data.get("mass", 1.0), "mass")
-    params = PhysicsParams(hbar=hbar, mass=mass, dim=dim)
-    theta = ThetaMatrix(_finite(_require(data, "theta"), "theta", (dim, dim)))
+    params = PhysicsParams(hbar=data.get("hbar", 1.0), mass=data.get("mass", 1.0), dim=dim)
+    theta = ThetaMatrix(_require(data, "theta"))
+    if theta.dim != dim:
+        raise ConfigError(f"theta: must be of shape {(dim, dim)}")
 
     grid_cfg = _object(_require(data, "grid"), "grid", ("points_per_axis", "box_half_width"))
     grid = PhaseSpaceGrid(
         _integer(_require(grid_cfg, "points_per_axis", "grid"), "grid.points_per_axis"),
-        _finite(_require(grid_cfg, "box_half_width", "grid"), "grid.box_half_width"),
-        dim,
-        hbar=hbar,
-    )
+        _require(grid_cfg, "box_half_width", "grid"), dim, hbar=params.hbar)
 
     potential = _potential_from_config(
-        _object(_require(data, "potential"), "potential", ("form", "coefficients")), dim, mass)
+        _object(_require(data, "potential"), "potential", ("form", "coefficients")), dim,
+        params.mass)
 
+    # the probe is built by the subcommands that use it; its keys are read here,
+    # so every subcommand refuses a bad probe
     probe_cfg = _object(data.get("probe", {}), "probe", ("center", "momentum", "width"))
     center = _finite(probe_cfg.get("center", (0.0,) * dim), "probe.center", (dim,))
     momentum = _finite(probe_cfg.get("momentum", (0.0,) * dim), "probe.momentum", (dim,))
     width = probe_cfg.get("width")
-    if width is not None:
-        width = _finite(width, "probe.width")
-        if width <= 0:
-            raise ConfigError("probe.width: must be positive")
-    probe = ProbeSpec(center=tuple(center.tolist()), width=width,
+    probe = ProbeSpec(center=tuple(center.tolist()),
+                      width=None if width is None else _positive(width, "probe.width"),
                       momentum=tuple(momentum.tolist()))
 
     return RunConfig(params=params, theta=theta, grid=grid, potential=potential,

@@ -47,7 +47,8 @@ from .core import (
     _apply_axis_tables,
     _axis_factors,
     _centered_fft,
-    _is_integer,
+    _count,
+    _finite,
     _pair_axes,
     _plane_waves,
     _require_dense_size,
@@ -302,10 +303,7 @@ def split_step_evolve(psi: ComplexField, V: Potential, theta: ThetaMatrix,
     """
     grid = psi.grid
     _require_model(grid, params, V, theta)
-    if not np.isfinite(T):
-        raise ValueError(f"T: evolution time must be finite (got {T})")
-    if not _is_integer(steps) or steps < 1:
-        raise ValueError(f"steps: must be an integer of at least 1 (got {steps!r})")
+    T, steps = _finite(T, "T"), _count(steps, "steps", 1)
     dt = T / steps
     hbar = grid.hbar
     k2 = np.sum(grid.k_points**2, axis=-1)

@@ -63,10 +63,12 @@ from .core import (
     _apply_axis_tables,
     _axis_factors,
     _centered_fft,
+    _count,
     _gather_block,
     _index_difference_table,
-    _is_integer,
+    _ordering_index,
     _pair_axes,
+    _positive,
     _require_dense_size,
     _require_model,
     _row_blocks,
@@ -87,12 +89,9 @@ class SlicingConfig:
     params: PhysicsParams
 
     def __post_init__(self):
-        if not _is_integer(self.slices_m) or self.slices_m < 0:
-            raise ValueError(f"slices_m: must be a nonnegative integer (got {self.slices_m!r})")
-        if not 0 < self.total_time < np.inf:  # NaN fails the comparison too
-            raise ValueError("total_time: must be positive and finite")
-        if not -0.5 <= self.alpha <= 0.5:
-            raise ValueError("alpha: ordering index must lie in [-1/2, 1/2]")
+        object.__setattr__(self, "slices_m", _count(self.slices_m, "slices_m", 0))
+        object.__setattr__(self, "total_time", _positive(self.total_time, "total_time"))
+        object.__setattr__(self, "alpha", _ordering_index(self.alpha, "alpha"))
 
     @property
     def epsilon(self) -> float:
@@ -273,9 +272,12 @@ def _slice_points(cfg, grid):
     wb = 0.5 - cfg.alpha  # weight on x_in
     mids = ((wa * n[:, None] + wb * n[None, :]) * grid.dx).reshape(-1)
     # group on rounded coordinates, but evaluate V at a member's unrounded
-    # x̄: the rounding itself would move V's argument by up to 5e-13
-    _, first, slot = np.unique(np.round(mids, 12), return_index=True, return_inverse=True)
-    return mids[first], slot.reshape(G, G)
+    # x̄ (the rounding itself would move V's argument by up to 5e-13): the
+    # smallest, which the mirrored slice (-α, pairs swapped) picks too
+    keys, slot = np.unique(np.round(mids, 12), return_inverse=True)
+    svals = np.full(keys.size, np.inf)
+    np.minimum.at(svals, slot, mids)
+    return svals, slot.reshape(G, G)
 
 
 def _grouped_slice(cfg, V, theta, grid):
@@ -476,7 +478,7 @@ def alpha_sweep(params: PhysicsParams, total_time: float, alphas, m_values,
     α-sensitivity enters at order ε and the kernels stay near unitary.  Every
     (m, α) SlicingConfig is checked before the first propagation.
     """
-    alphas = [float(a) for a in alphas]
+    alphas = [_ordering_index(a, "alpha") for a in alphas]
     m_values = list(m_values)
     if len(alphas) < 2:
         raise ValueError("alphas: need at least two ordering indices")

@@ -39,6 +39,7 @@ from .core import (
     _centered_fft,
     _finite,
     _plane_waves,
+    _positive,
     _require_dense_size,
     _require_model,
     _row_blocks,
@@ -153,15 +154,13 @@ def gaussian_packet(grid: PhaseSpaceGrid, center=None, width: float | None = Non
 
     Wrap-sensitive comparisons should pass width ≤ L/9, which keeps less
     than 1e-12 of the mass within two grid spacings of the box boundary.
-    A center or momentum that is not N finite numbers is refused.
+    A center or momentum that is not N finite numbers, or a width that is
+    not a positive number, is refused under its probe.* key.
     """
     N = grid.dim
     center = np.zeros(N) if center is None else _finite(center, "probe.center", (N,))
     momentum = np.zeros(N) if momentum is None else _finite(momentum, "probe.momentum", (N,))
-    if width is None:
-        width = grid.box_half_width / 6.0
-    elif not 0 < width < np.inf:  # NaN fails the comparison too
-        raise ValueError(f"width: must be positive and finite, got {width}")
+    width = grid.box_half_width / 6.0 if width is None else _positive(width, "probe.width")
     d = grid.x_points - center
     phase = (grid.x_points @ momentum) / grid.hbar
     values = np.exp(-np.sum(d * d, axis=-1) / (4.0 * width**2) + 1j * phase)

@@ -30,12 +30,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    ConfigError,
     PhaseSpaceGrid,
     PhysicsParams,
     Potential,
     ThetaMatrix,
     _centered_fft,
     _gather_block,
+    _ordering_index,
     _pair_axes,
     _require_dense_size,
     _require_model,
@@ -43,23 +45,6 @@ from .core import (
     evaluate_potential_shifted,
 )
 from .star import OperatorKernel, potential_operator_kernel
-
-
-@dataclass(frozen=True)
-class AlphaIndex:
-    """Dimensionless ordering parameter, constrained to [-1/2, +1/2]."""
-
-    value: float
-
-    def __post_init__(self):
-        if not -0.5 <= self.value <= 0.5:
-            raise ValueError("alpha: ordering index must lie in [-1/2, 1/2]")
-
-
-def _alpha_value(alpha) -> float:
-    if isinstance(alpha, AlphaIndex):
-        return alpha.value
-    return AlphaIndex(float(alpha)).value
 
 
 @dataclass
@@ -116,7 +101,7 @@ def symbol_of_operator(K: OperatorKernel, alpha) -> PhaseSpaceSymbol:
     operators) are α-independent down to rounding, and α = ±1/2 evaluate
     the diagonals at exact lattice anchors.
     """
-    a = _alpha_value(alpha)
+    a = _ordering_index(alpha, "alpha")
     beta = 0.5 + a
     grid = K.grid
     G, N = grid.points_per_axis, grid.dim
@@ -157,7 +142,7 @@ def shifted_potential_symbol(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceG
     V(x + θk), indexed [k, x], passes it as `shifted` and it is not rebuilt.
     """
     _require_model(grid, V=V, theta=theta)
-    a = _alpha_value(alpha)
+    a = _ordering_index(alpha, "alpha")
     if a == -0.5:
         raise ValueError("alpha: the closed-form route divides by (alpha + 1/2); "
                          "use symbol_of_operator at alpha = -1/2")
@@ -207,7 +192,7 @@ def verify_alpha_washout(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceGrid,
     points are refused, and so are a V or θ of another dimension than the grid.
     """
     _require_model(grid, V=V, theta=theta)
-    alphas = [(_alpha_value(a)) for a in alphas]
+    alphas = [_ordering_index(a, "alpha") for a in alphas]
     if len(alphas) < 2:
         raise ValueError("alphas: need at least two ordering indices to compare")
     if method not in ("closed_form", "direct"):
@@ -253,6 +238,10 @@ def _periodic_sinc(t, points: int):
     return acc / points
 
 
+# the quantizer is a dense n×n matrix: larger grids are refused
+_QUANTIZER_POINTS = 1024
+
+
 def delta_alpha_matrix_element(alpha, k, x, grid: PhaseSpaceGrid) -> OperatorKernel:
     """Quantizer Δ_α(K-k, X-x) as a lattice kernel.
 
@@ -262,9 +251,11 @@ def delta_alpha_matrix_element(alpha, k, x, grid: PhaseSpaceGrid) -> OperatorKer
     tr[A Δ_{-α}]·(2πħ)^N recomputes symbol_of_operator along an independent
     path.  Dense; intended for small grids.
     """
-    a = _alpha_value(alpha)
-    if grid.size > 1024:
-        raise ValueError("quantizer matrices are dense; grid too large (size > 1024)")
+    a = _ordering_index(alpha, "alpha")
+    if grid.size > _QUANTIZER_POINTS:
+        raise ConfigError(f"grid.points_per_axis: {grid.points_per_axis}^{grid.dim} = "
+                          f"{grid.size} lattice points exceed the quantizer limit of "
+                          f"{_QUANTIZER_POINTS}")
     k = np.asarray(k, dtype=float)
     x = np.asarray(x, dtype=float)
     G = grid.points_per_axis
@@ -296,7 +287,7 @@ def symbol_via_quantizer_trace(K: OperatorKernel, alpha, k, x) -> complex:
     Σ_ij K_ij Δ_ji · Δx^{2N}, summed without forming the product kernel.
     """
     grid = K.grid
-    a = _alpha_value(alpha)
+    a = _ordering_index(alpha, "alpha")
     quantizer = delta_alpha_matrix_element(-a, k, x, grid)
     trace = np.einsum("ij,ji->", K.entries, quantizer.entries) * grid.cell_volume**2
     return complex(trace * (2.0 * np.pi * grid.hbar) ** grid.dim)

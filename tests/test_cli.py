@@ -233,6 +233,37 @@ def test_symbol_csv_columns(config_path, tmp_path):
     assert len(lines) == 1 + 2 * 64 * 64 + 2
 
 
+# every subcommand that writes a header line and rows under it
+_ROW_COMMANDS = {"symbol": ["--alphas", "-0.4,0.4"], "star-check": [],
+                 "alpha-sweep": ["--m-list", "2,4,8"], "oracle-compare": ["--m-list", "2"],
+                 "unitarity": ["--m-list", "2"], "phi-audit": ["--m", "4"], "limit-check": []}
+
+
+@pytest.mark.parametrize("command", list(_ROW_COMMANDS))
+def test_every_row_artifact_parses_to_its_header_width(config_path, tmp_path, command):
+    # phi-audit's details hold commas, so its fields are quoted as RFC 4180
+    # quotes them; footers such as alpha-sweep's '# slope' row count too
+    import csv
+
+    out = tmp_path / "out.csv"
+    setup = [] if command in ("phi-audit", "limit-check") else ["--config", config_path]
+    assert _run_in_process(command, *setup, *_ROW_COMMANDS[command], "--out", str(out)) in (0, 1)
+    with open(out, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert rows
+    assert {len(row) for row in rows} == {len(header)}, command
+
+
+def test_phi_audit_quotes_only_fields_that_need_it(tmp_path):
+    out = tmp_path / "audit.csv"
+    assert _run_in_process("phi-audit", "--m", "4", "--out", str(out)) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "identity,status,detail"
+    quoted = [line for line in lines if '"' in line]
+    assert quoted and all(line.count(",") > 2 for line in quoted)
+    assert all(line.count(",") == 2 for line in lines if '"' not in line)
+
+
 _PROBE_COMMANDS = {"star-check": [], "alpha-sweep": ["--m-list", "2,4,8"],
                    "oracle-compare": ["--m-list", "2"], "unitarity": ["--m-list", "2"]}
 

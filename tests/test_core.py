@@ -48,24 +48,54 @@ def test_params_refuse_non_finite_constants_and_a_non_integer_dim(key, value):
         PhysicsParams(**{key: value})
 
 
-@pytest.mark.parametrize("key, build", [
-    ("theta", lambda: ThetaMatrix([[0.0, np.inf], [-np.inf, 0.0]])),
-    ("potential.coefficients.omega", lambda: Potential.harmonic(np.nan)),
-    ("mass", lambda: Potential.harmonic(1.0, mass=np.inf)),
-    ("potential.coefficients.lambda", lambda: Potential.quartic(np.inf)),
-    ("potential.coefficients.c", lambda: Potential.linear([np.nan, 1.0])),
-    ("potential.coefficients.terms.c", lambda: Potential.polynomial([((2, 0), np.inf)], 2)),
-    ("potential.coefficients.depth", lambda: Potential.gaussian_well(np.inf, 1.0)),
-    ("potential.coefficients.width", lambda: Potential.gaussian_well(1.0, np.nan)),
-    ("probe.center", lambda: star.gaussian_packet(PhaseSpaceGrid(8, 5.0, 2),
-                                                  center=[np.inf, 0.0])),
-    ("probe.momentum", lambda: star.gaussian_packet(PhaseSpaceGrid(8, 5.0, 2),
-                                                    momentum=[np.nan, 0.0])),
+def _refused(key, build, refusal="must be finite", id=None):
+    return pytest.param(key, refusal, build, id=id or f"{key}-<lambda>")
+
+
+def _grid():
+    return PhaseSpaceGrid(8, 5.0, 2)
+
+
+@pytest.mark.parametrize("key, refusal, build", [
+    _refused("theta", lambda: ThetaMatrix([[0.0, np.inf], [-np.inf, 0.0]])),
+    _refused("potential.coefficients.omega", lambda: Potential.harmonic(np.nan)),
+    _refused("mass", lambda: Potential.harmonic(1.0, mass=np.inf)),
+    _refused("potential.coefficients.lambda", lambda: Potential.quartic(np.inf)),
+    _refused("potential.coefficients.c", lambda: Potential.linear([np.nan, 1.0])),
+    _refused("potential.coefficients.terms.c",
+             lambda: Potential.polynomial([((2, 0), np.inf)], 2)),
+    _refused("potential.coefficients.depth", lambda: Potential.gaussian_well(np.inf, 1.0)),
+    _refused("potential.coefficients.width", lambda: Potential.gaussian_well(1.0, np.nan)),
+    _refused("probe.center", lambda: star.gaussian_packet(_grid(), center=[np.inf, 0.0])),
+    _refused("probe.momentum", lambda: star.gaussian_packet(_grid(), momentum=[np.nan, 0.0])),
+    # a bool or a string where a number belongs, and a float count, are
+    # refused, not converted; a NaN ħ is refused as ħ, not by the cell check
+    _refused("hbar", lambda: PhysicsParams(hbar=True), "must be numeric", "hbar-bool"),
+    _refused("total_time", lambda: slicer.SlicingConfig(0, True, 0.0, PhysicsParams()),
+             "must be numeric", "total_time-bool"),
+    _refused("grid.box_half_width", lambda: PhaseSpaceGrid(8, True, 2), "must be numeric",
+             "grid.box_half_width-bool"),
+    _refused("probe.width", lambda: star.gaussian_packet(_grid(), width=True),
+             "must be numeric", "probe.width-bool"),
+    _refused("T", lambda: oracle.split_step_evolve(
+        star.gaussian_packet(_grid()), Potential.harmonic(1.0), ThetaMatrix.single_block(2, 0.1),
+        PhysicsParams(), True, 4), "must be numeric", "T-bool"),
+    _refused("dim", lambda: Potential.quartic(1.0, dim=2.0), "must be an integer of at least 1",
+             "dim-float"),
+    _refused("theta", lambda: ThetaMatrix([["0", "0.1"], ["-0.1", "0"]]), "must be numeric",
+             "theta-strings"),
+    _refused("alpha", lambda: weyl.shifted_potential_symbol(
+        Potential.quartic(1.0), ThetaMatrix.single_block(2, 0.1), _grid(), "0"),
+        "must be numeric", "alpha-string"),
+    _refused("mass", lambda: PhysicsParams(mass="2"), "must be numeric", "mass-string"),
+    _refused("total_time", lambda: slicer.SlicingConfig(0, "1", 0.0, PhysicsParams()),
+             "must be numeric", "total_time-string"),
+    _refused("hbar", lambda: PhaseSpaceGrid(8, 3.0, 2, hbar=np.nan), id="hbar-grid-nan"),
 ])
-def test_model_constructors_refuse_non_finite_inputs(key, build):
+def test_model_constructors_refuse_non_finite_inputs(key, refusal, build):
     # load_config refuses these keys; the constructors refuse them too, so a
     # library caller gets an error naming the key, not NaN output
-    with pytest.raises(ConfigError, match=f"^{key}: must be finite"):
+    with pytest.raises(ConfigError, match=f"^{key}: {refusal}"):
         build()
 
 
@@ -341,6 +371,65 @@ def test_load_config_gives_a_run_config_or_names_the_key(base, data, value, dele
         return isinstance(v, (int, float)) and not isinstance(v, bool)
     if not delete and is_number(old) and not is_number(value):
         assert changed == "probe.width" and value is None  # null: the default width
+
+
+# the constructor calls that read each scalar key of a config, with the
+# other values of `_parity_config`
+_API_READERS = {
+    "hbar": lambda v: (PhysicsParams(hbar=v), PhaseSpaceGrid(8, 5.0, 2, hbar=v)),
+    "mass": lambda v: (PhysicsParams(mass=v), Potential.harmonic(1.0, mass=v)),
+    "grid.box_half_width": lambda v: PhaseSpaceGrid(8, v, 2),
+    "potential.coefficients.omega": lambda v: Potential.harmonic(v),
+    "potential.coefficients.lambda": lambda v: Potential.quartic(v),
+    "potential.coefficients.depth": lambda v: Potential.gaussian_well(v, 1.0),
+    "potential.coefficients.width": lambda v: Potential.gaussian_well(1.0, v),
+    "probe.width": lambda v: star.gaussian_packet(_grid(), width=v),
+}
+
+
+_WELL = ("gaussian_well", {"depth": 1.0, "width": 1.0})
+_PARITY_POTENTIALS = {"potential.coefficients.lambda": ("quartic", {"lambda": 1.0}),
+                      "potential.coefficients.depth": _WELL,
+                      "potential.coefficients.width": _WELL}
+
+
+def _parity_config(key, value):
+    """A valid dim-2, G = 8, L = 5 config, harmonic unless key is another
+    form's coefficient, with key set to value."""
+    form, coefficients = _PARITY_POTENTIALS.get(key, ("harmonic", {"omega": 1.0}))
+    config = {"dim": 2, "theta": [[0.0, 0.1], [-0.1, 0.0]],
+              "grid": {"points_per_axis": 8, "box_half_width": 5.0},
+              "potential": {"form": form, "coefficients": dict(coefficients)}, "probe": {}}
+    *parents, last = key.split(".")
+    node = config
+    for part in parents:
+        node = node[part]
+    node[last] = value
+    return config
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(sorted(_API_READERS)),
+       value=_JSON_VALUES | st.sampled_from([0, 0.0, -0.0, -1, -2.5, float("nan"),
+                                             float("inf"), float("-inf")])
+       | st.floats(max_value=0.0) | st.integers(max_value=0))
+def test_api_refuses_exactly_what_load_config_refuses(key, value):
+    # the constructor reads the value load_config hands it, so both refuse
+    # the same values with the same message, and the message names the key;
+    # a ħ whose momentum cell over- or underflows is the grid's cell check
+    def refusal(build):
+        try:
+            build()
+        except ConfigError as exc:
+            return str(exc)
+        return None
+
+    loaded = refusal(lambda: load_config(_parity_config(key, value)))
+    built = refusal(lambda: _API_READERS[key](value))
+    assert loaded == built, (key, value)
+    if built is not None:
+        named = built.split(":")[0]
+        assert named == key or (key == "hbar" and named == "grid.box_half_width"), built
 
 
 def _literal_momentum_sum(grid, multiplier):

@@ -567,7 +567,7 @@ def _split_step_inputs():
 @pytest.mark.parametrize("T", [float("nan"), float("inf")])
 def test_split_step_rejects_a_non_finite_time(T, nothing_built):
     psi, V, theta = _split_step_inputs()
-    with pytest.raises(ValueError, match="time must be finite"):
+    with pytest.raises(ConfigError, match="^T: must be finite"):
         split_step_evolve(psi, V, theta, PhysicsParams(dim=2), T, 4)
 
 

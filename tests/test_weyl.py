@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from ncpath.core import PhaseSpaceGrid, PhysicsParams, Potential, ThetaMatrix
+from ncpath.core import ConfigError, PhaseSpaceGrid, PhysicsParams, Potential, ThetaMatrix
 from ncpath.oracle import kinetic_operator_kernel
 from ncpath.star import OperatorKernel, identity_kernel, potential_operator_kernel
 from ncpath.weyl import (
-    AlphaIndex,
     delta_alpha_matrix_element,
     shifted_potential_symbol,
     symbol_of_operator,
@@ -50,12 +49,14 @@ def brute_symbol_1d(kernel, alpha, grid):
 
 
 def test_alpha_index_range():
-    AlphaIndex(0.5)
-    AlphaIndex(-0.5)
-    with pytest.raises(ValueError):
-        AlphaIndex(0.51)
-    with pytest.raises(ValueError):
-        symbol_of_operator(identity_kernel(PhaseSpaceGrid(4, 2.0, 1)), 0.7)
+    # the ends of [-1/2, 1/2] are ordering indices; a number outside, a
+    # non-finite one or a value that is not a number is refused under alpha
+    identity = identity_kernel(PhaseSpaceGrid(4, 2.0, 1))
+    symbol_of_operator(identity, 0.5)
+    symbol_of_operator(identity, np.float64(-0.5))
+    for alpha in (0.51, 0.7, -0.5000001, np.nan, np.inf, "0", True, None):
+        with pytest.raises(ConfigError, match="^alpha:"):
+            symbol_of_operator(identity, alpha)
 
 
 def test_symbol_matches_brute_force_1d():
@@ -248,6 +249,9 @@ def test_quantizer_midpoint_symmetry_at_k_zero():
 
 
 def test_quantizer_size_guard():
-    grid = PhaseSpaceGrid(64, 8.0, 2)
-    with pytest.raises(ValueError):
+    # the dense quantizer stops at 1024 points, naming the key, the count and the limit
+    grid = PhaseSpaceGrid(33, 8.0, 2)
+    with pytest.raises(ConfigError,
+                       match=r"^grid\.points_per_axis: 33\^2 = 1089 lattice points exceed "
+                             r"the quantizer limit of 1024$"):
         delta_alpha_matrix_element(0.0, np.zeros(2), np.zeros(2), grid)
