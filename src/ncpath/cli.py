@@ -140,8 +140,10 @@ def _formatted_rows(separators, block, count):
     loads and sets up before any fork; it sizes its own render calls.
     block(i) may build its table when called (`ncpath kernel` gathers a
     slice block from per-axis tables) and may reuse one buffer, since a
-    block is rendered whole before the next is asked for.  Many blocks are
-    cut into one contiguous block range per usable core.  A forked child
+    block is rendered whole before the next is asked for.  The blocks are
+    cut into one contiguous block range per usable core, and into fewer
+    where a range would hold under `_MIN_RANGE_VALUES` values; one range
+    is rendered here and forks nothing.  A forked child
     builds and renders each later range into a temporary file, from what it
     inherited, while this process renders and yields the first; each
     child's bytes are then copied through in order.
@@ -153,10 +155,7 @@ def _formatted_rows(separators, block, count):
     from .float_text import BlockFormatter
 
     render = BlockFormatter(separators)
-    workers = min(_usable_cores(), count * block(0).size // _MIN_RANGE_VALUES, count)
-    if workers < 2:
-        yield from _format_range(render, block, 0, count)
-        return
+    workers = max(1, min(_usable_cores(), count * block(0).size // _MIN_RANGE_VALUES, count))
     cuts = [count * i // workers for i in range(workers + 1)]
     children = []  # (pid, spool) per later range, in block order
     try:
@@ -188,8 +187,7 @@ def _formatted_rows(separators, block, count):
 
 
 def _write_artifact(path, header, rows, footer_rows=()):
-    _write_lines(path, (line.encode() for line in chain(
-        [",".join(header) + "\n"], map(_csv_line, rows), map(_csv_line, footer_rows))))
+    _write_lines(path, (_csv_line(row).encode() for row in chain([header], rows, footer_rows)))
 
 
 def _config_hash(cfg) -> str:
@@ -296,18 +294,13 @@ def cmd_symbol(args) -> int:
               ("# max_pairwise_relative", report.max_pairwise_relative, "", "", "", "")]
     block, count = _symbol_blocks(report, cfg.grid)
     # the index columns hold integers, which '%.17g' prints as '%d' does
-    body = _formatted_rows(b",,,,,\n", block, count)
-    if args.summary:
-        text = b"".join(body)  # the summary repeats every row
-        body = [text]
-    _write_lines(args.out, chain([(",".join(header) + "\n").encode()], body,
+    _write_lines(args.out, chain([_csv_line(header).encode()],
+                                 _formatted_rows(b",,,,,\n", block, count),
                                  (_csv_line(row).encode() for row in footer)))
-    if args.summary:
-        rows = [line.split(",") for line in text.decode().splitlines()]
-        _write_summary(args.summary, "symbol", cfg, header, rows,
-                       {"max_pairwise_abs": _fmt(report.max_pairwise_abs),
-                        "max_pairwise_relative": _fmt(report.max_pairwise_relative),
-                        "method": report.method})
+    _write_summary(args.summary, "symbol", cfg, header,
+                   extra={"max_pairwise_abs": _fmt(report.max_pairwise_abs),
+                          "max_pairwise_relative": _fmt(report.max_pairwise_relative),
+                          "method": report.method})
     return EXIT_OK
 
 
@@ -363,14 +356,12 @@ def cmd_kernel(args) -> int:
         block = _held_row_blocks(full_kernel(scfg, cfg.potential, cfg.theta, grid).entries, grid)
     else:
         block = slice_row_blocks(scfg, cfg.potential, cfg.theta, grid)
-    theta_flat = ",".join(_fmt(v) for v in cfg.theta.entries.reshape(-1))
-    header_line = (f"{grid.dim},{grid.points_per_axis},{_fmt(grid.box_half_width)},"
-                   f"{args.m},{_fmt(args.alpha)},{_fmt(args.total_time)},"
-                   f"{_fmt(cfg.params.hbar)},{_fmt(cfg.params.mass)},{theta_flat}")
+    header = [grid.dim, grid.points_per_axis, grid.box_half_width, args.m, args.alpha,
+              args.total_time, cfg.params.hbar, cfg.params.mass, *cfg.theta.entries.reshape(-1)]
     separators = (b", " * grid.size)[:-1] + b"\n"  # re,im pairs, a space between
     body = _formatted_rows(separators, lambda o: block(o).view(np.float64),  # re, im interleaved
                            grid.points_per_axis)
-    _write_lines(args.out, chain([(header_line + "\n").encode()], body))
+    _write_lines(args.out, chain([_csv_line(header).encode()], body))
     _write_summary(args.summary, "kernel", cfg,
                    extra={"m": args.m, "alpha": _fmt(args.alpha), "compose": args.compose,
                           "edge_phase_turns": _fmt(edge_phase_turns(scfg, grid))})

@@ -20,6 +20,9 @@ least a floor, never a bool or a float) and `_ordering_index` (finite, within
 [-1/2, 1/2]).  Only numbers are read; a bool, a string or null is refused,
 not converted.  Each refusal is a `ConfigError` that starts with the value's
 config key, so the API refuses exactly what `load_config` refuses.
+Phase-space points (V's argument, the k and x of θk, V(x + θk) and the
+symbols) are read by `_points`, and a refusal starts with the parameter's
+name.
 `load_config` adds only what a JSON file needs: objects, known and required
 keys, counts written as integral floats (2.0 reads as 2), θ's (N, N) shape
 and the probe's keys.
@@ -69,6 +72,18 @@ def _finite(value, key: str, shape=()):
     if not np.isfinite(arr).all():
         raise ConfigError(f"{key}: must be finite")
     return float(arr) if shape == () else arr
+
+
+def _points(value, key: str):
+    """Phase-space points as a float array of any shape.
+
+    A NumPy array of integer or float dtype is taken as it is, with no pass
+    over its elements: the lattices reach V and θ this way, millions of
+    points per evaluation.  Anything else is read by `_finite`.
+    """
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        return value.astype(float, copy=False)
+    return _finite(value, key, None)
 
 
 def _positive(value, key: str) -> float:
@@ -164,7 +179,7 @@ class ThetaMatrix:
 
     def shift(self, k):
         """Map momentum vectors k (shape (..., N)) to (θk)^j = θ^{jl} k^l."""
-        return np.einsum("jl,...l->...j", self.entries, np.asarray(k, dtype=float))
+        return np.einsum("jl,...l->...j", self.entries, _points(k, "k"))
 
     def __eq__(self, other):
         return isinstance(other, ThetaMatrix) and np.array_equal(self.entries, other.entries)
@@ -496,7 +511,7 @@ class Potential:
 
     def __call__(self, u):
         """Evaluate V at points of shape (..., N)."""
-        u = np.asarray(u, dtype=float)
+        u = _points(u, "u")
         if u.shape[-1] != self.dim:
             raise ConfigError("potential: argument dimension mismatch")
         if self.form == "zero":
@@ -535,8 +550,7 @@ def evaluate_potential_shifted(V: Potential, theta: ThetaMatrix, x, k):
     """
     if theta.dim != V.dim:
         raise ConfigError("theta: dimension does not match potential")
-    x = np.asarray(x, dtype=float)
-    k = np.asarray(k, dtype=float)
+    x, k = _points(x, "x"), _points(k, "k")
     return V(x + theta.shift(k))
 
 
@@ -568,7 +582,7 @@ def realize_hamiltonian_symbol(V: Potential, theta: ThetaMatrix, p: PhysicsParam
         raise ConfigError("dim: potential/theta/params dimensions disagree")
 
     def symbol(k, x):
-        k = np.asarray(k, dtype=float)
+        k = _points(k, "k")
         kinetic = np.sum(k * k, axis=-1) / (2.0 * p.mass)
         return kinetic + evaluate_potential_shifted(V, theta, x, k)
 

@@ -36,6 +36,7 @@ from .core import (
     Potential,
     ThetaMatrix,
     _centered_fft,
+    _finite,
     _gather_block,
     _ordering_index,
     _pair_axes,
@@ -123,6 +124,15 @@ def symbol_of_operator(K: OperatorKernel, alpha) -> PhaseSpaceSymbol:
     return PhaseSpaceSymbol(flat, grid)
 
 
+def _closed_form_index(value, key: str) -> float:
+    """An ordering index the closed-form route can take: any but -1/2."""
+    a = _ordering_index(value, key)
+    if a == -0.5:
+        raise ConfigError(f"{key}: the closed-form route divides by (alpha + 1/2), "
+                          "so alpha = -1/2 needs the direct method")
+    return a
+
+
 def shifted_potential_symbol(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceGrid,
                              alpha, shifted=None) -> PhaseSpaceSymbol:
     """α-symbol of V(X+θK) along the closed-form route.
@@ -142,10 +152,7 @@ def shifted_potential_symbol(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceG
     V(x + θk), indexed [k, x], passes it as `shifted` and it is not rebuilt.
     """
     _require_model(grid, V=V, theta=theta)
-    a = _ordering_index(alpha, "alpha")
-    if a == -0.5:
-        raise ValueError("alpha: the closed-form route divides by (alpha + 1/2); "
-                         "use symbol_of_operator at alpha = -1/2")
+    a = _closed_form_index(alpha, "alpha")
     _require_dense_size(grid)
     shifts = theta.shift(grid.k_points)  # (k, N)
     twist = np.einsum("kj,kj->k", grid.k_points, shifts)  # k·θk: cancels exactly
@@ -192,11 +199,12 @@ def verify_alpha_washout(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceGrid,
     points are refused, and so are a V or θ of another dimension than the grid.
     """
     _require_model(grid, V=V, theta=theta)
-    alphas = [_ordering_index(a, "alpha") for a in alphas]
-    if len(alphas) < 2:
-        raise ValueError("alphas: need at least two ordering indices to compare")
     if method not in ("closed_form", "direct"):
         raise ValueError(f"method: unknown washout method {method!r}")
+    read = _closed_form_index if method == "closed_form" else _ordering_index
+    alphas = [read(a, "alpha") for a in alphas]
+    if len(alphas) < 2:
+        raise ValueError("alphas: need at least two ordering indices to compare")
     _require_dense_size(grid)
     target = evaluate_potential_shifted(V, theta, grid.x_points[None, :, :],
                                         grid.k_points[:, None, :])
@@ -256,8 +264,7 @@ def delta_alpha_matrix_element(alpha, k, x, grid: PhaseSpaceGrid) -> OperatorKer
         raise ConfigError(f"grid.points_per_axis: {grid.points_per_axis}^{grid.dim} = "
                           f"{grid.size} lattice points exceed the quantizer limit of "
                           f"{_QUANTIZER_POINTS}")
-    k = np.asarray(k, dtype=float)
-    x = np.asarray(x, dtype=float)
+    k, x = _finite(k, "k", (grid.dim,)), _finite(x, "x", (grid.dim,))
     G = grid.points_per_axis
     beta = 0.5 - a  # the -α convention of the trace pairing
     offs = _minimal_offsets(grid)  # [u, v] per axis in lattice units

@@ -222,6 +222,23 @@ def test_symbol_on_a_grid_too_big_for_a_dense_table_exits_2(tmp_path, capsys, mo
     assert not out.exists()
 
 
+def test_symbol_at_alpha_minus_half_needs_the_direct_method(config_path, tmp_path, capsys,
+                                                            monkeypatch):
+    # the closed form divides by alpha + 1/2: refused by name before V(x + θk) is built
+    import ncpath.weyl
+
+    out = tmp_path / "symbol.csv"
+    args = ["symbol", "--config", config_path, "--alphas", "-0.5,0", "--out", str(out)]
+    with monkeypatch.context() as patch:
+        patch.setattr(ncpath.weyl, "evaluate_potential_shifted",
+                      lambda *a: pytest.fail("V(x + θk) was built"))
+        assert _run_in_process(*args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: alpha:") and "direct method" in err
+    assert not out.exists()
+    assert _run_in_process(*args, "--method", "direct") == 0
+
+
 def test_symbol_csv_columns(config_path, tmp_path):
     out = tmp_path / "symbol.csv"
     result = run_cli("symbol", "--config", config_path, "--alphas", "-0.4,0.4",
@@ -595,7 +612,11 @@ def test_symbol_artifact_bytes_match_literal_rendering(config_path, tmp_path):
                            "--summary", str(summary)) == 0
     assert plain.read_bytes() == expected.encode()
     assert with_summary.read_bytes() == expected.encode()
-    assert json.loads(summary.read_text())["rows"] == rows
+    payload = json.loads(summary.read_text())
+    assert payload["rows"] == []
+    assert [payload[key] for key in ("max_pairwise_abs", "max_pairwise_relative")] == \
+        [_literal(report.max_pairwise_abs), _literal(report.max_pairwise_relative)]
+    assert payload["method"] == report.method
 
 
 @pytest.fixture
@@ -768,22 +789,25 @@ def test_kernel_artifact_holds_no_slice_sized_array(tmp_path, monkeypatch):
     assert peak < 0.25 * kernel_bytes, f"peak {peak} B for a {kernel_bytes} B kernel"
 
 
-def test_symbol_artifact_holds_no_row_table(tmp_path, monkeypatch):
+@pytest.mark.parametrize("summary", [False, True], ids=["without-summary", "with-summary"])
+def test_symbol_artifact_holds_no_row_table(tmp_path, monkeypatch, summary):
     """symbol builds its rows block by block from the α-symbols, so the
-    α·n² × 6 table of its rows is never held: the shipped quartic config
-    (G = 16, N = 2, three α) is traced formatting serially.  The peak, 5.3 MB,
-    is mostly the three symbols and the target; the table alone is 9.4 MB."""
+    α·n² × 6 table of its rows is never held, nor its text, with or without
+    a summary: the shipped quartic config (G = 16, N = 2, three α) is traced
+    formatting serially.  The peak, 5.3 MB, is mostly the three symbols and
+    the target; the table alone is 9.4 MB."""
     import tracemalloc
 
     import ncpath.cli
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     out = tmp_path / "symbol.csv"
+    flags = ["--out", str(out), *(["--summary", str(tmp_path / "symbol.json")] if summary else [])]
     small = _kernel_config(tmp_path, points=4, form="quartic")
-    assert ncpath.cli.main(["symbol", "--config", small, "--out", str(out)]) == 0  # the imports
+    assert ncpath.cli.main(["symbol", "--config", small, *flags]) == 0  # the imports
     tracemalloc.start()
     try:
-        code = ncpath.cli.main(["symbol", "--config", QUARTIC, "--out", str(out)])
+        code = ncpath.cli.main(["symbol", "--config", QUARTIC, *flags])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -91,6 +91,28 @@ def _grid():
     _refused("total_time", lambda: slicer.SlicingConfig(0, "1", 0.0, PhysicsParams()),
              "must be numeric", "total_time-string"),
     _refused("hbar", lambda: PhaseSpaceGrid(8, 3.0, 2, hbar=np.nan), id="hbar-grid-nan"),
+    # phase-space points are read, not converted, and named by their parameter
+    _refused("k", lambda: ThetaMatrix.single_block(2, 0.1).shift(["1", True]),
+             "must be numeric", "k-shift"),
+    _refused("u", lambda: Potential.harmonic(1.0, dim=2)(["1", "2"]), "must be numeric",
+             "u-potential"),
+    _refused("x", lambda: evaluate_potential_shifted(
+        Potential.harmonic(1.0, dim=2), ThetaMatrix.zero(2), ["1", "2"], [True, False]),
+        "must be numeric", "x-shifted"),
+    _refused("k", lambda: realize_hamiltonian_symbol(
+        Potential.harmonic(1.0, dim=2), ThetaMatrix.zero(2), PhysicsParams())(["1", 2], [0, 0]),
+        "must be numeric", "k-hamiltonian-symbol"),
+    _refused("k", lambda: weyl.symbol_via_quantizer_trace(
+        star.OperatorKernel(np.eye(4), PhaseSpaceGrid(4, 2.0, 1)), 0.3, ["0.5"], [True]),
+        "must be numeric", "k-quantizer-trace"),
+    _refused("x", lambda: weyl.delta_alpha_matrix_element(
+        0.3, [0.5], [True], PhaseSpaceGrid(4, 2.0, 1)), "must be numeric", "x-quantizer"),
+    _refused("k", lambda: weyl.delta_alpha_matrix_element(
+        0.3, [0.5, 0.5], [0.0], PhaseSpaceGrid(4, 2.0, 1)), r"must be of shape \(1,\)",
+        "k-quantizer-shape"),
+    _refused("alpha", lambda: weyl.shifted_potential_symbol(
+        Potential.quartic(1.0), ThetaMatrix.single_block(2, 0.1), _grid(), -0.5),
+        "the closed-form route divides by", "alpha-closed-form-endpoint"),
 ])
 def test_model_constructors_refuse_non_finite_inputs(key, refusal, build):
     # load_config refuses these keys; the constructors refuse them too, so a

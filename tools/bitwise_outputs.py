@@ -13,8 +13,9 @@ Together these reach every slice route, both table routes and the dense
 route of `propagate`, and all four split-step routes.  It also holds the
 bytes of `ncpath kernel` artifacts on the shipped configs at G = 8: the
 factorized route at α ∈ {0.3, 1/2}, V = 0, the quartic config's grouped
-route and --compose.  `compare` exits 1 if any array differs in shape or in
-a single byte.
+route and --compose; and of `ncpath symbol` CSVs on the quartic config at
+G = 8, by the closed-form and the direct method.  `compare` exits 1 if any
+array differs in shape or in a single byte.
 """
 
 import json
@@ -51,30 +52,32 @@ def cases(nc):
                 yield f"N{N}G{G}-{vname}-{tname}", params, V, theta, grid
 
 
-# (shipped config, potential override, flags): every route of `ncpath kernel`
-KERNEL_RUNS = [
-    ("harmonic_shifted", None, ["--alpha", "0.3"]),
-    ("harmonic_shifted", None, ["--alpha", "0.5"]),
-    ("harmonic_shifted", {"form": "zero"}, ["--alpha", "0.3"]),
-    ("quartic_washout", None, ["--alpha", "-0.17"]),
-    ("harmonic_shifted", None, ["--alpha", "0.3", "--compose"]),
+# (command, shipped config, potential override, flags): every route of
+# `ncpath kernel` at m = 2 and both methods of `ncpath symbol`
+CLI_RUNS = [
+    ("kernel", "harmonic_shifted", None, ["--m", "2", "--alpha", "0.3"]),
+    ("kernel", "harmonic_shifted", None, ["--m", "2", "--alpha", "0.5"]),
+    ("kernel", "harmonic_shifted", {"form": "zero"}, ["--m", "2", "--alpha", "0.3"]),
+    ("kernel", "quartic_washout", None, ["--m", "2", "--alpha", "-0.17"]),
+    ("kernel", "harmonic_shifted", None, ["--m", "2", "--alpha", "0.3", "--compose"]),
+    ("symbol", "quartic_washout", None, ["--method", "closed-form"]),
+    ("symbol", "quartic_washout", None, ["--method", "direct"]),
 ]
 
 
-def kernel_artifacts(cli):
-    """(name, artifact bytes) of each KERNEL_RUNS command at m = 2 on G = 8."""
+def cli_artifacts(cli):
+    """(name, artifact bytes) of each CLI_RUNS command on G = 8."""
     with tempfile.TemporaryDirectory() as work:
-        config_path, out = Path(work) / "config.json", Path(work) / "kernel.txt"
-        for stem, potential, flags in KERNEL_RUNS:
+        config_path, out = Path(work) / "config.json", Path(work) / "artifact.txt"
+        for command, stem, potential, flags in CLI_RUNS:
             config = json.loads((CONFIGS / f"{stem}.json").read_text())
             config["grid"]["points_per_axis"] = 8
             if potential is not None:
                 config["potential"] = potential
             config_path.write_text(json.dumps(config))
-            if cli.main(["kernel", "--config", str(config_path), "--m", "2", *flags,
-                         "--out", str(out)]):
-                raise SystemExit(f"ncpath kernel failed on {stem} {flags}")
-            name = f"kernel/{stem}{'-zero' if potential else ''}/{' '.join(flags)}"
+            if cli.main([command, "--config", str(config_path), *flags, "--out", str(out)]):
+                raise SystemExit(f"ncpath {command} failed on {stem} {flags}")
+            name = f"{command}/{stem}{'-zero' if potential else ''}/{' '.join(flags)}"
             yield name, np.frombuffer(out.read_bytes(), dtype=np.uint8)
 
 
@@ -96,7 +99,7 @@ def dump(out):
                     nc.propagate(cfg, V, theta, grid, probe).values
         arrays[f"split_step/{name}"] = nc.split_step_evolve(probe, V, theta, params, 0.4, 5).values
         arrays[f"star_apply/{name}"] = nc.star_apply(V, theta, probe).values
-    arrays.update(kernel_artifacts(ncpath.cli))
+    arrays.update(cli_artifacts(ncpath.cli))
     np.savez(out, **arrays)
     print(f"{len(arrays)} arrays written to {out}")
 
