@@ -19,7 +19,8 @@ is a real table on the commuting pair (x_b, k_a): one FFT along axis a, a
 multiply by a G×G table and one inverse FFT, with the sums of the tables'
 extremes as rigorous bounds (`_factored_hamiltonian`, no n×n array).  Any
 other V forms the Hermitian part in the dense H's own array and bounds it
-by Gershgorin discs (`_dense_hamiltonian`, one n×n array).
+by Gershgorin discs (`_dense_reference`, the one dense helper, which
+`chebyshev_evolve` runs on a new array).
 
 The split-step route alternates exact kinetic steps in momentum space with
 mixed-domain phase steps e^{-(i/ħ) δt V(x + θk)}.  Because the x- and
@@ -162,34 +163,25 @@ def chebyshev_evolve(H: OperatorKernel, T: float, psi: ComplexField,
     H is left as it was: A goes into a new n×n array, so the call holds
     two.  A `stats` dict also receives "hermiticity_deviation".
     """
-    herm = np.empty_like(H.entries)
-    dev = _hermitian_part(H, herm)
+    matvec, lo, hi, dev = _dense_reference(H, np.empty_like(H.entries))
     if stats is not None:
         stats["hermiticity_deviation"] = dev
-    return _chebyshev_series(herm.__matmul__, *_gershgorin_bounds(herm, H.grid), H.grid, T,
-                             psi, stats)
+    return _chebyshev_series(matvec, lo, hi, H.grid, T, psi, stats)
 
 
-def _gershgorin_bounds(herm: np.ndarray, grid: PhaseSpaceGrid):
-    """(lo, hi) around the spectrum of the Hermitian array `herm`: its
-    Gershgorin discs, the row sums taken one `_row_blocks` slice at a time."""
-    diag = herm.diagonal().real
-    radius = np.concatenate([np.sum(np.abs(herm[rows]), axis=1) for rows in _row_blocks(grid)])
-    radius -= np.abs(diag)
-    return float(np.min(diag - radius)), float(np.max(diag + radius))
+def _dense_reference(H: OperatorKernel, out: np.ndarray):
+    """(matvec, lo, hi, deviation) of the Hermitian part A of H·Δx^N, written into `out`.
 
-
-def _dense_hamiltonian(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceGrid,
-                       params: PhysicsParams):
-    """(matvec, lo, hi, deviation) of the Hermitian part A of the dense H·Δx^N.
-
-    A is formed in H's own array (`_hermitian_part`), so the matvec holds
-    the one n×n array; [lo, hi] are its Gershgorin bounds and deviation is
-    max|H·Δx^N − (H·Δx^N)†|.  Raises ValueError where H is not Hermitian.
+    `out` may be H.entries itself (`_hermitian_part`); the matvec is A's
+    product, [lo, hi] are A's Gershgorin discs, the row sums taken one
+    `_row_blocks` slice at a time, and deviation is max|H·Δx^N − (H·Δx^N)†|.
+    Raises ValueError where H is not Hermitian.
     """
-    H = build_hamiltonian_matrix(V, theta, grid, params)
-    dev = _hermitian_part(H, H.entries)  # H's array now holds its Hermitian part
-    return (H.entries.__matmul__, *_gershgorin_bounds(H.entries, grid), dev)
+    dev = _hermitian_part(H, out)
+    diag = out.diagonal().real
+    radius = np.concatenate([np.sum(np.abs(out[rows]), axis=1) for rows in _row_blocks(H.grid)])
+    radius -= np.abs(diag)
+    return out.__matmul__, float(np.min(diag - radius)), float(np.max(diag + radius)), dev
 
 
 def _factored_hamiltonian(factors, grid: PhaseSpaceGrid, params: PhysicsParams):
@@ -412,7 +404,7 @@ def oracle_compare(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceGrid,
     with exact spectral bounds, and no n×n array exists
     (`_factored_hamiltonian`); any other V builds the dense H and forms its
     Hermitian part in H's own array, one n×n array freed before the slices
-    are built (`_dense_hamiltonian`).  A `timings` dict receives the seconds
+    are built (`_dense_reference`).  A `timings` dict receives the seconds
     of that one-off evaluation (H build included) under "reference", each
     m's propagation seconds under m, "reference_route" ("axis-factored" or
     "dense"), and the series' "terms", "spectral_bounds" and
@@ -427,7 +419,9 @@ def oracle_compare(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceGrid,
     t0 = time.perf_counter()
     factors = _axis_factors(V, theta)
     if factors is None:
-        route, (matvec, lo, hi, dev) = "dense", _dense_hamiltonian(V, theta, grid, params)
+        H = build_hamiltonian_matrix(V, theta, grid, params)
+        route, (matvec, lo, hi, dev) = "dense", _dense_reference(H, H.entries)
+        del H  # the matvec holds its one array
     else:
         route, (matvec, lo, hi, dev) = "axis-factored", _factored_hamiltonian(factors, grid,
                                                                               params)

@@ -17,19 +17,14 @@ so ordering (α) independence of the continuum limit reduces to exact
 of Φ.  Everything here runs in exact rational arithmetic, so those
 identities are checked as exact equalities, never against a tolerance.
 
-Block form: Q is real, and μ_a^i touches only the four sources J, Z at
-slices a-1, a of component i with component-free weights, so Q is
-block-diagonal in the component index.  `build_phi` stores its second
-partials as three (m+1)×(m+1) real-Fraction blocks (JJ, JZ, ZZ) shared by
-every component, each entry a four-term sum of closed-form D⁻¹ entries
-(O(m²) work, independent of the dimension), plus the linear parts and the
-constant, which alone depend on the boundary points.  The derivative
-reports index those blocks: the L prefactors combine with the overall i
-into the real factor 1 (first derivatives) and -iħ/ε (second), so a report
-wraps real products into `GaussianRational` only at its return.
-`PhiForm.polynomial` is a lazily built monomial view of the same blocks;
-`apply_L` and `apply_L_to_exp` work on that view, and `apply_L_to_exp` is
-where Gaussian rationals genuinely mix powers of i.
+Block form: Q is real and block-diagonal in the component index, so
+`build_phi` stores its second partials as three (m+1)×(m+1) real-Fraction
+blocks (JJ, JZ, ZZ) shared by every component (O(m²) work), plus the
+linear parts and the constant, which alone carry the boundary points.  The
+derivative reports index those blocks; `apply_L` and `apply_L_to_exp` work
+on their monomial view `PhiForm.polynomial`.  All four refuse the same
+labels (`_check_labels`); counts and run parameters are read exactly
+(`_slice_count`, `_exact`), and a bad one is refused by name.
 
 Index conventions: sources J_a^i, Z_a^i carry slice labels a = 0..m and
 components i = 0..N-1; μ is labelled a = 1..m; the slice step is
@@ -55,7 +50,6 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=_ZERO, im=_ZERO):
-        # a part that is already a Fraction is kept as it is
         self.re = re if type(re) is Fraction else Fraction(re)
         self.im = im if type(im) is Fraction else Fraction(im)
 
@@ -124,14 +118,37 @@ GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
 
 
-# -- the tridiagonal second-difference matrix --------------------------------
+# -- readers and the tridiagonal second-difference matrix --------------------
+
+
+def _slice_count(m, key: str) -> int:
+    """A slice count: an integer of at least 1, never a bool."""
+    if not isinstance(m, numbers.Integral) or isinstance(m, bool) or m < 1:
+        raise ValueError(f"{key}: need an integer of at least 1 (got {m!r})")
+    return int(m)
+
+
+def _exact(value, key: str) -> Fraction:
+    """A number as a Fraction, a float converted exactly; a bool or a
+    non-finite float is refused."""
+    if not isinstance(value, bool):
+        if isinstance(value, numbers.Rational):
+            return Fraction(int(value.numerator), int(value.denominator))
+        if isinstance(value, numbers.Real) and math.isfinite(value):
+            return Fraction(float(value))
+    raise ValueError(f"{key}: must be a finite number (got {value!r})")
+
+
+def _positive(value, key: str) -> Fraction:
+    number = _exact(value, key)
+    if number <= 0:
+        raise ValueError(f"{key}: must be positive (got {value!r})")
+    return number
 
 
 def d_det(m: int) -> int:
     """Determinant of the m×m matrix 2δ_ab - δ_{a+1,b} - δ_{a,b+1}: m + 1."""
-    if m < 1:
-        raise ValueError("m: need at least one interior slice")
-    return m + 1
+    return _slice_count(m, "m") + 1
 
 
 def d_inverse_entry(m: int, a: int, b: int) -> Fraction:
@@ -143,14 +160,13 @@ def d_inverse_entry(m: int, a: int, b: int) -> Fraction:
 
 
 def dense_d_matrix(m: int):
-    """The m×m matrix itself, written out in full as rows of plain ints.
+    """The m×m matrix written out as rows of plain ints.
 
     Every entry is stored, zeros included, so that the dense oracles
     (`bareiss_determinant`, the audit's product with the closed-form
     inverse) see a general matrix and not the band.
     """
-    if m < 1:
-        raise ValueError("m: need at least one interior slice")
+    m = _slice_count(m, "m")
     return [[2 if a == b else (-1 if abs(a - b) == 1 else 0) for b in range(m)]
             for a in range(m)]
 
@@ -158,8 +174,7 @@ def dense_d_matrix(m: int):
 def _padded_d_numerators(m: int):
     """The engine's D⁻¹: (m+1)·D⁻¹ as integers on labels 0..m+1, zero outside 1..m.
 
-    `build_phi` and the coordinate-coordinate case table read it, and
-    `run_phi_audit` certifies it against the dense matrix.
+    `build_phi` and the case table read it; `run_phi_audit` certifies it.
     """
     table = [[0] * (m + 2) for _ in range(m + 2)]
     for a in range(1, m + 1):
@@ -253,10 +268,9 @@ def _const(value) -> SourcePolynomial:
 
 @dataclass(frozen=True)
 class PhiContext:
-    """Exact run parameters: slice count, duration, ordering index, constants.
+    """Exact run parameters: slice count, duration, ordering index, ħ and M.
 
-    total_time, alpha, hbar, mass, theta entries and the boundary points are
-    all rationals so every identity downstream is an exact statement.
+    T, α, ħ and M are read as Fractions (`_exact`); T, ħ and M are positive.
     """
 
     slices_m: int
@@ -266,11 +280,11 @@ class PhiContext:
     mass: Fraction = _ONE
 
     def __post_init__(self):
-        m = self.slices_m
-        if not isinstance(m, numbers.Integral) or isinstance(m, bool) or m < 1:
-            raise ValueError(f"slices_m: need an integer of at least 1 (got {m!r})")
-        if self.total_time <= 0:
-            raise ValueError("total_time: must be positive")
+        # frozen: store each field as read
+        object.__setattr__(self, "slices_m", _slice_count(self.slices_m, "slices_m"))
+        for key, read in (("total_time", _positive), ("alpha", _exact),
+                          ("hbar", _positive), ("mass", _positive)):
+            object.__setattr__(self, key, read(getattr(self, key), key))
         if not -_HALF <= self.alpha <= _HALF:
             raise ValueError("alpha: ordering index must lie in [-1/2, 1/2]")
 
@@ -286,9 +300,8 @@ class PhiForm:
     not depend on the component, so one (m+1)×(m+1) table each holds the
     second partials ∂²Q/∂J_a∂J_b (`jj`), ∂²Q/∂J_a∂Z_b (`jz`) and
     ∂²Q/∂Z_a∂Z_b (`zz`).  `lin_j[a][i]`, `lin_z[a][i]` are the linear
-    coefficients and `q0` the value at zero sources.  θ (rational,
-    antisymmetric) never enters Φ itself — it only appears in the derivative
-    operators applied to it.
+    coefficients and `q0` the value at zero sources.  θ never enters Φ
+    itself, only the derivative operators applied to it.
     """
 
     def __init__(self, ctx: PhiContext, theta, x_f, x_in, jj, jz, zz, lin_j, lin_z, q0):
@@ -299,7 +312,7 @@ class PhiForm:
         self.dim = len(x_f)
         self.jj, self.jz, self.zz = jj, jz, zz
         self.lin_j, self.lin_z, self.q0 = lin_j, lin_z, q0
-        # second-report weights: c = -ħ/ε, c·θ and c·θθᵀ
+        # c = -ħ/ε (L's prefactor is ic), c·θ and c·θθᵀ
         c = -ctx.hbar / ctx.epsilon
         self._weights = (
             c,
@@ -382,7 +395,7 @@ def build_phi(ctx: PhiContext, theta, x_f, x_in) -> PhiForm:
     n = m + 1
     eps = ctx.epsilon
     M = ctx.mass
-    alpha = Fraction(ctx.alpha)
+    alpha = ctx.alpha
     # u = U/den, w = W/den with integer U, W keep the block sums integral
     den = alpha.denominator
     U = den + 2 * alpha.numerator
@@ -428,18 +441,22 @@ def build_phi(ctx: PhiContext, theta, x_f, x_in) -> PhiForm:
 # -- derivative operators -----------------------------------------------------
 
 
-def _l_prefactor(ctx: PhiContext) -> GaussianRational:
-    # ħ/(iε) = -i ħ/ε
-    return GaussianRational(_ZERO, -ctx.hbar / ctx.epsilon)
+def _check_labels(phi: PhiForm, slices, components):
+    m = phi.ctx.slices_m
+    if not all(0 <= a <= m for a in slices):
+        raise ValueError("slice label out of range")
+    if not all(0 <= i < phi.dim for i in components):
+        raise ValueError("component out of range")
 
 
 def _apply_l_once(poly: SourcePolynomial, phi: PhiForm, a: int, i: int) -> SourcePolynomial:
+    _check_labels(phi, (a,), (i,))
     out = poly.differentiate(("J", a, i))
     for l in range(phi.dim):
         t = phi.theta[i][l]
         if t:
             out = out + poly.differentiate(("Z", a, l)).scale(t)
-    return out.scale(_l_prefactor(phi.ctx))
+    return out.scale(GaussianRational(_ZERO, phi._weights[0]))
 
 
 def apply_L(phi: PhiForm, indices) -> SourcePolynomial:
@@ -452,8 +469,6 @@ def apply_L(phi: PhiForm, indices) -> SourcePolynomial:
         raise ValueError("indices: need at least one derivative")
     poly = phi.polynomial
     for a, i in indices:
-        if not 0 <= a <= phi.ctx.slices_m:
-            raise ValueError("slice label out of range")
         poly = _apply_l_once(poly, phi, a, i)
     return poly
 
@@ -490,14 +505,6 @@ class FirstDerivativeReport:
     @property
     def total(self) -> GaussianRational:
         return self.coordinate_route + self.momentum_route
-
-
-def _check_labels(phi: PhiForm, slices, components):
-    m = phi.ctx.slices_m
-    if not all(0 <= a <= m for a in slices):
-        raise ValueError("slice label out of range")
-    if not all(0 <= i < phi.dim for i in components):
-        raise ValueError("component out of range")
 
 
 def first_derivative_report(phi: PhiForm, a: int, i: int) -> FirstDerivativeReport:
@@ -557,13 +564,10 @@ def midslice_limit_check(m: int, T) -> tuple:
     T²·m/(m+1) exactly, so it tends to T² ≠ 0 as the slicing refines; the
     exact gap to T² is T²/(m+1).  Requires even m and T > 0.
     """
-    if m < 1:
-        raise ValueError("m: need at least one interior slice")
+    m = _slice_count(m, "m")
     if m % 2:
         raise ValueError("m: the middle slice needs an even slice count")
-    T = Fraction(T)
-    if T <= 0:
-        raise ValueError("total_time: must be positive")
+    T = _positive(T, "total_time")
     eps = Fraction(T, m + 1)
     a = m // 2
     value = eps * eps * (4 * a * (m - a) + m)
@@ -590,9 +594,9 @@ class AuditReport:
 def bareiss_determinant(matrix) -> Fraction:
     """Exact determinant of a square matrix by fraction-free elimination.
 
-    This is the audit's general dense oracle for det D = m + 1: it uses no
-    structure of the matrix.  Entries may be ints, Fractions or anything
-    `Fraction()` takes exactly (floats included).  Each row with a non-int
+    The audit's general dense oracle for det D = m + 1: it uses no
+    structure of the matrix.  Entries may be anything `Fraction()`
+    takes exactly (ints, Fractions, floats).  Each row with a non-int
     entry is scaled to integers by the lcm of its denominators, and the
     determinant of the integer matrix is divided by the product of those
     lcms.  Step k updates each row below the pivot that is nonzero in the
@@ -653,9 +657,9 @@ def bareiss_determinant(matrix) -> Fraction:
 def _coordinate_coordinate_case(d, m: int, a: int, b: int, alpha: Fraction) -> Fraction:
     """Closed-form bracket of the coordinate-coordinate second derivative.
 
-    Derived from the direct double sum over the inverse coupling matrix,
-    read from the padded table d = (m+1)·D⁻¹; the off-diagonal cases carry
-    an α²-term (-α²/(m+1)) on top of the printed endpoint/diagonal structure.
+    Derived from the direct double sum over D⁻¹, read from the padded table
+    d = (m+1)·D⁻¹; the off-diagonal cases carry a -α²/(m+1) term on top of
+    the printed endpoint/diagonal structure.
     """
     half = _HALF
     if a > b:
@@ -694,11 +698,11 @@ def run_phi_audit(m: int, sample_alphas, dim: int = 2,
     """
     if dim < 2:
         raise ValueError("dim: the audit needs at least two dimensions (θ vanishes in one)")
-    alphas = list(dict.fromkeys(Fraction(a) for a in sample_alphas))
+    alphas = list(dict.fromkeys(_exact(a, "sample_alphas") for a in sample_alphas))
     if len(alphas) < 3:
         raise ValueError("sample_alphas: need at least three distinct values")
     rows = []
-    T = Fraction(total_time)
+    T = _positive(total_time, "total_time")
     n = m + 1
 
     dmat = dense_d_matrix(m)
@@ -729,7 +733,7 @@ def run_phi_audit(m: int, sample_alphas, dim: int = 2,
 
     x_f, x_in = [Fraction(3, 2)] * dim, [Fraction(-2, 3)] * dim
     theta = [[_ZERO] * dim for _ in range(dim)]
-    theta[0][1] = Fraction(theta_value)
+    theta[0][1] = _exact(theta_value, "theta_value")
     theta[1][0] = -theta[0][1]
     forms = {al: build_phi(PhiContext(m, T, al), theta, x_f, x_in) for al in alphas}
     base = alphas[0]

@@ -380,8 +380,58 @@ def test_block_engine_matches_brute_force_reference(case, data):
 
 @pytest.mark.parametrize("m", [True, 2.5, F(3), 0])
 def test_phi_context_refuses_a_slice_count_that_is_not_a_positive_integer(m):
-    with pytest.raises(ValueError, match="slices_m"):
+    with pytest.raises(ValueError, match="^slices_m: "):
         PhiContext(m, F(1), F(0))
+
+
+@pytest.mark.parametrize("call, args", [(d_det, (2.5,)), (d_det, (True,)), (d_det, (0,)),
+                                        (dense_d_matrix, (True,)), (dense_d_matrix, (0,)),
+                                        (midslice_limit_check, (2.0, 1)),
+                                        (midslice_limit_check, (0, 1))])
+def test_slice_counts_are_read_by_one_reader(call, args):
+    # a float or a bool is refused, not taken as a count
+    with pytest.raises(ValueError, match="^m: need an integer of at least 1"):
+        call(*args)
+
+
+@pytest.mark.parametrize("field, value", [("hbar", 0), ("hbar", -1), ("mass", 0),
+                                          ("total_time", 0), ("hbar", True),
+                                          ("mass", float("inf")), ("alpha", "0")])
+def test_phi_context_refuses_a_run_parameter_by_name(field, value):
+    kwargs = {"slices_m": 3, "total_time": F(1), "alpha": F(0), field: value}
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        PhiContext(**kwargs)
+
+
+def test_phi_context_reads_float_parameters_exactly():
+    exact = build_phi(PhiContext(3, F(1), F(0), mass=1), THETA, XF, XIN)
+    floated = build_phi(PhiContext(3, F(1), F(0), mass=1.0), THETA, XF, XIN)
+    assert type(floated.q0) is F and floated.q0 == exact.q0
+    assert floated.polynomial == exact.polynomial
+    for a in range(4):
+        assert first_derivative_report(floated, a, 0) == first_derivative_report(exact, a, 0)
+        assert second_derivative_report(floated, a, 2, 0, 1) == \
+            second_derivative_report(exact, a, 2, 0, 1)
+    ctx = PhiContext(3, 0.5, 0.25)
+    assert (ctx.epsilon, ctx.alpha) == (F(1, 8), F(1, 4))
+
+
+_DERIVATIVE_ENTRIES = {
+    "apply_L": lambda phi, a, i: apply_L(phi, [(a, i)]),
+    "apply_L_to_exp": lambda phi, a, i: apply_L_to_exp(phi, [(a, i)]),
+    "first_derivative_report": first_derivative_report,
+    "second_derivative_report": lambda phi, a, i: second_derivative_report(phi, a, a, i, i),
+}
+
+
+@pytest.mark.parametrize("entry", list(_DERIVATIVE_ENTRIES))
+@pytest.mark.parametrize("a, i, message", [(4, 0, "slice label"), (-1, 0, "slice label"),
+                                           (0, 2, "component"), (0, -1, "component")])
+def test_every_derivative_entry_refuses_the_same_labels(entry, a, i, message):
+    # m = 3 and N = 2: a label past either end would read a wrong entry or none
+    phi = build_phi(PhiContext(3, F(1), F(0)), THETA, XF, XIN)
+    with pytest.raises(ValueError, match=message):
+        _DERIVATIVE_ENTRIES[entry](phi, a, i)
 
 
 def test_reports_reject_labels_out_of_range():

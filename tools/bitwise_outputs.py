@@ -14,8 +14,14 @@ route of `propagate`, and all four split-step routes.  It also holds the
 bytes of `ncpath kernel` artifacts on the shipped configs at G = 8: the
 factorized route at α ∈ {0.3, 1/2}, V = 0, the quartic config's grouped
 route and --compose; and of `ncpath symbol` CSVs on the quartic config at
-G = 8, by the closed-form and the direct method.  `compare` exits 1 if any
-array differs in shape or in a single byte.
+G = 8, by the closed-form and the direct method.  For the spectral oracle
+it holds `oracle_compare` errors with the series' terms, spectral bounds
+and Hermiticity deviation, and `chebyshev_evolve`, on the dense route
+(quartic and Gaussian-well V at θ = 0) and on the axis-factored route
+(harmonic V, one θ pair), at N = 2 and G = 8.  For the exact engine it
+holds, as text bytes, the `run_phi_audit` rows at m = 3 and 4 and the
+values of `apply_L`, `apply_L_to_exp` and both derivative reports on one Φ.
+`compare` exits 1 if any array differs in shape or in a single byte.
 """
 
 import json
@@ -81,6 +87,55 @@ def cli_artifacts(cli):
             yield name, np.frombuffer(out.read_bytes(), dtype=np.uint8)
 
 
+def oracle_arrays(nc):
+    """(name, array) of `oracle_compare` and `chebyshev_evolve` on both reference routes."""
+    params, grid = nc.PhysicsParams(dim=2), nc.PhaseSpaceGrid(8, 4.0, 2)
+    probe = nc.gaussian_packet(grid)
+    models = {
+        "dense-quartic": (nc.Potential.quartic(0.1), nc.ThetaMatrix.zero(2)),
+        "dense-gaussian_well": (nc.Potential.gaussian_well(1.0, 1.5), nc.ThetaMatrix.zero(2)),
+        "factored-harmonic": (nc.Potential.harmonic(1.3, 1.0, dim=2),
+                              nc.ThetaMatrix.single_block(2, 0.15)),
+    }
+    for name, (V, theta) in models.items():
+        stats = {}
+        rows = nc.oracle_compare(V, theta, grid, params, 1.0, [2, 4], probe, timings=stats)
+        yield f"oracle_compare/{name}", np.array(
+            [value for row in rows for value in row]
+            + [stats["terms"], *stats["spectral_bounds"], stats["hermiticity_deviation"]])
+        stats = {}
+        H = nc.build_hamiltonian_matrix(V, theta, grid, params)
+        yield f"chebyshev_evolve/{name}", nc.chebyshev_evolve(H, 1.0, probe, stats).values
+        yield f"chebyshev_evolve/{name}/stats", np.array(
+            [stats["terms"], *stats["spectral_bounds"], stats["hermiticity_deviation"]])
+
+
+def phi_texts():
+    """(name, text bytes) of the audit rows and the derivative values of one Φ."""
+    from fractions import Fraction as F
+
+    from ncpath import phi_engine as pe
+
+    def text(lines):
+        return np.frombuffer("\n".join(map(str, lines)).encode(), dtype=np.uint8)
+
+    for m in (3, 4):
+        report = pe.run_phi_audit(m, [F(-1, 2), F(-1, 4), F(0), F(1, 4), F(1, 2)])
+        yield f"phi_audit/{m}", text(f"{r.name}|{r.passed}|{r.detail}" for r in report.rows)
+    theta = [[F(0), F(1, 10)], [F(-1, 10), F(0)]]
+    phi = pe.build_phi(pe.PhiContext(3, F(3, 2), F(1, 4)), theta, [F(3), F(1)], [F(5), F(-2)])
+    labels = [(a, i) for a in range(4) for i in range(2)]
+    yield "phi_engine/first", text(
+        (pe.first_derivative_report(phi, a, i), sorted(pe.apply_L(phi, [(a, i)]).terms.items()))
+        for a, i in labels)
+    yield "phi_engine/second", text(
+        (pe.second_derivative_report(phi, a, b, i, j), pe.apply_L(phi, [(a, i), (b, j)]).at_zero())
+        for a, i in labels for b, j in labels)
+    yield "phi_engine/exp", text(
+        pe.apply_L_to_exp(phi, labels[k:k + count]) for count in (1, 2, 3, 4)
+        for k in range(0, len(labels) - count + 1, 2))
+
+
 def dump(out):
     import ncpath as nc
     import ncpath.cli
@@ -100,6 +155,8 @@ def dump(out):
         arrays[f"split_step/{name}"] = nc.split_step_evolve(probe, V, theta, params, 0.4, 5).values
         arrays[f"star_apply/{name}"] = nc.star_apply(V, theta, probe).values
     arrays.update(cli_artifacts(ncpath.cli))
+    arrays.update(oracle_arrays(nc))
+    arrays.update(phi_texts())
     np.savez(out, **arrays)
     print(f"{len(arrays)} arrays written to {out}")
 
