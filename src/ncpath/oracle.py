@@ -9,18 +9,21 @@ lattice Hamiltonian exactly (to rounding) in two independent ways: by dense
 diagonalization (`spectral_propagator`, the whole n×n propagator) and by a
 Chebyshev series in H with Bessel coefficients (`chebyshev_evolve`, one
 state from matrix-vector products; Tal-Ezer & Kosloff, J. Chem. Phys. 81,
-3967 (1984)).  Both expand in the Hermitian part of the dense H, formed in
-one strip pass, and the tests hold the series to the diagonalization.  The
-series itself (`_chebyshev_series`) takes a matrix-vector product and
-rigorous spectral bounds, so `oracle_compare` runs it on one of two
-Hamiltonians.  Where V(x + θk) factors by axis (`core._axis_factors`
-decides), H = Σ_a [K_a²/2M + V_b(X_b + θ_ba K_a)] and each term for b ≠ a
-is a real table on the commuting pair (x_b, k_a): one FFT along axis a, a
-multiply by a G×G table and one inverse FFT, with the sums of the tables'
-extremes as rigorous bounds (`_factored_hamiltonian`, no n×n array).  Any
-other V forms the Hermitian part in the dense H's own array and bounds it
-by Gershgorin discs (`_dense_reference`, the one dense helper, which
-`chebyshev_evolve` runs on a new array).
+3967 (1984)).  Both expand in the Hermitian part of the dense H, and the
+tests hold the series to the diagonalization.  One helper turns a dense H
+into that reference operator: `_dense_reference` scales H by Δx^N into a
+given array, forms the Hermitian part there in one strip pass, refuses a
+non-Hermitian or non-finite H and bounds the spectrum by Gershgorin discs.
+`spectral_propagator` and `chebyshev_evolve` run it on a new array, so H
+is left as it was; `oracle_compare` runs it in H's own array.  The series
+itself (`_chebyshev_series`) takes a matrix-vector product and rigorous
+spectral bounds, so `oracle_compare` runs it on one of two Hamiltonians.
+Where V(x + θk) factors by axis (`core._axis_factors` decides),
+H = Σ_a [K_a²/2M + V_b(X_b + θ_ba K_a)] and each term for b ≠ a is a real
+table on the commuting pair (x_b, k_a): one FFT along axis a, a multiply
+by a G×G table and one inverse FFT, with the sums of the tables' extremes
+as rigorous bounds (`_factored_hamiltonian`, no n×n array).  Any other V
+takes the dense route (`_dense_reference`).
 
 The split-step route alternates exact kinetic steps in momentum space with
 mixed-domain phase steps e^{-(i/ħ) δt V(x + θk)}.  Because the x- and
@@ -92,30 +95,16 @@ def build_hamiltonian_matrix(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceG
                           grid)
 
 
-def _hermitian_part(H: OperatorKernel, out: np.ndarray) -> float:
-    """Write the Hermitian part of A = H·Δx^N into `out`; return max|A − A†|.
-
-    One strip pass (`OperatorKernel.adjoint_deviation`) reads each
-    off-diagonal pair once, so `out` may be H.entries itself: then H is
-    overwritten and the Hermitian part is the only n×n array.  Raises
-    ValueError when the deviation exceeds 1e-8 of the largest entry or is
-    NaN (a non-finite entry).
-    """
-    dev, scale = H.adjoint_deviation(H.grid.cell_volume, out=out)
-    if not dev <= 1e-8 * (scale or 1.0):  # a NaN entry fails too
-        raise ValueError(f"Hamiltonian not Hermitian (deviation {dev:.3e})")
-    return dev
-
-
 def spectral_propagator(H: OperatorKernel, T: float) -> PropagatorKernel:
     """e^{-(i/ħ) T H} by dense diagonalization; the reference kernel.
 
-    Input must be Hermitian to tolerance; the Hermitian part is
-    diagonalized, so the result is unitary to rounding.
+    Input must be Hermitian to tolerance (`_dense_reference`, on a new n×n
+    array, so H is left as it was); the Hermitian part is diagonalized, so
+    the result is unitary to rounding.
     """
     grid = H.grid
     herm = np.empty_like(H.entries)
-    _hermitian_part(H, herm)
+    _dense_reference(H, herm)
     evals, evecs = np.linalg.eigh(herm)
     phases = np.exp(-1j * evals * T / grid.hbar)
     entries = (evecs * phases[None, :]) @ evecs.conj().T / grid.cell_volume
@@ -158,8 +147,8 @@ def chebyshev_evolve(H: OperatorKernel, T: float, psi: ComplexField,
                      stats: dict | None = None) -> ComplexField:
     """e^{-(i/ħ) T H} ψ by a Chebyshev series in H; no diagonalization.
 
-    Runs the Hermiticity check of `spectral_propagator` and expands in its
-    Hermitian part A within A's Gershgorin bounds (`_chebyshev_series`).
+    Expands in the Hermitian part A of `_dense_reference`, which also
+    checks H's Hermiticity, within A's Gershgorin bounds (`_chebyshev_series`).
     H is left as it was: A goes into a new n×n array, so the call holds
     two.  A `stats` dict also receives "hermiticity_deviation".
     """
@@ -170,14 +159,21 @@ def chebyshev_evolve(H: OperatorKernel, T: float, psi: ComplexField,
 
 
 def _dense_reference(H: OperatorKernel, out: np.ndarray):
-    """(matvec, lo, hi, deviation) of the Hermitian part A of H·Δx^N, written into `out`.
+    """(matvec, lo, hi, deviation) of the Hermitian part A of S = H·Δx^N, written into `out`.
 
-    `out` may be H.entries itself (`_hermitian_part`); the matvec is A's
-    product, [lo, hi] are A's Gershgorin discs, the row sums taken one
-    `_row_blocks` slice at a time, and deviation is max|H·Δx^N − (H·Δx^N)†|.
-    Raises ValueError where H is not Hermitian.
+    The one place a dense H becomes the reference operator.  S is written
+    into `out`, which may be H.entries itself (then H is overwritten and A
+    is the only n×n array), and one strip pass over it
+    (`OperatorKernel.adjoint_deviation`) writes A in place and gives
+    deviation = max|S − S†|.  The matvec is A's product and [lo, hi] are
+    A's Gershgorin discs, the row sums taken one `_row_blocks` slice at a
+    time.  Raises ValueError when the deviation exceeds 1e-8 of the
+    largest entry or is NaN (a non-finite entry).
     """
-    dev = _hermitian_part(H, out)
+    np.multiply(H.entries, H.grid.cell_volume, out=out)
+    dev, top = OperatorKernel(out, H.grid).adjoint_deviation(out=out)
+    if not dev <= 1e-8 * (top or 1.0):  # a NaN entry fails too
+        raise ValueError(f"Hamiltonian not Hermitian (deviation {dev:.3e})")
     diag = out.diagonal().real
     radius = np.concatenate([np.sum(np.abs(out[rows]), axis=1) for rows in _row_blocks(H.grid)])
     radius -= np.abs(diag)

@@ -23,8 +23,9 @@ blocks (JJ, JZ, ZZ) shared by every component (O(m²) work), plus the
 linear parts and the constant, which alone carry the boundary points.  The
 derivative reports index those blocks; `apply_L` and `apply_L_to_exp` work
 on their monomial view `PhiForm.polynomial`.  All four refuse the same
-labels (`_check_labels`); counts and run parameters are read exactly
-(`_slice_count`, `_exact`), and a bad one is refused by name.
+labels (`_check_labels`: integers in range, never a bool); counts, run
+parameters, boundary points and θ are read exactly (`_slice_count`,
+`_exact`), and a bad one is refused by name.
 
 Index conventions: sources J_a^i, Z_a^i carry slice labels a = 0..m and
 components i = 0..N-1; μ is labelled a = 1..m; the slice step is
@@ -121,9 +122,14 @@ GR_ONE = GaussianRational(1)
 # -- readers and the tridiagonal second-difference matrix --------------------
 
 
+def _integer(value) -> bool:
+    """An int or a NumPy integer, never a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _slice_count(m, key: str) -> int:
     """A slice count: an integer of at least 1, never a bool."""
-    if not isinstance(m, numbers.Integral) or isinstance(m, bool) or m < 1:
+    if not _integer(m) or m < 1:
         raise ValueError(f"{key}: need an integer of at least 1 (got {m!r})")
     return int(m)
 
@@ -358,7 +364,12 @@ class PhiForm:
 
 
 def _rational_theta(theta, dim: int):
-    rows = [[Fraction(theta[r][c]) for c in range(dim)] for r in range(dim)]
+    """θ as N×N Fractions (`_exact`), N = len(x_f); refuses another shape
+    and a θ that is not exactly antisymmetric."""
+    if len(theta) != dim or any(len(row) != dim for row in theta):
+        raise ValueError(f"theta: need {dim}×{dim} entries, one row and column per "
+                         f"component of x_f")
+    rows = [[_exact(v, "theta") for v in row] for row in theta]
     for r in range(dim):
         for c in range(dim):
             if rows[r][c] != -rows[c][r]:
@@ -384,11 +395,15 @@ def build_phi(ctx: PhiContext, theta, x_f, x_in) -> PhiForm:
       ∂²Q/∂J_s∂Z_t = -ε/(2(m+1)) [u(d₁₁ - d₁₀) + w(d₀₁ - d₀₀)],
       ∂²Q/∂Z_s∂Z_t = M δ_st - M/(m+1) [d₁₁ - d₁₀ - d₀₁ + d₀₀].
     The linear parts use v = D⁻¹c, which is nonzero on a = 1..m only.
+
+    x_f, x_in and every θ entry are read exactly (`_exact`); x_in must match
+    x_f's length and θ be N×N (`_rational_theta`), or the ValueError names
+    the field.
     """
-    x_f = [Fraction(v) for v in x_f]
-    x_in = [Fraction(v) for v in x_in]
+    x_f = [_exact(v, "x_f") for v in x_f]
+    x_in = [_exact(v, "x_in") for v in x_in]
     if len(x_f) != len(x_in):
-        raise ValueError("boundary points must share a dimension")
+        raise ValueError(f"x_in: need {len(x_f)} components, as many as x_f (got {len(x_in)})")
     dim = len(x_f)
     theta_q = _rational_theta(theta, dim)
     m = ctx.slices_m
@@ -442,11 +457,14 @@ def build_phi(ctx: PhiContext, theta, x_f, x_in) -> PhiForm:
 
 
 def _check_labels(phi: PhiForm, slices, components):
+    """Slice labels 0..m and components 0..N-1, each an int or a NumPy
+    integer, never a bool; `type(x) is int` passes a plain int at once."""
     m = phi.ctx.slices_m
-    if not all(0 <= a <= m for a in slices):
-        raise ValueError("slice label out of range")
-    if not all(0 <= i < phi.dim for i in components):
-        raise ValueError("component out of range")
+    if not all((type(a) is int or _integer(a)) and 0 <= a <= m for a in slices):
+        raise ValueError(f"slice label: need an integer from 0 to {m} (got {slices!r})")
+    if not all((type(i) is int or _integer(i)) and 0 <= i < phi.dim for i in components):
+        raise ValueError(f"component: need an integer from 0 to {phi.dim - 1} "
+                         f"(got {components!r})")
 
 
 def _apply_l_once(poly: SourcePolynomial, phi: PhiForm, a: int, i: int) -> SourcePolynomial:

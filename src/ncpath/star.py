@@ -97,9 +97,9 @@ class OperatorKernel:
         self.grid.require_same(other.grid)
         return OperatorKernel(self.entries @ other.entries * self.grid.cell_volume, self.grid)
 
-    def adjoint_deviation(self, scale: float | None = None, out=None):
-        """(max|S − S†|, max|S|) for S = scale·entries (the entries if scale
-        is None), reduced strip by strip; a NaN entry gives NaN for both.
+    def adjoint_deviation(self, out=None):
+        """(max|S − S†|, max|S|) for the entries S, reduced strip by strip; a
+        NaN entry gives NaN for both.
 
         For each `core._row_blocks` slice `rows` starting at row s, the upper
         strip S[rows, s:] is held against a C-ordered copy of the column
@@ -116,9 +116,6 @@ class OperatorKernel:
             upper = self.entries[rows, start:]
             # a C-ordered copy: ufuncs on the strided column view buffer a second one
             adjoint = np.array(self.entries[start:, rows].T, order="C")
-            if scale is not None:
-                upper = upper * scale
-                adjoint *= scale
             # both sums go through one C-ordered strip: a ufunc writing a
             # strided view of `out` buffers its operands, an assignment does not
             work = np.empty_like(upper)
@@ -136,10 +133,6 @@ class OperatorKernel:
                 out[rows, start:] = work
             del upper, adjoint, work  # before the next block allocates its strips
         return float(np.max(devs)), float(np.max(tops))
-
-    def hermiticity_deviation(self) -> float:
-        """max|A − A†| over all lattice pairs, reduced row block by row block."""
-        return self.adjoint_deviation()[0]
 
 
 def identity_kernel(grid: PhaseSpaceGrid) -> OperatorKernel:

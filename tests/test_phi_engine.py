@@ -426,12 +426,47 @@ _DERIVATIVE_ENTRIES = {
 
 @pytest.mark.parametrize("entry", list(_DERIVATIVE_ENTRIES))
 @pytest.mark.parametrize("a, i, message", [(4, 0, "slice label"), (-1, 0, "slice label"),
-                                           (0, 2, "component"), (0, -1, "component")])
+                                           (0, 2, "component"), (0, -1, "component"),
+                                           (0.5, 0, "slice label"), (True, 0, "slice label"),
+                                           ("1", 0, "slice label"), (0, 0.5, "component"),
+                                           (0, True, "component"), (0, "1", "component")])
 def test_every_derivative_entry_refuses_the_same_labels(entry, a, i, message):
-    # m = 3 and N = 2: a label past either end would read a wrong entry or none
+    # m = 3 and N = 2: a label past either end would read a wrong entry or
+    # none, and True would read label 1
     phi = build_phi(PhiContext(3, F(1), F(0)), THETA, XF, XIN)
     with pytest.raises(ValueError, match=message):
         _DERIVATIVE_ENTRIES[entry](phi, a, i)
+
+
+@pytest.mark.parametrize("entry", list(_DERIVATIVE_ENTRIES))
+def test_every_derivative_entry_reads_numpy_integer_labels(entry):
+    import numpy as np
+    phi = build_phi(PhiContext(3, F(1), F(1, 5)), THETA, XF, XIN)
+    run = _DERIVATIVE_ENTRIES[entry]
+    assert run(phi, np.int64(2), np.int32(1)) == run(phi, 2, 1)
+
+
+@pytest.mark.parametrize("theta, x_f, x_in, field", [
+    (THETA, [True, F(1, 2)], XIN, "x_f"),
+    (THETA, [float("nan"), F(1)], XIN, "x_f"),
+    (THETA, XF, ["1/2", F(1)], "x_in"),
+    (THETA, XF, [F(5), F(-2), F(0)], "x_in"),
+    ([["0", "1/10"], ["-1/10", "0"]], XF, XIN, "theta"),
+    ([[F(0)] * 3] * 3, XF, XIN, "theta"),
+    ([[F(0)]], XF, XIN, "theta"),
+    ([[F(0), F(1, 10)], [F(-1, 10)]], XF, XIN, "theta"),
+], ids=["bool", "nan", "string-point", "x_in-length", "string-theta", "theta-3x3",
+        "theta-1x1", "ragged"])
+def test_build_phi_refuses_a_point_or_theta_by_name(theta, x_f, x_in, field):
+    with pytest.raises(ValueError, match=f"^{field}"):
+        build_phi(PhiContext(3, F(1), F(0)), theta, x_f, x_in)
+
+
+def test_build_phi_reads_float_points_and_theta_exactly():
+    ctx, halves = PhiContext(3, F(1), F(1, 5)), [[F(0), F(1, 2)], [F(-1, 2), F(0)]]
+    floated = build_phi(ctx, [[0.0, 0.5], [-0.5, 0.0]], [3.0, 1], [5, -2.0])
+    assert floated.polynomial == build_phi(ctx, halves, XF, XIN).polynomial
+    assert build_phi(ctx, [[0.0, 0.1], [-0.1, 0.0]], XF, XIN).theta[0][1] == F(0.1)
 
 
 def test_reports_reject_labels_out_of_range():

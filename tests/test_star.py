@@ -216,7 +216,7 @@ def test_potential_kernel_hermitian_harmonic():
     grid = PhaseSpaceGrid(16, 6.0, 2)
     theta = ThetaMatrix.single_block(2, 0.1)
     kern = potential_operator_kernel(Potential.harmonic(1.0, 1.0, dim=2), theta, grid)
-    assert kern.hermiticity_deviation() < 1e-10
+    assert kern.adjoint_deviation()[0] < 1e-10
 
 
 def test_hermiticity_deviation_matches_literal_and_keeps_nan():
@@ -227,12 +227,12 @@ def test_hermiticity_deviation_matches_literal_and_keeps_nan():
     rng = np.random.default_rng(5)
     entries = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     literal = float(np.max(np.abs(entries - entries.conj().T)))
-    assert OperatorKernel(entries, grid).hermiticity_deviation() == literal
+    assert OperatorKernel(entries, grid).adjoint_deviation()[0] == literal
     for where in [(9, 2), (2, 9)]:
         poisoned = entries.copy()
         poisoned[where] = np.nan
-        assert np.isnan(OperatorKernel(poisoned, grid).hermiticity_deviation())
-        assert np.isnan(OperatorKernel(poisoned, grid).adjoint_deviation()[1])
+        dev, top = OperatorKernel(poisoned, grid).adjoint_deviation()
+        assert np.isnan(dev) and np.isnan(top)
 
 
 @pytest.mark.parametrize("G, N", [(4, 2), (3, 3), (5, 1)])
@@ -246,15 +246,15 @@ def test_strip_pass_writes_the_hermitian_part_in_place(G, N):
     n = grid.size
     general = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     for entries in [general, general + general.T, np.conjugate(general.real + 0j)]:
-        scaled = entries * 0.3
+        scaled = entries * 0.3  # the caller scales first, as `oracle._dense_reference` does
         literal = (scaled + scaled.conj().T) * 0.5
-        fresh = np.empty_like(entries)
-        kern = OperatorKernel(entries.copy(), grid)
-        dev, top = kern.adjoint_deviation(0.3, out=fresh)
+        fresh = np.empty_like(scaled)
+        kern = OperatorKernel(scaled.copy(), grid)
+        dev, top = kern.adjoint_deviation(out=fresh)
         assert (dev, top) == (float(np.max(np.abs(scaled - scaled.conj().T))),
                               float(np.max(np.abs(scaled))))
         assert fresh.tobytes() == literal.tobytes()
-        assert kern.adjoint_deviation(0.3, out=kern.entries) == (dev, top)
+        assert kern.adjoint_deviation(out=kern.entries) == (dev, top)
         assert kern.entries.tobytes() == literal.tobytes()
 
 

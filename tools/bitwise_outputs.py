@@ -18,9 +18,11 @@ G = 8, by the closed-form and the direct method.  For the spectral oracle
 it holds `oracle_compare` errors with the series' terms, spectral bounds
 and Hermiticity deviation, and `chebyshev_evolve`, on the dense route
 (quartic and Gaussian-well V at θ = 0) and on the axis-factored route
-(harmonic V, one θ pair), at N = 2 and G = 8.  For the exact engine it
-holds, as text bytes, the `run_phi_audit` rows at m = 3 and 4 and the
-values of `apply_L`, `apply_L_to_exp` and both derivative reports on one Φ.
+(harmonic V, one θ pair), at N = 2 and G = 8, with `spectral_propagator`
+at T = 1 and the `adjoint_deviation` pair of each of those models' dense
+H.  For the exact engine it holds, as text bytes, the `run_phi_audit` rows
+at m = 3 and 4 and the values of `apply_L`, `apply_L_to_exp` and both
+derivative reports on one Φ.
 `compare` exits 1 if any array differs in shape or in a single byte.
 """
 
@@ -88,7 +90,8 @@ def cli_artifacts(cli):
 
 
 def oracle_arrays(nc):
-    """(name, array) of `oracle_compare` and `chebyshev_evolve` on both reference routes."""
+    """(name, array) of `oracle_compare` and `chebyshev_evolve` on both reference routes,
+    and `spectral_propagator` and the `adjoint_deviation` pair of each model's dense H."""
     params, grid = nc.PhysicsParams(dim=2), nc.PhaseSpaceGrid(8, 4.0, 2)
     probe = nc.gaussian_packet(grid)
     models = {
@@ -108,6 +111,8 @@ def oracle_arrays(nc):
         yield f"chebyshev_evolve/{name}", nc.chebyshev_evolve(H, 1.0, probe, stats).values
         yield f"chebyshev_evolve/{name}/stats", np.array(
             [stats["terms"], *stats["spectral_bounds"], stats["hermiticity_deviation"]])
+        yield f"spectral_propagator/{name}", nc.spectral_propagator(H, 1.0).entries
+        yield f"adjoint_deviation/{name}", np.array(H.adjoint_deviation())
 
 
 def phi_texts():
