@@ -136,8 +136,8 @@ def _formatted_rows(separators, block, count):
     in order: 2-D float tables of the first block's size, each number printed
     as `'%.17g'` prints it and followed by its column's separator byte.
 
-    The text is bytes from `float_text.BlockFormatter`, which this process
-    loads and sets up before any fork; it sizes its own render calls.
+    The text is bytes from `float_text.BlockFormatter`, which sizes its own
+    render calls.
     block(i) may build its table when called (`ncpath kernel` gathers a
     slice block from per-axis tables) and may reuse one buffer, since a
     block is rendered whole before the next is asked for.  The blocks are

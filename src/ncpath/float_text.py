@@ -1,7 +1,7 @@
 """Render float64 row blocks as exactly the bytes Python's '%.17g' prints.
 
 `BlockFormatter(separators)(table)` yields the text of a 2-D float table,
-each value followed by the separator of its column, as bytes-like chunks of
+each value followed by the separator of its column, as bytes chunks of
 whole rows; `ncpath kernel` and `ncpath symbol` write their artifacts with it.
 
 Every value is printed with 17 significant digits, correctly rounded (ties
@@ -14,7 +14,7 @@ and fraction are known to about 10^-14; the 17-digit integer is that product
 rounded to nearest.  The digits come from a table of 4-digit groups, and each
 value's text is laid out in a fixed 48-byte slot that holds every character
 any spelling can use, with NUL in the places this value does not use; one
-`bytearray.translate` drops the NULs and joins the slots.
+`bytes.translate` drops the NULs and joins the slots.
 
 A value is handed to Python's '%.17g' instead when the product cannot
 decide its digits: a fraction within 2^-40 of ½ (a possible exact tie), a
@@ -22,12 +22,11 @@ product outside [10^16, 10^17) (log10 off by one, or rounding up to 10^17),
 |x| outside [1e-250, 1e250] (where the tables and the product stop), and NaN
 or ±inf.  Zero needs no product: it prints as 0 or -0.
 
-A formatter sizes its work arrays once, from its separators, for
-⌊4096 / columns⌋ rows (one row at least), and renders any table in calls of
-that many rows, so the caller never chooses a size and each call reuses the
-same memory.  At 4096 values they take 7 float rows, 7 integer rows and the
-48-byte slots, 0.66 MB; the slot masks are written into float rows that are
-dead by then.
+A formatter renders any table in calls of ⌊4096 / columns⌋ rows (one row
+at least), so the caller never chooses a size.  It keeps only its separator
+words between calls: each call works in fresh NumPy temporaries, about
+1.3 MB traced at 4096 values (the float and integer rows, the 48-byte slots,
+their masks and the joined bytes), all freed when the call returns.
 """
 
 from __future__ import annotations
@@ -118,60 +117,31 @@ class BlockFormatter:
     def __init__(self, separators: bytes):
         self._separators = np.frombuffer(separators, np.uint8).astype(_U64) << 40
         self._rows = max(1, _CALL_VALUES // len(separators))
-        n = self._rows * len(separators)
-        self._floats = np.empty((7, n))
-        self._ints = np.empty((7, n), np.int64)
-        self._slots = bytearray(8 * _SLOT * n)
-        self._words = np.frombuffer(self._slots, _U64).reshape(n, _SLOT)
 
     def __call__(self, table):
-        """Yield the text of table, one bytes-like chunk per `self._rows` rows."""
+        """Yield the text of table, one bytes chunk per `self._rows` rows."""
         for lo in range(0, len(table), self._rows):
             yield self._render(np.ascontiguousarray(table[lo:lo + self._rows], np.float64))
 
     def _render(self, table):
-        rows, cols = table.shape
         x = table.reshape(-1)
-        n = x.size
-        a, p, ah, al, u, s, t = (row[:n] for row in self._floats)
-        e, n17, g1, g2, g3, g4, tmp = (row[:n] for row in self._ints)
 
         # N = |x|·10^(16-X) rounded to an integer, with X = ⌊log10|x|⌋
-        np.abs(x, out=a)
+        a = np.abs(x)
         zero = a == 0
         ok = (a >= _TINY) & (a <= _HUGE)
-        np.copyto(a, 1.0, where=~ok)            # keeps log10 and the tables in range
-        np.log10(a, out=t)
-        np.floor(t, out=t)
-        np.copyto(e, t, casting="unsafe")
-        e -= _LOW                               # X as an index of the power tables
-        _HI.take(e, out=u)
-        np.multiply(a, u, out=p)                # p + t = a·hi exactly (Dekker)
-        np.multiply(a, _SPLIT, out=ah)
-        np.subtract(ah, a, out=t)
-        ah -= t
-        np.subtract(a, ah, out=al)
-        _HI_HI.take(e, out=u)
-        _HI_LO.take(e, out=s)
-        np.multiply(ah, u, out=t)
-        t -= p
-        ah *= s
-        t += ah
-        u *= al
-        t += u
-        s *= al
-        t += s
-        _LO.take(e, out=s)
-        s *= a
-        t += s                                  # a·10^P = p + t, to about 10^-14
-        np.floor(t, out=u)
-        t -= u                                  # the fraction
-        np.copyto(n17, p, casting="unsafe")     # p ≥ 2^53 is an integer
-        np.copyto(tmp, u, casting="unsafe")
-        n17 += tmp                              # ⌊a·10^P⌋
-        np.subtract(t, 0.5, out=s)
-        np.abs(s, out=s)
-        ok &= (n17 >= 10 ** 16) & (s >= _TIE)
+        a[~ok] = 1.0                            # keeps log10 and the tables in range
+        e = np.floor(np.log10(a)).astype(np.int64) - _LOW  # X as an index of the power tables
+        p = a * _HI[e]                          # p + t = a·hi exactly (Dekker)
+        ah = a * _SPLIT
+        ah -= ah - a
+        al = a - ah
+        hi_hi, hi_lo = _HI_HI[e], _HI_LO[e]
+        t = ah * hi_hi - p + ah * hi_lo + al * hi_hi + al * hi_lo + _LO[e] * a
+        whole = np.floor(t)                     # a·10^P = p + t, to about 10^-14
+        t -= whole                              # the fraction
+        n17 = p.astype(np.int64) + whole.astype(np.int64)  # ⌊a·10^P⌋ (p ≥ 2^53 is whole)
+        ok &= (n17 >= 10 ** 16) & (np.abs(t - 0.5) >= _TIE)
         n17 += t > 0.5
         ok &= n17 < 10 ** 17
         n17[zero] = 0
@@ -180,53 +150,28 @@ class BlockFormatter:
         e[zero] = _X0
 
         # the 17 digits: d0, then four groups of four
-        np.floor_divide(n17, 10 ** 8, out=g2)
-        np.multiply(g2, 10 ** 8, out=tmp)
-        np.subtract(n17, tmp, out=g4)           # digits 9 … 16
-        np.floor_divide(g2, 10 ** 8, out=n17)   # digit 0
-        np.multiply(n17, 10 ** 8, out=tmp)
-        g2 -= tmp                               # digits 1 … 8
-        np.floor_divide(g2, 10 ** 4, out=g1)
-        np.multiply(g1, 10 ** 4, out=tmp)
-        g2 -= tmp
-        np.floor_divide(g4, 10 ** 4, out=g3)
-        np.multiply(g3, 10 ** 4, out=tmp)
-        g4 -= tmp
-        words = self._words[:n]
-        quad = u.view(_U64)
+        d0, rest = np.divmod(n17, 10 ** 16)
+        g1, rest = np.divmod(rest, 10 ** 12)
+        g2, rest = np.divmod(rest, 10 ** 8)
+        g3, g4 = np.divmod(rest, 10 ** 4)
+        words = np.empty((x.size, _SLOT), _U64)
+        sign = (x.view(np.int64) >> 63) & ord("-")  # where the sign bit is set
+        words[:, 0] = (d0 + ord("0")) << 48 | _FIRST_WORD | sign
         for column, group in enumerate((g1, g2, g3, g4), 1):
-            _QUADS.take(group, out=quad)
-            words[:, column] = quad
-        n17 += ord("0")
-        n17 <<= 48
-        n17 |= _FIRST_WORD
-        sign = np.right_shift(x.view(np.int64), 63, out=tmp)  # -1 where the sign bit is set
-        sign &= ord("-")
-        n17 |= sign
-        words[:, 0] = n17
-        _EXPONENTS.take(e, out=quad)
-        words[:, 5] = quad
-        words[:, 5].reshape(rows, cols)[...] |= self._separators
+            words[:, column] = _QUADS[group]
+        words[:, 5] = (_EXPONENTS[e].reshape(table.shape) | self._separators).reshape(-1)
 
         # digits kept: 17 less the trailing zeros, and at least the integer part
-        kept = tmp
-        _TRAILING_ZEROS.take(g4, out=kept)
-        np.subtract(17, kept, out=kept)
+        kept = 17 - _TRAILING_ZEROS[g4]
         short = np.flatnonzero(g4 == 0)
         if short.size:
-            z1, z2, z3 = (_TRAILING_ZEROS.take(g[short]) for g in (g1, g2, g3))
+            z1, z2, z3 = (_TRAILING_ZEROS[g[short]] for g in (g1, g2, g3))
             kept[short] = np.where(g3[short], 13 - z3, np.where(g2[short], 9 - z2, 5 - z1))
-        np.maximum(kept, _INTEGER_DIGITS.take(e, out=g1), out=kept)
-        kept *= _CLASSES
-        kept += _CLASS_OF_X.take(e, out=g1)
-        masks = self._floats.reshape(-1)[:_SLOT * n].view(_U64).reshape(n, _SLOT)  # dead rows
-        _MASKS.take(kept, axis=0, out=masks)
-        words &= masks
+        words &= _MASKS[np.maximum(kept, _INTEGER_DIGITS[e]) * _CLASSES + _CLASS_OF_X[e]]
 
         bad = np.flatnonzero(~ok)
         if bad.size:
             words[bad, :5] = 0
             words[bad, :3] = _text_words([b"%.17g" % v for v in x[bad].tolist()], 24)
             words[bad, 5] &= 0xFF << 40         # the separator alone
-        self._words[n:] = 0                     # a call of fewer rows than the arrays hold
-        return self._slots.translate(None, b"\0")
+        return words.tobytes().translate(None, b"\0")

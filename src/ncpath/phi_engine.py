@@ -23,9 +23,10 @@ blocks (JJ, JZ, ZZ) shared by every component (O(m²) work), plus the
 linear parts and the constant, which alone carry the boundary points.  The
 derivative reports index those blocks; `apply_L` and `apply_L_to_exp` work
 on their monomial view `PhiForm.polynomial`.  All four refuse the same
-labels (`_check_labels`: integers in range, never a bool); counts, run
-parameters, boundary points and θ are read exactly (`_slice_count`,
-`_exact`), and a bad one is refused by name.
+labels (`_check_labels`: integers in range, never a bool), the two
+`apply_L` forms after reading their index pairs once (`_label_pairs`);
+counts, run parameters, boundary points and θ are read exactly
+(`_slice_count`, `_exact`), and a bad one is refused by name.
 
 Index conventions: sources J_a^i, Z_a^i carry slice labels a = 0..m and
 components i = 0..N-1; μ is labelled a = 1..m; the slice step is
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -143,6 +145,13 @@ def _exact(value, key: str) -> Fraction:
         if isinstance(value, numbers.Real) and math.isfinite(value):
             return Fraction(float(value))
     raise ValueError(f"{key}: must be a finite number (got {value!r})")
+
+
+def _sequence(value, key: str) -> Sequence:
+    """value itself, if it is a sequence (a list, a tuple …); the ValueError names key."""
+    if not isinstance(value, Sequence):
+        raise ValueError(f"{key}: need a sequence (got {value!r})")
+    return value
 
 
 def _positive(value, key: str) -> Fraction:
@@ -366,10 +375,11 @@ class PhiForm:
 def _rational_theta(theta, dim: int):
     """θ as N×N Fractions (`_exact`), N = len(x_f); refuses another shape
     and a θ that is not exactly antisymmetric."""
-    if len(theta) != dim or any(len(row) != dim for row in theta):
+    rows = [_sequence(row, "theta") for row in _sequence(theta, "theta")]
+    if len(rows) != dim or any(len(row) != dim for row in rows):
         raise ValueError(f"theta: need {dim}×{dim} entries, one row and column per "
                          f"component of x_f")
-    rows = [[_exact(v, "theta") for v in row] for row in theta]
+    rows = [[_exact(v, "theta") for v in row] for row in rows]
     for r in range(dim):
         for c in range(dim):
             if rows[r][c] != -rows[c][r]:
@@ -396,12 +406,12 @@ def build_phi(ctx: PhiContext, theta, x_f, x_in) -> PhiForm:
       ∂²Q/∂Z_s∂Z_t = M δ_st - M/(m+1) [d₁₁ - d₁₀ - d₀₁ + d₀₀].
     The linear parts use v = D⁻¹c, which is nonzero on a = 1..m only.
 
-    x_f, x_in and every θ entry are read exactly (`_exact`); x_in must match
-    x_f's length and θ be N×N (`_rational_theta`), or the ValueError names
-    the field.
+    x_f, x_in, θ and each row of θ must be sequences, and every entry is
+    read exactly (`_exact`); x_in must match x_f's length and θ be N×N
+    (`_rational_theta`), or the ValueError names the field.
     """
-    x_f = [_exact(v, "x_f") for v in x_f]
-    x_in = [_exact(v, "x_in") for v in x_in]
+    x_f = [_exact(v, "x_f") for v in _sequence(x_f, "x_f")]
+    x_in = [_exact(v, "x_in") for v in _sequence(x_in, "x_in")]
     if len(x_f) != len(x_in):
         raise ValueError(f"x_in: need {len(x_f)} components, as many as x_f (got {len(x_in)})")
     dim = len(x_f)
@@ -467,8 +477,20 @@ def _check_labels(phi: PhiForm, slices, components):
                          f"(got {components!r})")
 
 
+def _label_pairs(phi: PhiForm, indices):
+    """indices as a list of (slice label, component) pairs, read once, the
+    labels checked by `_check_labels`; anything else is a ValueError that
+    starts with `indices`."""
+    if not isinstance(indices, Sequence) or \
+            not all(isinstance(pair, Sequence) and len(pair) == 2 for pair in indices):
+        raise ValueError(f"indices: need a sequence of (slice label, component) pairs "
+                         f"(got {indices!r})")
+    pairs = [tuple(pair) for pair in indices]
+    _check_labels(phi, [a for a, _ in pairs], [i for _, i in pairs])
+    return pairs
+
+
 def _apply_l_once(poly: SourcePolynomial, phi: PhiForm, a: int, i: int) -> SourcePolynomial:
-    _check_labels(phi, (a,), (i,))
     out = poly.differentiate(("J", a, i))
     for l in range(phi.dim):
         t = phi.theta[i][l]
@@ -481,12 +503,15 @@ def apply_L(phi: PhiForm, indices) -> SourcePolynomial:
     """Successive source derivatives L_{a1}^{i1} ⋯ acting on Φ itself.
 
     Because Φ is at most bilinear, three or more factors acting on one Φ
-    give the zero polynomial exactly.
+    give the zero polynomial exactly.  indices is a sequence of (slice
+    label, component) pairs (`_label_pairs`); an empty one is refused,
+    since no factor at all would return Φ itself, not a derivative of it.
     """
-    if not indices:
+    pairs = _label_pairs(phi, indices)
+    if not pairs:
         raise ValueError("indices: need at least one derivative")
     poly = phi.polynomial
-    for a, i in indices:
+    for a, i in pairs:
         poly = _apply_l_once(poly, phi, a, i)
     return poly
 
@@ -496,10 +521,12 @@ def apply_L_to_exp(phi: PhiForm, indices) -> GaussianRational:
 
     Maintains the prefactor polynomial P in (L(P e^Φ)) = (L P + P · LΦ) e^Φ;
     the result reproduces the pairing (cumulant) expansion over first and
-    second derivatives of Φ.
+    second derivatives of Φ.  indices is a sequence of (slice label,
+    component) pairs (`_label_pairs`); an empty one gives 1, the n = 0 term
+    of that expansion (e^Φ with no factor, over e^{Φ(0)}).
     """
     prefactor = _const(GR_ONE)
-    for a, i in indices:
+    for a, i in _label_pairs(phi, indices):
         prefactor = _apply_l_once(prefactor, phi, a, i) \
             + prefactor.multiply(_apply_l_once(phi.polynomial, phi, a, i))
     return prefactor.at_zero()

@@ -438,6 +438,28 @@ def test_every_derivative_entry_refuses_the_same_labels(entry, a, i, message):
         _DERIVATIVE_ENTRIES[entry](phi, a, i)
 
 
+@pytest.mark.parametrize("entry,indices", [
+    *(pytest.param(entry, indices, id=f"{name}-{entry.__name__}")
+      for entry in (apply_L, apply_L_to_exp)
+      for name, indices in (("one-entry", [(0,)]), ("three-entries", [(0, 1, 2)]),
+                            ("bare-label", [(0, 0), 1]), ("int", 5))),
+    # apply_L refuses None as it refuses [], with no derivative to take
+    pytest.param(apply_L_to_exp, None, id="none-apply_L_to_exp"),
+])
+def test_both_apply_l_forms_refuse_indices_that_are_not_label_pairs(entry, indices):
+    phi = build_phi(PhiContext(3, F(1), F(0)), THETA, XF, XIN)
+    with pytest.raises(ValueError, match="^indices"):
+        entry(phi, indices)
+
+
+def test_no_derivative_is_refused_by_apply_l_and_is_one_for_the_exponential():
+    phi = build_phi(PhiContext(3, F(1), F(0)), THETA, XF, XIN)
+    with pytest.raises(ValueError, match="^indices"):
+        apply_L(phi, [])
+    assert apply_L_to_exp(phi, []) == GaussianRational(1)
+    assert apply_L_to_exp(phi, ()) == GaussianRational(1)
+
+
 @pytest.mark.parametrize("entry", list(_DERIVATIVE_ENTRIES))
 def test_every_derivative_entry_reads_numpy_integer_labels(entry):
     import numpy as np
@@ -455,8 +477,12 @@ def test_every_derivative_entry_reads_numpy_integer_labels(entry):
     ([[F(0)] * 3] * 3, XF, XIN, "theta"),
     ([[F(0)]], XF, XIN, "theta"),
     ([[F(0), F(1, 10)], [F(-1, 10)]], XF, XIN, "theta"),
+    (None, XF, XIN, "theta"),
+    ([1, 2], XF, XIN, "theta"),
+    (THETA, F(3), XIN, "x_f"),
+    (THETA, XF, None, "x_in"),
 ], ids=["bool", "nan", "string-point", "x_in-length", "string-theta", "theta-3x3",
-        "theta-1x1", "ragged"])
+        "theta-1x1", "ragged", "theta-none", "theta-scalar-rows", "x_f-scalar", "x_in-none"])
 def test_build_phi_refuses_a_point_or_theta_by_name(theta, x_f, x_in, field):
     with pytest.raises(ValueError, match=f"^{field}"):
         build_phi(PhiContext(3, F(1), F(0)), theta, x_f, x_in)

@@ -22,7 +22,11 @@ and Hermiticity deviation, and `chebyshev_evolve`, on the dense route
 at T = 1 and the `adjoint_deviation` pair of each of those models' dense
 H.  For the exact engine it holds, as text bytes, the `run_phi_audit` rows
 at m = 3 and 4 and the values of `apply_L`, `apply_L_to_exp` and both
-derivative reports on one Φ.
+derivative reports on one Φ.  For the table formatter it holds the
+`float_text.BlockFormatter` bytes of one fixed table (the edge values of
+its tests, integer-valued floats, and 10⁵ seeded random bit patterns and
+10⁵ dyadic numbers, many of which tie at 17 digits) rendered 1, 6 and 2048
+columns wide: the G = 8 artifacts above never reach its '%.17g' hand-off.
 `compare` exits 1 if any array differs in shape or in a single byte.
 """
 
@@ -141,6 +145,27 @@ def phi_texts():
         for k in range(0, len(labels) - count + 1, 2))
 
 
+def formatter_texts():
+    """(name, text bytes) of one fixed table rendered 1, 6 and 2048 columns wide."""
+    from ncpath.float_text import BlockFormatter
+
+    rng = np.random.default_rng(35)
+    edges = [2.0 ** -25, 9.9999999999999998e-249, 1e16, 1e17, 1e-4, 1e-5, 1e-100, 1e100,
+             5e-324, 1.7976931348623157e308, -0.0, 0.0, np.nan, np.inf, -np.inf, 0.1, -0.4,
+             123456.78125, 1.5, 99999999999999999.0]
+    integers = np.concatenate([np.arange(-1000, 1001), rng.integers(-10 ** 16, 10 ** 16, 5000),
+                               10 ** np.arange(17), -(10 ** np.arange(17))])
+    bits = rng.integers(0, 2 ** 64, 10 ** 5, dtype=np.uint64).view(np.float64)
+    dyadic = np.ldexp(rng.integers(1, 2 ** 24, 10 ** 5).astype(np.float64),
+                      rng.integers(-90, 10, 10 ** 5))
+    values = np.concatenate([edges, integers, bits, dyadic]).astype(np.float64)
+    for separators in (b"\n", b", ;,,\n", b" " * 2047 + b"\n"):
+        columns = len(separators)
+        table = values[:len(values) // columns * columns].reshape(-1, columns)
+        yield f"float_text/{columns}", np.frombuffer(
+            b"".join(BlockFormatter(separators)(table)), dtype=np.uint8)
+
+
 def dump(out):
     import ncpath as nc
     import ncpath.cli
@@ -162,6 +187,7 @@ def dump(out):
     arrays.update(cli_artifacts(ncpath.cli))
     arrays.update(oracle_arrays(nc))
     arrays.update(phi_texts())
+    arrays.update(formatter_texts())
     np.savez(out, **arrays)
     print(f"{len(arrays)} arrays written to {out}")
 
