@@ -19,9 +19,9 @@ _EXPORTS = {
     "core": ("ConfigError", "GridMismatchError", "PhaseSpaceGrid", "PhysicsParams",
              "Potential", "RunConfig", "ThetaMatrix", "evaluate_potential_shifted",
              "load_config", "realize_hamiltonian_symbol"),
-    "oracle": ("build_hamiltonian_matrix", "chebyshev_evolve", "kinetic_operator_kernel",
-               "oracle_compare", "spectral_propagator", "split_step_evolve"),
-    "slicer": ("PropagatorKernel", "SlicingConfig", "SweepResult", "alpha_sweep", "compose",
+    "oracle": ("build_hamiltonian_matrix", "chebyshev_evolve", "oracle_compare",
+               "spectral_propagator", "split_step_evolve"),
+    "slicer": ("PropagatorKernel", "SlicingConfig", "SweepResult", "alpha_sweep",
                "edge_phase_turns", "free_kernel_closed_form", "full_kernel", "propagate",
                "short_time_propagator", "slice_row_blocks"),
     "star": ("ComplexField", "OperatorKernel", "gaussian_packet", "identity_kernel",

@@ -65,32 +65,18 @@ from .slicer import PropagatorKernel, SlicingConfig, propagate
 from .star import ComplexField, OperatorKernel
 
 
-def kinetic_operator_kernel(grid: PhaseSpaceGrid, params: PhysicsParams) -> OperatorKernel:
-    """⟨y|K²/(2M)|y'⟩: diagonal in momentum, circulant in position; grids of
-    more than 4096 lattice points are refused."""
-    _require_model(grid, params)
-    _require_dense_size(grid)
-    return OperatorKernel(_symbol_entries(
-        grid, lambda k, y: np.sum(k**2, axis=-1) / (2.0 * params.mass)), grid)
-
-
 def build_hamiltonian_matrix(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceGrid,
                              params: PhysicsParams) -> OperatorKernel:
     """Dense lattice Hamiltonian kernel; guarded to G^N ≤ 4096.
 
     The standard-ordered kernel of h(k, y) = k·k/2M + V(y + θk)
     (`core.realize_hamiltonian_symbol`), built one row block of n²/G
-    entries at a time, so H is the only n×n array.  At θ = 0 the potential
-    part is diag(V(y))/Δx^N, added to the kinetic kernel's diagonal, as
-    in `star.potential_operator_kernel`.  Grid, V, θ and params must share
-    dim and ħ (`core._require_model`).
+    entries at a time, so H is the only n×n array.  θ = 0 and V = 0, the
+    commutative and free controls, run this same builder.  Grid, V, θ and
+    params must share dim and ħ (`core._require_model`).
     """
     _require_model(grid, params, V, theta)
     _require_dense_size(grid)
-    if theta.is_zero:
-        H = kinetic_operator_kernel(grid, params)
-        H.entries[np.diag_indices(grid.size)] += V(grid.x_points) / grid.cell_volume
-        return H
     return OperatorKernel(_symbol_entries(grid, realize_hamiltonian_symbol(V, theta, params)),
                           grid)
 
@@ -268,9 +254,10 @@ def split_step_evolve(psi: ComplexField, V: Potential, theta: ThetaMatrix,
     The potential half-step applies the shifted-symbol phase in mixed
     domain:  ψ(x) ← (2πħ)^{-N/2} Σ_k Δk^N e^{(i/ħ)k·x} e^{-(i/ħ)(δt/2)V(x+θk)} ψ̂(k).
     A step is one half-step on ψ̂, then one on e^{-iδt k²/2Mħ} ψ̂ of the
-    result; no two half-steps are merged.  V = 0 evolution is exact for any
-    step count, and θ = 0 alternates phases with FFTs.  At θ ≠ 0 there are
-    two routes, both refused on grids of more than 4096 lattice points:
+    result; no two half-steps are merged.  At θ = 0, and at V = 0 (θ enters
+    only V's argument), the steps alternate phases with FFTs.  Otherwise
+    there are two routes, both refused on grids of more than 4096 lattice
+    points:
 
     - V(x + θk) factored by axis (`core._axis_factors`): a half-step row is
       a product of one length-G factor per momentum axis, so each half-step,
@@ -297,11 +284,7 @@ def split_step_evolve(psi: ComplexField, V: Potential, theta: ThetaMatrix,
     k2 = np.sum(grid.k_points**2, axis=-1)
     kin_phase = np.exp(-1j * dt * k2 / (2.0 * params.mass * hbar))
     values = psi.values.copy()
-    if V.is_zero:
-        hat = grid.wave_to_momentum(values)
-        hat *= kin_phase**steps
-        return ComplexField(grid.momentum_to_wave(hat), grid)
-    if theta.is_zero:
+    if theta.is_zero or V.is_zero:
         half = np.exp(-0.5j * dt * V(grid.x_points) / hbar).reshape(grid.shape)
         kin = np.fft.ifftshift(kin_phase.reshape(grid.shape))  # the FFT's frequency order
         values = values.reshape(grid.shape)
@@ -405,11 +388,14 @@ def oracle_compare(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceGrid,
     m's propagation seconds under m, "reference_route" ("axis-factored" or
     "dense"), and the series' "terms", "spectral_bounds" and
     "hermiticity_deviation" (0.0 on the factored route).  The model check
-    (`core._require_model`), every m's SlicingConfig and the slices'
-    dense-kernel size limit all run before the reference is computed.
+    (`core._require_model`), every m's SlicingConfig, the refusal of a
+    repeated m (timings are keyed by m) and the slices' dense-kernel size
+    limit all run before the reference is computed.
     """
     _require_model(grid, params, V, theta, probe)
     configs = [SlicingConfig(m, total_time, alpha, params) for m in m_values]
+    if len({cfg.slices_m for cfg in configs}) < len(configs):
+        raise ValueError("m_values: slice counts must be distinct")
     _require_dense_size(grid)  # the slices need it; refuse before the reference
     timings = {} if timings is None else timings
     t0 = time.perf_counter()

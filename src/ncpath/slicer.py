@@ -327,16 +327,6 @@ def _grouped_slice(cfg, V, theta, grid):
     return entries
 
 
-def compose(Ka: PropagatorKernel, Kb: PropagatorKernel) -> PropagatorKernel:
-    """Chain two kernels: matrix product with one Δx^N intermediate measure."""
-    product = Ka.matmul(Kb)
-    a, b = Ka.config, Kb.config
-    if a is not None and b is not None and a.alpha == b.alpha:
-        product.config = replace(a, slices_m=a.slices_m + b.slices_m + 1,
-                                 total_time=a.total_time + b.total_time)
-    return product
-
-
 def full_kernel(cfg: SlicingConfig, V: Potential, theta: ThetaMatrix,
                 grid: PhaseSpaceGrid) -> PropagatorKernel:
     """(m+1)-fold composition of one short-time propagator (binary powering).

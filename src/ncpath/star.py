@@ -255,12 +255,11 @@ def potential_operator_kernel(V: Potential, theta: ThetaMatrix,
     an entry is χ_y at the offset (n_y - n_y') mod G, with χ_y the centered
     transform of V(y + θk) over the momentum lattice.  For real V it is
     Hermitian when θ = 0 or V has degree ≤ 2; otherwise (quartic V, θ ≠ 0)
-    its deviation from Hermiticity is of first order in θ.  θ = 0 gives
-    diag(V(y))/Δx^N.  Grids of more than 4096 lattice points are refused.
+    its deviation from Hermiticity is of first order in θ.  θ = 0, the
+    commutative control, runs this same builder.  Grids of more than 4096
+    lattice points are refused.
     """
     _require_model(grid, V=V, theta=theta)
     _require_dense_size(grid)
-    if theta.is_zero:
-        return OperatorKernel(np.diag(V(grid.x_points) / grid.cell_volume).astype(complex), grid)
     return OperatorKernel(_symbol_entries(
         grid, lambda k, y: evaluate_potential_shifted(V, theta, y, k)), grid)

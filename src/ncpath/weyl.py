@@ -195,8 +195,9 @@ def verify_alpha_washout(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceGrid,
     scale (comparable to the grid-refinement self-convergence error).
     The report carries per-α deviation from the shifted potential V(x+θk)
     and the pairwise spread, absolute and relative to max |V(x+θk)|, and
-    the table V(x+θk) itself as `target`.  Grids of more than 4096 lattice
-    points are refused, and so are a V or θ of another dimension than the grid.
+    the table V(x+θk) itself as `target`.  Repeated ordering indices, grids
+    of more than 4096 lattice points, and a V or θ of another dimension than
+    the grid are refused.
     """
     _require_model(grid, V=V, theta=theta)
     if method not in ("closed_form", "direct"):
@@ -205,6 +206,8 @@ def verify_alpha_washout(V: Potential, theta: ThetaMatrix, grid: PhaseSpaceGrid,
     alphas = [read(a, "alpha") for a in alphas]
     if len(alphas) < 2:
         raise ValueError("alphas: need at least two ordering indices to compare")
+    if len(set(alphas)) < len(alphas):
+        raise ValueError("alphas: ordering indices must be distinct")
     _require_dense_size(grid)
     target = evaluate_potential_shifted(V, theta, grid.x_points[None, :, :],
                                         grid.k_points[:, None, :])

@@ -919,6 +919,19 @@ def test_alpha_sweep_rejects_repeated_values(config_path, flag, value, key):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["oracle-compare", "--m-list", "16,4,16"], "m_values"),
+    (["symbol", "--alphas", "0.4,0.4"], "alphas"),
+    (["symbol", "--alphas", "0.4,0.4", "--method", "direct"], "alphas"),
+], ids=["oracle-compare", "symbol", "symbol-direct"])
+def test_repeated_values_are_refused_and_nothing_is_written(config_path, tmp_path, argv, key):
+    out = tmp_path / "rows.csv"
+    result = run_cli(*argv, "--config", config_path, "--out", str(out))
+    assert result.returncode == 2
+    assert f"{key}: " in result.stderr and "distinct" in result.stderr
+    assert result.stdout == "" and not out.exists()
+
+
 @pytest.mark.parametrize("total_time", ["0", "-1"])
 def test_limit_check_rejects_non_positive_total_time(total_time):
     result = run_cli("limit-check", "--total-time", total_time)

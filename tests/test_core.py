@@ -478,7 +478,7 @@ def _literal_symbol_half(A, grid):
 
 @pytest.mark.parametrize("G, N", [(5, 1), (7, 2), (4, 3)])
 def test_lattice_kernels_on_odd_and_3d_grids_match_literal_sums(G, N):
-    from ncpath.oracle import build_hamiltonian_matrix, kinetic_operator_kernel
+    from ncpath.oracle import build_hamiltonian_matrix
     from ncpath.slicer import SlicingConfig, short_time_propagator
     from ncpath.star import OperatorKernel, potential_operator_kernel
     from ncpath.weyl import symbol_of_operator
@@ -486,7 +486,8 @@ def test_lattice_kernels_on_odd_and_3d_grids_match_literal_sums(G, N):
     params = PhysicsParams(hbar=0.7, mass=1.3, dim=N)
     grid = PhaseSpaceGrid(G, G / 2.0, N, hbar=0.7)
     k2 = np.sum(grid.k_points**2, axis=-1)
-    kinetic = kinetic_operator_kernel(grid, params).entries
+    kinetic = build_hamiltonian_matrix(Potential.zero(N), ThetaMatrix.zero(N), grid,
+                                       params).entries
     assert np.max(np.abs(kinetic - _literal_momentum_sum(grid, k2 / 2.6))) < 1e-12
     cfg = SlicingConfig(3, 1.0, 0.3, params)
     free = short_time_propagator(cfg, Potential.zero(N), ThetaMatrix.zero(N), grid).entries
@@ -502,7 +503,7 @@ def test_lattice_kernels_on_odd_and_3d_grids_match_literal_sums(G, N):
     H = build_hamiltonian_matrix(V, theta, grid, params).entries
     assert np.max(np.abs(H - _literal_momentum_sum(grid, k2 / 2.6 + shifted))) < 1e-12
     assert np.max(np.abs(H - (kinetic + potential))) <= 1e-13 * np.max(np.abs(H))
-    # θ = 0: diag(V)/Δx^N, alone and added to the kinetic kernel, on a grid with Δx ≠ 1
+    # θ = 0 through the same builders, on a grid with Δx ≠ 1
     fine = PhaseSpaceGrid(G, 0.3 * G, N, hbar=0.7)
     unshifted = np.broadcast_to(V(fine.x_points)[:, None], (fine.size,) * 2)
     V0 = potential_operator_kernel(V, ThetaMatrix.zero(N), fine).entries
@@ -534,7 +535,7 @@ def test_dense_kernel_builds_refuse_grids_over_4096_points():
 def test_every_dense_builder_checks_the_size_first(monkeypatch):
     # with the limit at 64 points a G = 9, N = 2 grid (81 points) is too big
     import ncpath.core
-    from ncpath.oracle import kinetic_operator_kernel, split_step_evolve
+    from ncpath.oracle import build_hamiltonian_matrix, split_step_evolve
     from ncpath.slicer import free_kernel_closed_form
     from ncpath.star import gaussian_packet, identity_kernel
     from ncpath.weyl import shifted_potential_symbol, verify_alpha_washout
@@ -548,7 +549,7 @@ def test_every_dense_builder_checks_the_size_first(monkeypatch):
     builders = [
         lambda: identity_kernel(grid),
         lambda: free_kernel_closed_form(grid, params, 1.0),
-        lambda: kinetic_operator_kernel(grid, params),
+        lambda: build_hamiltonian_matrix(Potential.zero(2), ThetaMatrix.zero(2), grid, params),
         lambda: split_step_evolve(psi, V, theta, params, 0.1, 2),
         # harmonic V at θ ≠ 0 takes the factorized route: n×G tables only
         lambda: split_step_evolve(psi, Potential.harmonic(1.0, dim=2), theta, params, 0.1, 2),
@@ -572,7 +573,6 @@ _MODEL_ENTRIES = {
     "propagate_dense": ("params", "V", "theta", "probe"),
     "split_step_evolve": ("params", "V", "theta"),
     "build_hamiltonian_matrix": ("params", "V", "theta"),
-    "kinetic_operator_kernel": ("params",),
     "free_kernel_closed_form": ("params",),
     "oracle_compare": ("params", "V", "theta", "probe"),
     "star_apply": ("V", "theta"),
@@ -602,7 +602,6 @@ def _run_model_entry(entry, grid, params, V, theta, probe):
         "split_step_evolve": lambda: oracle.split_step_evolve(psi, V, theta, params, 1.0, 4),
         # the entry itself, not the name patched in oracle
         "build_hamiltonian_matrix": lambda: build_hamiltonian_matrix(V, theta, grid, params),
-        "kinetic_operator_kernel": lambda: oracle.kinetic_operator_kernel(grid, params),
         "free_kernel_closed_form": lambda: slicer.free_kernel_closed_form(grid, params, 1.0),
         "oracle_compare": lambda: oracle.oracle_compare(V, theta, grid, params, 1.0, [2],
                                                         probe),

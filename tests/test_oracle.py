@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ncpath.oracle
@@ -20,7 +20,6 @@ from ncpath.oracle import (
     _factored_hamiltonian,
     build_hamiltonian_matrix,
     chebyshev_evolve,
-    kinetic_operator_kernel,
     oracle_compare,
     spectral_propagator,
     split_step_evolve,
@@ -112,7 +111,7 @@ def test_a_nan_on_one_side_of_the_diagonal_fails_every_spectral_route(where, mon
     V, theta = Potential.quartic(0.1), ThetaMatrix.zero(2)
 
     def poisoned(*args):
-        H = kinetic_operator_kernel(grid, params)
+        H = build_hamiltonian_matrix(Potential.zero(2), theta, grid, params)
         H.entries[where] = np.nan
         return H
 
@@ -260,11 +259,15 @@ def _separable_models(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(_separable_models(), st.integers(0, 2**32 - 1))
+@example((_separable_polynomial(2), ThetaMatrix.zero(2), PhaseSpaceGrid(8, 3.0, 2)), 0)
+@example((_separable_polynomial(3), ThetaMatrix.zero(3), PhaseSpaceGrid(5, 2.5, 3)), 1)
 def test_factored_hamiltonian_equals_the_dense_reference(model, seed):
-    # both routes reach one lattice operator A = H·Δx^N.  Over 300 draws the
-    # worst matvec gap was 1.4 ε·max|A|·max|x|·n and the worst eigenvalue
-    # outside either [lo, hi] 2.0 ε·n·max|A| (a bound that is tight to
-    # rounding, e.g. V constant); the bound is 16 ε times those scales
+    # both routes reach one lattice operator A = H·Δx^N, at θ = 0 (every
+    # N = 1 draw, and the examples) through the same dense builder as at
+    # θ ≠ 0.  Over 300 draws the worst matvec gap was 1.4 ε·max|A|·max|x|·n
+    # and the worst eigenvalue outside either [lo, hi] 2.0 ε·n·max|A| (a
+    # bound that is tight to rounding, e.g. V constant), and over 600 more
+    # at θ = 0 1.4 and 1.6 in those units; the bound is 16 ε times those scales
     V, theta, grid = model
     params = PhysicsParams(dim=grid.dim)
     factored, lo, hi, _ = _factored_hamiltonian(_axis_factors(V, theta), grid, params)
@@ -428,6 +431,29 @@ def test_spectral_free_matches_analytic_gaussian_spreading():
     exact = norm / z * np.exp(-r2 / (4 * sigma**2 * z))
     err = np.sqrt(np.sum(np.abs(action.values - exact) ** 2) * grid.cell_volume)
     assert err < 1e-6
+
+
+# θ = 0, the commutative control, runs the general builders: the potential
+# kernel is diag(V)/Δx^N and H is H(V = 0) + diag(V)/Δx^N up to rounding.
+# Over quartic and Gaussian-well V, N = 1–3, G = 4–32 and boxes 2.5, 3 and
+# 4, the worst gaps were 3.8 ε (kernel) and 4.6 ε (H) of the largest entry;
+# where G and Δx = 2L/G are powers of two the kernel is diag(V)/Δx^N bitwise
+@pytest.mark.parametrize("N, G", [(N, G) for N in (1, 2, 3) for G in (5, 7, 8, 16, 32)
+                                  if G**N <= 1024])
+def test_theta_zero_builders_reduce_to_the_potential_diagonal(N, G):
+    eps = np.finfo(float).eps
+    params, theta = PhysicsParams(dim=N, mass=1.3), ThetaMatrix.zero(N)
+    for V in (Potential.quartic(0.7, dim=N), Potential.gaussian_well(1.0, 1.5, dim=N)):
+        for box in (4.0, 3.0):
+            grid = PhaseSpaceGrid(G, box, N)
+            diagonal = np.diag(V(grid.x_points) / grid.cell_volume).astype(complex)
+            K = potential_operator_kernel(V, theta, grid).entries
+            if box == 4.0 and G & (G - 1) == 0:  # Δx = 8/G
+                assert np.array_equal(K, diagonal)
+            assert np.max(np.abs(K - diagonal)) <= 8 * eps * np.max(np.abs(diagonal))
+            H = build_hamiltonian_matrix(V, theta, grid, params).entries
+            free = build_hamiltonian_matrix(Potential.zero(N), theta, grid, params).entries
+            assert np.max(np.abs(H - (free + diagonal))) <= 8 * eps * np.max(np.abs(H))
 
 
 def test_split_step_free_is_exact():
@@ -680,7 +706,7 @@ def test_unitarity_probe_of_sliced_kernel():
 def test_kinetic_kernel_circulant_structure():
     params = PhysicsParams(dim=1)
     grid = PhaseSpaceGrid(16, 5.0, 1)
-    kin = kinetic_operator_kernel(grid, params)
+    kin = build_hamiltonian_matrix(Potential.zero(1), ThetaMatrix.zero(1), grid, params)
     # constant along wrapped diagonals
     G = grid.points_per_axis
     for d in range(G):
@@ -719,7 +745,6 @@ def _kernel_then_symbol(V, theta, grid, params):
 
 
 @pytest.mark.parametrize("prepare,bound", [
-    (lambda V, theta, grid, params: lambda: kinetic_operator_kernel(grid, params), 1.25),
     # beside the output sit one row block's h(k, y) values and transforms,
     # then that block's gathered entries
     (lambda V, theta, grid, params: lambda: build_hamiltonian_matrix(V, theta, grid, params),
@@ -734,7 +759,7 @@ def _kernel_then_symbol(V, theta, grid, params):
     (_oracle_compare, 1.5),
     (_oracle_compare_factorized, 0.3),
     (_kernel_then_symbol, 2.5),
-], ids=["kinetic_operator_kernel", "build_hamiltonian_matrix", "chebyshev_evolve",
+], ids=["build_hamiltonian_matrix", "chebyshev_evolve",
         "split_step_evolve", "split_step_evolve_factorized", "oracle_compare",
         "oracle_compare_factorized", "symbol_of_operator"])
 def test_dense_builds_allocate_one_n_by_n_array(prepare, bound):
@@ -784,8 +809,10 @@ def test_factorized_split_step_holds_four_tables_and_one_work_array():
                                                       ([2, 2.7], 0.5, "slices_m"),
                                                       ([2, 2.5], 0.5, "slices_m"),
                                                       ([True, 4], 0.5, "slices_m"),
-                                                      ([2, 4], 0.7, "alpha")],
-                         ids=["m", "m-fraction", "m-half", "m-bool", "alpha"])
+                                                      ([2, 4], 0.7, "alpha"),
+                                                      ([16, 4, 16], 0.5,
+                                                       "m_values: slice counts must be distinct")],
+                         ids=["m", "m-fraction", "m-half", "m-bool", "alpha", "m-repeated"])
 def test_oracle_compare_refuses_a_bad_slicing_before_the_reference(m_values, alpha, message,
                                                                    monkeypatch):
     def refuse(*args):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from ncpath import weyl
 from ncpath.core import ConfigError, PhaseSpaceGrid, PhysicsParams, Potential, ThetaMatrix
-from ncpath.oracle import kinetic_operator_kernel
+from ncpath.oracle import build_hamiltonian_matrix
 from ncpath.star import OperatorKernel, identity_kernel, potential_operator_kernel
 from ncpath.weyl import (
     delta_alpha_matrix_element,
@@ -80,7 +81,8 @@ def test_identity_symbol_is_one_for_every_alpha():
 def test_kinetic_symbol_alpha_invariant():
     # no ordering ambiguity for a function of momentum alone
     grid = PhaseSpaceGrid(8, 4.0, 1)
-    kin = kinetic_operator_kernel(grid, PhysicsParams(dim=1))
+    kin = build_hamiltonian_matrix(Potential.zero(1), ThetaMatrix.zero(1), grid,
+                                   PhysicsParams(dim=1))
     target = (grid.k_points[:, 0] ** 2 / 2.0)[:, None] * np.ones((1, grid.size))
     symbols = [symbol_of_operator(kin, a).values for a in (-0.5, -0.4, 0.0, 0.4, 0.5)]
     for s in symbols:
@@ -162,6 +164,21 @@ def test_closed_form_washout_evaluates_the_potential_once(monkeypatch):
     assert len(calls) == 1
     for sym, values in zip(report.symbols, rebuilt):
         assert np.array_equal(sym.values, values)
+
+
+@pytest.mark.parametrize("method", ["closed_form", "direct"])
+def test_washout_refuses_repeated_ordering_indices(method, monkeypatch):
+    # a repeated α would compare an index with itself: a spread of 0 that checks nothing
+    def refuse(*args, **kwargs):
+        raise AssertionError("a symbol was built")
+
+    monkeypatch.setattr(weyl, "shifted_potential_symbol", refuse)
+    monkeypatch.setattr(weyl, "potential_operator_kernel", refuse)
+    grid = PhaseSpaceGrid(8, 4.0, 2)
+    theta = ThetaMatrix.single_block(2, 0.1)
+    with pytest.raises(ValueError, match="alphas: ordering indices must be distinct"):
+        verify_alpha_washout(Potential.quartic(1.0, dim=2), theta, grid, [0.4, -0.4, 0.4],
+                             method=method)
 
 
 def test_closed_form_rejects_endpoint():

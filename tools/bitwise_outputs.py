@@ -5,12 +5,13 @@
 
 A refactor that promises bitwise-identical results dumps from both trees and
 compares.  The dump holds `short_time_propagator` entries and `propagate`
-results at α ∈ {±1/2, 0, 0.3} and m ∈ {0, 3}, `split_step_evolve` and
-`star_apply`, on the shipped configs and on N = 2 (G = 7, 8) and N = 3
-(G = 4, 5) with harmonic, linear, separable-polynomial, zero and quartic V,
-each under θ = 0, one axis pair and (N = 3) a θ that couples three axes.
-Together these reach every slice route, both table routes and the dense
-route of `propagate`, and all four split-step routes.  It also holds the
+results at α ∈ {±1/2, 0, 0.3} and m ∈ {0, 3}, `split_step_evolve`,
+`star_apply`, and the `build_hamiltonian_matrix` and
+`potential_operator_kernel` entries, on the shipped configs and on N = 2
+(G = 7, 8) and N = 3 (G = 4, 5) with harmonic, linear, separable-polynomial,
+zero and quartic V, each under θ = 0, one axis pair and (N = 3) a θ that
+couples three axes.  Together these reach every slice route, both table
+routes and the dense route of `propagate`, and all three split-step routes.  It also holds the
 bytes of `ncpath kernel` artifacts on the shipped configs at G = 8: the
 factorized route at α ∈ {0.3, 1/2}, V = 0, the quartic config's grouped
 route and --compose; and of `ncpath symbol` CSVs on the quartic config at
@@ -27,7 +28,9 @@ derivative reports on one Φ.  For the table formatter it holds the
 its tests, integer-valued floats, and 10⁵ seeded random bit patterns and
 10⁵ dyadic numbers, many of which tie at 17 digits) rendered 1, 6 and 2048
 columns wide: the G = 8 artifacts above never reach its '%.17g' hand-off.
-`compare` exits 1 if any array differs in shape or in a single byte.
+`compare` exits 1 if any array differs in shape or in a single byte; for a
+numeric array of one shape it prints the largest difference and the first
+dump's largest entry.
 """
 
 import json
@@ -184,6 +187,8 @@ def dump(out):
                     nc.propagate(cfg, V, theta, grid, probe).values
         arrays[f"split_step/{name}"] = nc.split_step_evolve(probe, V, theta, params, 0.4, 5).values
         arrays[f"star_apply/{name}"] = nc.star_apply(V, theta, probe).values
+        arrays[f"hamiltonian/{name}"] = nc.build_hamiltonian_matrix(V, theta, grid, params).entries
+        arrays[f"potential_kernel/{name}"] = nc.potential_operator_kernel(V, theta, grid).entries
     arrays.update(cli_artifacts(ncpath.cli))
     arrays.update(oracle_arrays(nc))
     arrays.update(phi_texts())
@@ -200,7 +205,12 @@ def compare(first, second):
     differ = [key for key in a.files
               if a[key].shape != b[key].shape or a[key].tobytes() != b[key].tobytes()]
     for key in differ:
-        print("differs:", key)
+        x, y = a[key], b[key]
+        if x.shape == y.shape and x.dtype.kind in "fc" and x.size:
+            gap, top = np.max(np.abs(x - y)), np.max(np.abs(x))
+            print(f"differs: {key} (largest difference {gap:.2g}, largest entry {top:.2g})")
+        else:
+            print("differs:", key)
     print(f"{len(a.files)} arrays compared, {len(differ)} differ")
     return 1 if differ else 0
 
